@@ -55,6 +55,7 @@
 //! (`build` / `inspect` / `serve`), and CI round-trips an artifact
 //! through a fresh process on every push.
 
+use crate::landmarks::Landmarks;
 use crate::Spanner;
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::bytes::{read_u32_at, read_u64_at, SharedBytes};
@@ -392,6 +393,9 @@ pub struct FrozenSpanner {
     /// separately from the store so an eagerly-held map (the
     /// [`FrozenSpanner::to_v2_sharded`] path) still encodes sharded.
     sharded: bool,
+    /// The A* landmark table, built from the adjacency on first use and
+    /// shared by every clone (clones share the adjacency). Never encoded.
+    landmarks: Arc<OnceLock<Landmarks>>,
 }
 
 impl FrozenSpanner {
@@ -427,12 +431,22 @@ impl FrozenSpanner {
             witnesses: WitnessStore::Eager(witnesses),
             version: ARTIFACT_VERSION,
             sharded: false,
+            landmarks: Arc::default(),
         }
     }
 
     /// The packed adjacency queries run over.
     pub fn csr(&self) -> &FrozenCsr {
         &self.csr
+    }
+
+    /// The landmark table single-pair serving runs A* on (see
+    /// [`crate::landmarks`]). Built from the unfaulted adjacency on first
+    /// use, then memoized and shared by every clone; it is a pure
+    /// function of the adjacency, so owned and in-place artifacts of the
+    /// same bytes build identical tables. Never part of the encoding.
+    pub fn landmarks(&self) -> &Landmarks {
+        self.landmarks.get_or_init(|| Landmarks::build(&self.csr))
     }
 
     /// Number of vertices (same ids as the parent graph).
@@ -1507,6 +1521,7 @@ impl FrozenSpanner {
             witnesses: WitnessStore::Eager(witnesses),
             version: ARTIFACT_VERSION,
             sharded: false,
+            landmarks: Arc::default(),
         })
     }
 
@@ -1669,6 +1684,7 @@ impl FrozenSpanner {
             witnesses,
             version: ARTIFACT_VERSION_V2,
             sharded,
+            landmarks: Arc::default(),
         };
         if eager {
             // Force (and memoize) the lazy sections so decode() means
@@ -1854,6 +1870,22 @@ mod tests {
         assert_eq!(frozen.spanner_edge_of_parent(EdgeId::new(0)), None);
         assert_eq!(frozen.spanner_edge_of_parent(EdgeId::new(99)), None);
         assert_eq!(frozen.parent_edge(EdgeId::new(1)), EdgeId::new(3));
+    }
+
+    #[test]
+    fn landmark_tables_agree_across_decode_and_open() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let g =
+            spanner_graph::generators::random_geometric(80, 0.25, &mut StdRng::seed_from_u64(3));
+        let frozen = FtGreedy::new(&g, 3).faults(1).run().freeze(&g);
+        let bytes = frozen.to_v2_sharded().encode();
+        let decoded = FrozenSpanner::decode(&bytes).unwrap();
+        let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes)).unwrap();
+        assert!(opened.is_in_place());
+        assert_eq!(decoded.landmarks(), opened.landmarks());
+        assert_eq!(frozen.landmarks(), opened.landmarks());
+        // The table is never encoded: building it leaves the bytes alone.
+        assert_eq!(opened.to_v2_sharded().encode(), bytes);
     }
 
     #[test]

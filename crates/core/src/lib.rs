@@ -59,6 +59,7 @@ mod spanner;
 
 pub mod baselines;
 pub mod frozen;
+pub mod landmarks;
 pub mod metrics;
 pub mod partition;
 pub mod report;

@@ -34,6 +34,9 @@ pub struct Route {
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RouteError {
+    /// Source or target is not a vertex of the artifact (id out of
+    /// range). Reported before any fault-view check.
+    InvalidEndpoint(NodeId),
     /// Source or target is currently failed.
     EndpointFailed(NodeId),
     /// No surviving route exists in the spanner.
@@ -47,7 +50,11 @@ pub enum RouteError {
 
 /// Every stable [`RouteError`] code, one per variant; pinned together
 /// with the decode-path codes by `tests/error_taxonomy.rs`.
-pub const ROUTE_ERROR_CODES: &[&str] = &["route/endpoint-failed", "route/unreachable"];
+pub const ROUTE_ERROR_CODES: &[&str] = &[
+    "route/invalid-endpoint",
+    "route/endpoint-failed",
+    "route/unreachable",
+];
 
 impl RouteError {
     /// A stable, machine-readable error code (part of the public error
@@ -56,6 +63,7 @@ impl RouteError {
     /// compatibility matters — the enum is `#[non_exhaustive]`.
     pub fn code(&self) -> &'static str {
         match self {
+            RouteError::InvalidEndpoint(_) => "route/invalid-endpoint",
             RouteError::EndpointFailed(_) => "route/endpoint-failed",
             RouteError::Unreachable { .. } => "route/unreachable",
         }
@@ -65,6 +73,7 @@ impl RouteError {
 impl std::fmt::Display for RouteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RouteError::InvalidEndpoint(v) => write!(f, "endpoint {v} is not a vertex"),
             RouteError::EndpointFailed(v) => write!(f, "endpoint {v} is failed"),
             RouteError::Unreachable { from, to } => {
                 write!(f, "no surviving route from {from} to {to}")

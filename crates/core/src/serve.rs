@@ -37,9 +37,36 @@
 //!   tenant's batch without blocking (async-friendly: submission is
 //!   cheap and never routes), `flush` serves all pending batches with
 //!   **one** pass per distinct fault view — same-view tenants share the
-//!   per-source Dijkstra amortization of `serve_batch` — and hands
+//!   per-source search amortization of `serve_batch` — and hands
 //!   each submitter exactly the answers a private `route_batch` would
 //!   have produced.
+//!
+//! # The canonical route and single-pair search
+//!
+//! Every serving path answers a pair with **the canonical route**: the
+//! shortest path in `H ∖ F` in which every vertex's predecessor edge is
+//! its smallest-id *tight* predecessor edge (`spanner_graph::dijkstra`
+//! module docs). The route is a function of `(artifact, view, pair)`
+//! alone, not of the search that found it, which is what lets
+//! different searches serve different shapes of traffic:
+//!
+//! * single pairs ([`route_one`], [`EpochHandle::route`],
+//!   [`EpochHandle::route_cost`], and batch sources with few targets)
+//!   run exact A* under the artifact's landmark potential
+//!   ([`FrozenSpanner::landmarks`], [`crate::landmarks`]). The table is
+//!   built once on the unfaulted spanner; faults only lengthen
+//!   distances, so its bounds hold in every epoch and no delta ever
+//!   invalidates it. At n = 10⁴ on a sparse geometric spanner A*
+//!   settles about 240 vertices where the early-stopped Dijkstra it
+//!   replaced settled about 5,000;
+//! * a batch source with many targets pays one full search and
+//!   extracts every target from it (`serve_batch`).
+//!
+//! Every entry point first runs one endpoint check — ids in range
+//! ([`RouteError::InvalidEndpoint`]), then endpoints alive
+//! ([`RouteError::EndpointFailed`]) — so no id from a caller reaches an
+//! array index unchecked, and a bad pair in a pooled batch gets its
+//! error in its own slot instead of killing a worker.
 //!
 //! # Worker pool and the `threads = 0` convention
 //!
@@ -78,14 +105,15 @@ use std::time::Duration;
 ///
 /// This is the **reference implementation**: every serving path —
 /// [`EpochHandle::route`], sequential and pooled batches, the
-/// coalescer — funnels into it (directly or per settled source), so
-/// they cannot drift from it. It is public so harnesses and tests can
-/// serve a pair without opening a session: bring your own
+/// coalescer — answers exactly like it, because they all serve the
+/// canonical route (module docs). It is public so harnesses and tests
+/// can serve a pair without opening a session: bring your own
 /// [`DijkstraEngine`], [`PathScratch`], and a mask over the *spanner's*
 /// ids (see [`FrozenSpanner::apply_faults`]).
 ///
 /// # Errors
 ///
+/// [`RouteError::InvalidEndpoint`] if an endpoint is not a vertex;
 /// [`RouteError::EndpointFailed`] if an endpoint is masked out;
 /// [`RouteError::Unreachable`] if the survivors are disconnected.
 pub fn route_one(
@@ -96,16 +124,51 @@ pub fn route_one(
     from: NodeId,
     to: NodeId,
 ) -> Result<Route, RouteError> {
+    pair_search(frozen, engine, mask, from, to)?;
+    let found = engine.extract_path_into(to, Dist::INFINITE, scratch);
+    debug_assert!(found, "a finished pair search settles its target");
+    Ok(route_from_scratch(scratch))
+}
+
+/// The endpoint check every serving entry point runs before searching,
+/// in one fixed order: both ids in range (else
+/// [`RouteError::InvalidEndpoint`]), then both endpoints alive in the
+/// view (else [`RouteError::EndpointFailed`]). The searches below it
+/// assume valid, live endpoints.
+fn check_endpoints(
+    frozen: &FrozenSpanner,
+    mask: &FaultMask,
+    from: NodeId,
+    to: NodeId,
+) -> Result<(), RouteError> {
+    for v in [from, to] {
+        if v.index() >= frozen.node_count() {
+            return Err(RouteError::InvalidEndpoint(v));
+        }
+    }
     for v in [from, to] {
         if mask.is_vertex_faulted(v) {
             return Err(RouteError::EndpointFailed(v));
         }
     }
-    if engine.shortest_path_bounded_into(frozen.csr(), from, to, Dist::INFINITE, mask, scratch) {
-        Ok(route_from_scratch(scratch))
-    } else {
-        Err(RouteError::Unreachable { from, to })
-    }
+    Ok(())
+}
+
+/// The single-pair search: endpoint check, then the canonical A* under
+/// the artifact's landmark potential. Leaves the route in `engine` for
+/// extraction and returns its cost.
+fn pair_search(
+    frozen: &FrozenSpanner,
+    engine: &mut DijkstraEngine,
+    mask: &FaultMask,
+    from: NodeId,
+    to: NodeId,
+) -> Result<Dist, RouteError> {
+    check_endpoints(frozen, mask, from, to)?;
+    let potential = frozen.landmarks().potential_to(to);
+    engine
+        .astar(frozen.csr(), from, to, mask, &potential)
+        .ok_or(RouteError::Unreachable { from, to })
 }
 
 /// Converts the freshly extracted scratch into an owned [`Route`].
@@ -117,15 +180,21 @@ fn route_from_scratch(scratch: &PathScratch) -> Route {
     }
 }
 
-/// Serves a whole batch under `mask`, amortizing one Dijkstra search per
-/// **distinct source**: queries sharing a source are answered by a single
-/// [`DijkstraEngine::search_from`] plus per-target extraction, singleton
-/// sources by an early-stopped pair query. Answers land in input order
-/// and are bit-identical to serving every pair through [`route_one`]
-/// (Dijkstra settles each vertex once, so a settled target's path does
-/// not depend on where the search stopped — pinned by the property
-/// tests). Shared by the sequential batch path, the coalescer, and every
-/// pool worker.
+/// Targets a source needs in one batch before [`serve_batch`] answers
+/// them from one full search instead of one A* each. Measured on f-VFT
+/// spanners of geometric graphs, a full search costs as much as 15
+/// (n = 800) to 25 (n = 10⁴) landmark A* queries; the threshold sits at
+/// the low end. Answers are identical either way.
+const FULL_SEARCH_MIN_TARGETS: usize = 16;
+
+/// Serves a whole batch under `mask`, one answer per pair in input
+/// order. Pairs are grouped by source: a source with at least
+/// [`FULL_SEARCH_MIN_TARGETS`] targets pays one full
+/// [`DijkstraEngine::search_from`] plus per-target extraction, every
+/// other pair one A* query through [`route_one`]. Both return the
+/// canonical route, so answers are bit-identical to serving every pair
+/// through [`route_one`] (pinned by the property tests). Shared by the
+/// sequential batch path, the coalescer, and every pool worker.
 pub(crate) fn serve_batch(
     frozen: &FrozenSpanner,
     engine: &mut DijkstraEngine,
@@ -139,34 +208,31 @@ pub(crate) fn serve_batch(
     let mut at = 0usize;
     while at < order.len() {
         let from = pairs[order[at] as usize].0;
-        let mut end = at + 1;
-        while end < order.len() && pairs[order[end] as usize].0 == from {
-            end += 1;
-        }
+        let end = at + order[at..].partition_point(|&i| pairs[i as usize].0 == from);
         let group = &order[at..end];
         at = end;
-        if group.len() == 1 {
-            let i = group[0] as usize;
-            let (from, to) = pairs[i];
-            out[i] = Some(route_one(frozen, engine, scratch, mask, from, to));
-            continue;
-        }
-        if mask.is_vertex_faulted(from) {
+        if group.len() < FULL_SEARCH_MIN_TARGETS {
             for &i in group {
-                out[i as usize] = Some(Err(RouteError::EndpointFailed(from)));
+                let (from, to) = pairs[i as usize];
+                out[i as usize] = Some(route_one(frozen, engine, scratch, mask, from, to));
             }
             continue;
         }
-        engine.search_from(frozen.csr(), from, Dist::INFINITE, mask);
+        let mut searched = false;
         for &i in group {
-            let to = pairs[i as usize].1;
-            out[i as usize] = Some(if mask.is_vertex_faulted(to) {
-                Err(RouteError::EndpointFailed(to))
-            } else if engine.extract_path_into(to, Dist::INFINITE, scratch) {
-                Ok(route_from_scratch(scratch))
-            } else {
-                Err(RouteError::Unreachable { from, to })
+            let (from, to) = pairs[i as usize];
+            let answer = check_endpoints(frozen, mask, from, to).and_then(|()| {
+                if !searched {
+                    engine.search_from(frozen.csr(), from, Dist::INFINITE, mask);
+                    searched = true;
+                }
+                if engine.extract_path_into(to, Dist::INFINITE, scratch) {
+                    Ok(route_from_scratch(scratch))
+                } else {
+                    Err(RouteError::Unreachable { from, to })
+                }
             });
+            out[i as usize] = Some(answer);
         }
     }
     out.into_iter()
@@ -442,8 +508,11 @@ pub struct EpochServer {
 impl EpochServer {
     /// Creates a server over the artifact, initially sequential
     /// (`threads = 1`); configure pooled batches with
-    /// [`EpochServer::with_threads`].
+    /// [`EpochServer::with_threads`]. Builds the artifact's landmark
+    /// table ([`FrozenSpanner::landmarks`]) here, so its cost lands in
+    /// server set-up rather than in the first query.
     pub fn new(frozen: Arc<FrozenSpanner>) -> Self {
+        frozen.landmarks();
         EpochServer {
             inner: Arc::new(ServerInner {
                 frozen,
@@ -664,10 +733,12 @@ impl EpochHandle {
         }
     }
 
-    /// Routes `from → to` in this epoch.
+    /// Routes `from → to` in this epoch: the canonical route, found by
+    /// landmark A* (module docs).
     ///
     /// # Errors
     ///
+    /// [`RouteError::InvalidEndpoint`] if an endpoint is not a vertex;
     /// [`RouteError::EndpointFailed`] if an endpoint is failed in this
     /// view; [`RouteError::Unreachable`] if the survivors are
     /// disconnected (which an `f`-FT spanner guarantees cannot happen
@@ -691,27 +762,20 @@ impl EpochHandle {
     ///
     /// Same contract as [`EpochHandle::route`].
     pub fn route_cost(&mut self, from: NodeId, to: NodeId) -> Result<Dist, RouteError> {
-        for v in [from, to] {
-            if self.view.mask.is_vertex_faulted(v) {
-                return Err(RouteError::EndpointFailed(v));
-            }
-        }
-        self.engine
-            .dist_bounded(
-                self.inner.frozen.csr(),
-                from,
-                to,
-                Dist::INFINITE,
-                &self.view.mask,
-            )
-            .ok_or(RouteError::Unreachable { from, to })
+        pair_search(
+            &self.inner.frozen,
+            &mut self.engine,
+            &self.view.mask,
+            from,
+            to,
+        )
     }
 
     /// Serves a whole batch against this epoch, one answer per pair in
-    /// input order, amortizing one Dijkstra search per distinct query
-    /// source (see `serve_batch`'s bit-identity note). A failed or
-    /// unreachable pair yields its error in its own slot without
-    /// disturbing the rest of the batch.
+    /// input order: sources with many targets share one full search,
+    /// the rest run A* per pair (see `serve_batch`'s bit-identity note).
+    /// An invalid, failed or unreachable pair yields its error in its
+    /// own slot without disturbing the rest of the batch.
     pub fn route_batch(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<Route, RouteError>> {
         serve_batch(
             &self.inner.frozen,
@@ -926,7 +990,7 @@ struct CoalescedGroup {
 /// The batch front-end: collects per-tenant batches without blocking,
 /// then serves all of them with one pass per **distinct fault view** —
 /// same-view tenants share one epoch application and one per-source
-/// Dijkstra amortization, and every submission receives exactly the
+/// search amortization, and every submission receives exactly the
 /// answers its own [`EpochHandle::route_batch`] would have produced
 /// (bit-identical; pinned by the property tests).
 ///
@@ -1288,6 +1352,43 @@ mod tests {
         let mask = faults.to_mask(8, server.artifact().edge_count());
         let by_mask = server.epoch_from_spanner_mask(&mask);
         assert!(Arc::ptr_eq(by_set.view(), by_mask.view()));
+    }
+
+    #[test]
+    fn out_of_range_endpoints_fail_closed_on_every_entry_point() {
+        let server = EpochServer::new(artifact(6, 1)).with_threads(2);
+        let mut handle = server.epoch(&FaultSet::vertices([NodeId::new(2)]));
+        let (bad, ok, down) = (NodeId::new(999), NodeId::new(0), NodeId::new(2));
+        let invalid = Err(RouteError::InvalidEndpoint(bad));
+        assert_eq!(handle.route(ok, bad), invalid);
+        assert_eq!(handle.route(bad, ok), invalid);
+        assert_eq!(
+            handle.route_cost(bad, ok),
+            Err(RouteError::InvalidEndpoint(bad))
+        );
+        // Validity is checked before the view: a bad id wins over a
+        // failed partner.
+        assert_eq!(handle.route(down, bad), invalid);
+        assert_eq!(
+            handle.route(down, ok),
+            Err(RouteError::EndpointFailed(down))
+        );
+        // A repeated bad source crosses the full-search threshold; good
+        // pairs in the same batch are unaffected.
+        let mut pairs = vec![(bad, ok); FULL_SEARCH_MIN_TARGETS + 1];
+        pairs.push((ok, NodeId::new(5)));
+        pairs.extend(std::iter::repeat((ok, bad)).take(FULL_SEARCH_MIN_TARGETS));
+        let expected: Vec<_> = pairs.iter().map(|&(u, v)| handle.route(u, v)).collect();
+        assert!(expected[FULL_SEARCH_MIN_TARGETS + 1].is_ok());
+        assert_eq!(handle.route_batch(&pairs), expected);
+        // The pooled path must answer the same, twice: a worker that
+        // panicked on the first batch would fail the second.
+        for _ in 0..2 {
+            assert_eq!(handle.par_route_batch(&pairs), expected);
+        }
+        let mut front = BatchCoalescer::new(&server);
+        let ticket = front.submit(&handle, &pairs);
+        assert_eq!(front.flush()[ticket.index()], expected);
     }
 
     #[test]

@@ -168,6 +168,39 @@ proptest! {
         prop_assert_eq!(derived.route_batch(&pairs), scratch.route_batch(&pairs));
     }
 
+    /// Batches mix the two batch strategies — one full search for a
+    /// source with many targets, one A* per pair below the (private,
+    /// 16-target) threshold — so group sizes here straddle it. Whatever
+    /// the strategy, every answer must equal the pair served alone
+    /// through `route`, under both fault models, f ∈ {0, 1, 2}, and with
+    /// out-of-range endpoints mixed in.
+    #[test]
+    fn batches_straddling_the_full_search_threshold_match_single_routes(
+        g in arb_graph(8, 2),
+        f in 0usize..3,
+        edge_model in any::<bool>(),
+        raw in proptest::collection::vec(any::<u32>(), 0..3),
+        groups in proptest::collection::vec(
+            (any::<u32>(), 0usize..8, proptest::collection::vec(any::<u32>(), 40)), 1..5),
+    ) {
+        const SIZES: [usize; 8] = [1, 2, 15, 16, 17, 24, 33, 40];
+        let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
+        let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
+        let server = EpochServer::new(Arc::new(ft.into_spanner().freeze())).with_threads(2);
+        let mut session = server.epoch(&fault_set(model, &raw, &g));
+        // Ids range one past the graph, so some endpoints are invalid.
+        let id = |r: u32| NodeId::new(r as usize % (g.node_count() + 1));
+        let pairs: Vec<(NodeId, NodeId)> = groups
+            .iter()
+            .flat_map(|(src, size, targets)| {
+                targets[..SIZES[*size]].iter().map(move |t| (id(*src), id(*t)))
+            })
+            .collect();
+        let single: Vec<_> = pairs.iter().map(|&(u, v)| session.route(u, v)).collect();
+        prop_assert_eq!(&session.route_batch(&pairs), &single);
+        prop_assert_eq!(&session.par_route_batch(&pairs), &single);
+    }
+
     /// The coalescer front-end: per-submission answers are exactly the
     /// submitting session's own `route_batch`, regardless of how many
     /// tenants (with shared or distinct views) flushed together.

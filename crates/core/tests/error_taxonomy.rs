@@ -33,6 +33,7 @@ const SNAPSHOT: &[&str] = &[
     "artifact/witness-index",
     "artifact/witnesses-detached",
     "route/endpoint-failed",
+    "route/invalid-endpoint",
     "route/unreachable",
 ];
 
@@ -83,6 +84,7 @@ fn constructed_codes() -> BTreeSet<&'static str> {
         ArtifactError::WitnessesDetached,
     ];
     let route = [
+        RouteError::InvalidEndpoint(NodeId::new(0)),
         RouteError::EndpointFailed(NodeId::new(0)),
         RouteError::Unreachable {
             from: NodeId::new(0),

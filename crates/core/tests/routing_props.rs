@@ -3,12 +3,109 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spanner_core::routing::RouteError;
+use spanner_core::routing::{Route, RouteError};
+use spanner_core::serve::route_one;
 use spanner_core::simulation::{simulate, SimulationConfig};
-use spanner_core::{EpochServer, FtGreedy};
+use spanner_core::{EpochServer, FrozenSpanner, FtGreedy};
 use spanner_faults::{FaultModel, FaultSet};
-use spanner_graph::{Graph, NodeId, Weight};
+use spanner_graph::generators::{complete, grid};
+use spanner_graph::transform::disjoint_union;
+use spanner_graph::{
+    DijkstraEngine, Dist, EdgeId, FaultMask, Graph, GraphView, NodeId, PathScratch, Weight,
+};
 use std::sync::Arc;
+
+/// The canonical route by its definition, independent of any serving
+/// search: distances from a plain SSSP, then a walk back from `to` that
+/// takes, at every vertex, the smallest-id tight predecessor edge. The
+/// endpoint checks follow the documented order (ids in range, then
+/// endpoints alive).
+fn canonical_reference(
+    frozen: &FrozenSpanner,
+    mask: &FaultMask,
+    from: NodeId,
+    to: NodeId,
+) -> Result<Route, RouteError> {
+    for v in [from, to] {
+        if v.index() >= frozen.node_count() {
+            return Err(RouteError::InvalidEndpoint(v));
+        }
+    }
+    for v in [from, to] {
+        if mask.is_vertex_faulted(v) {
+            return Err(RouteError::EndpointFailed(v));
+        }
+    }
+    let csr = frozen.csr();
+    let dist = DijkstraEngine::new().sssp(csr, from, mask);
+    if !dist[to.index()].is_finite() {
+        return Err(RouteError::Unreachable { from, to });
+    }
+    let (mut nodes, mut edges) = (vec![to], Vec::new());
+    let mut v = to;
+    while v != from {
+        let mut best: Option<(EdgeId, NodeId)> = None;
+        csr.for_each_neighbor(v, |u, e, w| {
+            let tight = mask.allows(u, e) && dist[u.index()] + w == dist[v.index()];
+            if tight && best.map_or(true, |(b, _)| e < b) {
+                best = Some((e, u));
+            }
+        });
+        let (e, u) = best.expect("a reachable vertex has a tight predecessor");
+        edges.push(e);
+        nodes.push(u);
+        v = u;
+    }
+    nodes.reverse();
+    edges.reverse();
+    Ok(Route {
+        nodes,
+        edges,
+        dist: dist[to.index()],
+    })
+}
+
+/// The same pair answered by extraction from a full `search_from`.
+fn full_search_answer(
+    frozen: &FrozenSpanner,
+    mask: &FaultMask,
+    from: NodeId,
+    to: NodeId,
+) -> Result<Route, RouteError> {
+    // Endpoint errors come from the reference; only compare searches.
+    let checked = canonical_reference(frozen, mask, from, to);
+    if matches!(
+        checked,
+        Err(RouteError::InvalidEndpoint(_) | RouteError::EndpointFailed(_))
+    ) {
+        return checked;
+    }
+    let mut engine = DijkstraEngine::new();
+    let mut out = PathScratch::new();
+    engine.search_from(frozen.csr(), from, Dist::INFINITE, mask);
+    if engine.extract_path_into(to, Dist::INFINITE, &mut out) {
+        Ok(Route {
+            nodes: out.nodes().to_vec(),
+            edges: out.edges().to_vec(),
+            dist: out.dist(),
+        })
+    } else {
+        Err(RouteError::Unreachable { from, to })
+    }
+}
+
+/// Tie-heavy parents: unit-weight grids, unit-weight complete graphs,
+/// random graphs with weights in {1, 2}, and two disjoint random pieces
+/// (so the spanner has several components and the landmark table holds
+/// unreachable entries).
+fn tie_heavy_graph(family: usize, shape: (usize, usize), a: &Graph, b: &Graph) -> Graph {
+    match family {
+        0 => grid(shape.0, shape.1),
+        1 => complete(shape.0 + shape.1),
+        2 => a.clone(),
+        _ => disjoint_union(a, b),
+    }
+}
 
 fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
     (5..=max_n).prop_flat_map(move |n| {
@@ -87,6 +184,64 @@ proptest! {
                     // RouteError is #[non_exhaustive].
                     Err(other) => prop_assert!(false, "unexpected error {other}"),
                 }
+            }
+        }
+    }
+
+    /// One definition of "the route": on tie-heavy spanners, under both
+    /// fault models and f ∈ {0, 1, 2}, the served route (landmark A*),
+    /// the primitive `route_one`, extraction from a full `search_from`,
+    /// and the by-definition canonical reference agree bit for bit on
+    /// every ordered pair — out-of-range endpoints included.
+    #[test]
+    fn every_search_serves_the_canonical_route(
+        family in 0usize..4,
+        shape in (2usize..5, 2usize..5),
+        a in arb_graph(8, 2),
+        b in arb_graph(6, 2),
+        f in 0usize..3,
+        edge_model in any::<bool>(),
+        raw in proptest::collection::vec(any::<u32>(), 0..3),
+    ) {
+        let g = tie_heavy_graph(family, shape, &a, &b);
+        let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
+        let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
+        let frozen = Arc::new(ft.freeze(&g));
+        let server = EpochServer::new(Arc::clone(&frozen));
+        let faults = match model {
+            FaultModel::Vertex => FaultSet::vertices(
+                raw.iter().map(|r| NodeId::new(*r as usize % g.node_count())),
+            ),
+            FaultModel::Edge => FaultSet::edges(
+                raw.iter()
+                    .filter(|_| g.edge_count() > 0)
+                    .map(|r| EdgeId::new(*r as usize % g.edge_count().max(1))),
+            ),
+        };
+        let mut session = server.epoch(&faults);
+        let mask = session.view().mask().clone();
+        let (mut engine, mut scratch) = (DijkstraEngine::new(), PathScratch::new());
+        let n = g.node_count();
+        for u in 0..n + 2 {
+            for v in 0..n + 2 {
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                let want = canonical_reference(&frozen, &mask, u, v);
+                prop_assert_eq!(&session.route(u, v), &want, "route {}->{}", u, v);
+                prop_assert_eq!(
+                    &route_one(&frozen, &mut engine, &mut scratch, &mask, u, v),
+                    &want,
+                    "route_one {}->{}", u, v
+                );
+                prop_assert_eq!(
+                    &full_search_answer(&frozen, &mask, u, v),
+                    &want,
+                    "search_from {}->{}", u, v
+                );
+                prop_assert_eq!(
+                    session.route_cost(u, v),
+                    want.map(|r| r.dist),
+                    "route_cost {}->{}", u, v
+                );
             }
         }
     }

@@ -29,9 +29,58 @@
 //!    [`PathScratch`] (clearing, not reallocating, its vectors).
 //!    [`DijkstraEngine::shortest_path_bounded`] is the allocating
 //!    convenience wrapper; loops should prefer the `_into` form.
+//!
+//! # The canonical route
+//!
+//! Serving needs one answer per pair that does not depend on which
+//! search produced it. The **canonical route** from `s` to `t` in
+//! `graph ∖ mask` is the shortest path in which every vertex's
+//! predecessor edge is its *smallest-id tight* predecessor edge (an edge
+//! `(u, v)` is tight when `d(s, u) + w(u, v) = d(s, v)`). The canonical
+//! searches — [`DijkstraEngine::astar`] (under any [`Potential`],
+//! including [`NoPotential`], which makes it plain Dijkstra) and
+//! [`DijkstraEngine::search_from`] — apply the rule at relax time: on
+//! `cand == dist[to]` they keep the smaller edge id. Weights are
+//! positive, so plain Dijkstra settles every tight predecessor of a
+//! vertex before the vertex itself. A* under a consistent potential may
+//! settle a tight predecessor *at the same key* after its successor, so
+//! a canonical pair search keeps expanding every vertex whose key is at
+//! most `d(s, t)` before it stops. Either way every tight predecessor
+//! edge of every vertex on the path has been relaxed before extraction,
+//! so [`DijkstraEngine::extract_path_into`] returns the same path from
+//! all of them.
+//!
+//! The construction searches ([`DijkstraEngine::dist_bounded`],
+//! [`DijkstraEngine::shortest_path_bounded_into`], the SSSP helpers)
+//! keep the first-found parent: their paths steer the fault oracles and
+//! the witnesses those record, so they must not change.
 
 use crate::adjacency::GraphView;
 use crate::{Dist, EdgeId, FaultMask, IndexedHeap, NodeId, Weight};
+
+/// A consistent lower bound on the remaining distance to an A* target.
+///
+/// [`DijkstraEngine::astar`] is exact iff the potential `h` is
+/// *consistent* on the searched graph — `h(u) ≤ w(u, v) + h(v)` on every
+/// edge — and `h(target) = 0`; together these make it admissible
+/// (`h(v) ≤ dist(v, target)`). A bound that holds on a graph keeps
+/// holding on any subgraph of it, so a potential built once on an
+/// unfaulted graph stays valid under every fault mask.
+pub trait Potential {
+    /// The lower bound for vertex `v`.
+    fn estimate(&self, v: NodeId) -> u64;
+}
+
+/// The zero potential: A* under it is plain Dijkstra.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoPotential;
+
+impl Potential for NoPotential {
+    #[inline(always)]
+    fn estimate(&self, _: NodeId) -> u64 {
+        0
+    }
+}
 
 /// A shortest path found by [`DijkstraEngine::shortest_path_bounded`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -246,9 +295,30 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) -> Option<Dist> {
-        self.run(graph, src, Some(dst), bound, mask);
+        self.run::<V, NoPotential, false>(graph, src, Some(dst), bound, mask, &NoPotential);
         let d = self.query_dist(dst);
         (d.is_finite() && d <= bound).then_some(d)
+    }
+
+    /// The canonical pair search: exact A* from `src` to `dst` in
+    /// `graph ∖ mask` under a consistent `potential` (see [`Potential`]),
+    /// with the smallest-id tie rule (see the module docs). Returns the
+    /// distance, or `None` when `dst` is unreachable; the canonical route
+    /// is then one [`DijkstraEngine::extract_path_into`] away.
+    ///
+    /// Under [`NoPotential`] this is the early-stopped canonical
+    /// Dijkstra; under a landmark potential it settles a small fraction
+    /// of the vertices and returns the same path.
+    pub fn astar<V: GraphView, P: Potential>(
+        &mut self,
+        graph: &V,
+        src: NodeId,
+        dst: NodeId,
+        mask: &FaultMask,
+        potential: &P,
+    ) -> Option<Dist> {
+        self.run::<V, P, true>(graph, src, Some(dst), Dist::INFINITE, mask, potential);
+        Some(self.query_dist(dst)).filter(|d| d.is_finite())
     }
 
     /// Like [`DijkstraEngine::dist_bounded`], but also reconstructs one
@@ -267,14 +337,15 @@ impl DijkstraEngine {
         mask: &FaultMask,
         out: &mut PathScratch,
     ) -> bool {
-        self.run(graph, src, Some(dst), bound, mask);
+        self.run::<V, NoPotential, false>(graph, src, Some(dst), bound, mask, &NoPotential);
         self.extract_path_into(dst, bound, out)
     }
 
-    /// Runs a full single-source search (no target early-stop), leaving
-    /// the settled distances and parent links in the engine for
-    /// subsequent [`DijkstraEngine::extract_path_into`] calls. This is
-    /// the batch-serving amortization: queries sharing a source share one
+    /// Runs a full canonical single-source search (no target
+    /// early-stop, smallest-id tie rule), leaving the settled distances
+    /// and parent links in the engine for subsequent
+    /// [`DijkstraEngine::extract_path_into`] calls. This is the
+    /// batch-serving amortization: queries sharing a source share one
     /// search and pay only per-target extraction.
     pub fn search_from<V: GraphView>(
         &mut self,
@@ -283,18 +354,17 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) {
-        self.run(graph, src, None, bound, mask);
+        self.run::<V, NoPotential, true>(graph, src, None, bound, mask, &NoPotential);
     }
 
     /// Extracts the shortest path to `dst` from the engine's most recent
     /// search. Returns `true` with `out` filled iff `dst` was **settled**
     /// within `bound` by that search; on `false`, `out` is cleared.
     ///
-    /// Dijkstra settles a vertex exactly once, and everything on the
-    /// shortest path to `dst` settles before `dst` does — so the
-    /// extracted path is **bit-identical** to what a dedicated
-    /// `src → dst` query (which stops early at `dst`) would return. The
-    /// batch query engine relies on this equivalence.
+    /// After a canonical search ([`DijkstraEngine::search_from`] or
+    /// [`DijkstraEngine::astar`]) the extracted path is the **canonical
+    /// route** (module docs), so it is bit-identical across those
+    /// searches. The batch query engine relies on this equivalence.
     ///
     /// Only settled values are trusted: after a target-less search
     /// ([`DijkstraEngine::search_from`]) every vertex within the
@@ -376,7 +446,7 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) -> Vec<Dist> {
-        self.run(graph, src, None, bound, mask);
+        self.run::<V, NoPotential, false>(graph, src, None, bound, mask, &NoPotential);
         (0..graph.node_count())
             .map(|v| {
                 let d = self.query_dist(NodeId::new(v));
@@ -402,13 +472,19 @@ impl DijkstraEngine {
         }
     }
 
-    fn run<V: GraphView>(
+    /// The one search loop. `potential` turns it into A* (keys are
+    /// `dist + potential`); `CANONICAL` selects the smallest-id tie rule
+    /// and, for pair searches, keeps expanding every vertex whose key
+    /// ties the target's before stopping (module docs). `NoPotential`
+    /// with `CANONICAL = false` is the construction search.
+    fn run<V: GraphView, P: Potential, const CANONICAL: bool>(
         &mut self,
         graph: &V,
         src: NodeId,
         dst: Option<NodeId>,
         bound: Dist,
         mask: &FaultMask,
+        potential: &P,
     ) {
         let n = graph.node_count();
         self.prepare(n);
@@ -426,19 +502,21 @@ impl DijkstraEngine {
         self.dist[src.index()] = Dist::ZERO;
         let mut heap = self.heap.take().expect("heap initialized by prepare");
         heap.clear();
-        heap.push_or_decrease(src.index(), 0);
-        while let Some((v, dv)) = heap.pop() {
+        heap.push_or_decrease(src.index(), potential.estimate(src));
+        let mut stop_key = bound.value().unwrap_or(u64::MAX);
+        while let Some((v, key)) = heap.pop() {
             self.pops += 1;
-            let dv = Dist::finite(dv);
-            if dv > self.dist[v] {
-                continue; // stale (cannot happen with indexed heap, but cheap)
+            if key > stop_key {
+                break;
             }
             if Some(NodeId::new(v)) == dst {
-                break;
+                if !CANONICAL {
+                    break;
+                }
+                stop_key = key;
+                continue;
             }
-            if dv > bound {
-                break;
-            }
+            let dv = self.dist[v];
             graph.for_each_neighbor(NodeId::new(v), |to, eid, w: Weight| {
                 if !mask.allows(to, eid) {
                     return;
@@ -452,7 +530,14 @@ impl DijkstraEngine {
                     self.dist[to.index()] = cand;
                     self.parent_node[to.index()] = v as u32;
                     self.parent_edge[to.index()] = eid.raw();
-                    heap.push_or_decrease(to.index(), cand.value().expect("finite"));
+                    let key = cand.value().expect("finite");
+                    heap.push_or_decrease(to.index(), key.saturating_add(potential.estimate(to)));
+                } else if CANONICAL
+                    && cand == self.dist[to.index()]
+                    && eid.raw() < self.parent_edge[to.index()]
+                {
+                    self.parent_node[to.index()] = v as u32;
+                    self.parent_edge[to.index()] = eid.raw();
                 }
             });
         }
@@ -659,10 +744,94 @@ mod tests {
         );
     }
 
+    /// The exact remaining distance to a target: the tightest
+    /// consistent potential, so under it every vertex on every shortest
+    /// path ties the target's key — the hardest case for the tie rule.
+    struct ExactPotential(Vec<Dist>);
+
+    impl Potential for ExactPotential {
+        fn estimate(&self, v: NodeId) -> u64 {
+            self.0[v.index()].value().unwrap_or(0)
+        }
+    }
+
+    /// A route as `(dist, nodes, edges)`, `None` when unreachable.
+    type Found = Option<(Dist, Vec<NodeId>, Vec<EdgeId>)>;
+
+    /// The route each canonical search returns for `src → dst`:
+    /// A* under no potential, A* under the exact potential, and
+    /// extraction from a full `search_from`.
+    fn canonical_routes<V: GraphView>(
+        g: &V,
+        mask: &FaultMask,
+        src: usize,
+        dst: usize,
+    ) -> [Found; 3] {
+        let (s, t) = (NodeId::new(src), NodeId::new(dst));
+        let mut e = DijkstraEngine::new();
+        let mut out = PathScratch::new();
+        let mut take = |e: &DijkstraEngine, found: bool| {
+            (found && e.extract_path_into(t, Dist::INFINITE, &mut out))
+                .then(|| (out.dist(), out.nodes().to_vec(), out.edges().to_vec()))
+        };
+        let plain = e.astar(g, s, t, mask, &NoPotential).is_some();
+        let plain = take(&e, plain);
+        let exact = ExactPotential(e.sssp(g, t, mask));
+        let guided = e.astar(g, s, t, mask, &exact).is_some();
+        let guided = take(&e, guided);
+        e.search_from(g, s, Dist::INFINITE, mask);
+        let full = take(&e, true);
+        [plain, guided, full]
+    }
+
+    #[test]
+    fn tie_rule_keeps_the_smallest_tight_edge_in_every_search() {
+        // Two tight routes 0→3: via 1 (edges 0, 3) and via 2 (edges 1,
+        // 2). Vertex 1 enters the heap first, so it relaxes 3 through
+        // the larger edge id 3 before vertex 2 offers edge 2.
+        let g =
+            Graph::from_weighted_edges(4, [(0, 1, 1), (0, 2, 1), (2, 3, 1), (1, 3, 1)]).unwrap();
+        let mask = FaultMask::for_graph(&g);
+        let first_found = DijkstraEngine::new()
+            .shortest_path_bounded(&g, NodeId::new(0), NodeId::new(3), Dist::INFINITE, &mask)
+            .unwrap();
+        assert_eq!(
+            first_found.edges,
+            [EdgeId::new(0), EdgeId::new(3)],
+            "the construction search keeps the first-found parent"
+        );
+        let canonical = Some((
+            Dist::finite(2),
+            vec![NodeId::new(0), NodeId::new(2), NodeId::new(3)],
+            vec![EdgeId::new(1), EdgeId::new(2)],
+        ));
+        for (i, route) in canonical_routes(&g, &mask, 0, 3).into_iter().enumerate() {
+            assert_eq!(route, canonical, "search {i}");
+        }
+    }
+
+    #[test]
+    fn canonical_searches_agree_on_tie_heavy_grids() {
+        let g = crate::generators::grid(5, 6);
+        let mut mask = FaultMask::for_graph(&g);
+        mask.fault_vertex(NodeId::new(14));
+        for src in [0usize, 7, 29] {
+            for dst in 0..g.node_count() {
+                if src == 14 || dst == 14 {
+                    continue;
+                }
+                let [plain, guided, full] = canonical_routes(&g, &mask, src, dst);
+                assert!(plain.is_some(), "{src}->{dst} reachable");
+                assert_eq!(plain, guided, "{src}->{dst}");
+                assert_eq!(plain, full, "{src}->{dst}");
+            }
+        }
+    }
+
     #[test]
     fn shared_search_extraction_matches_pair_queries() {
         // One search_from, many extractions — each must be bit-identical
-        // to a dedicated early-stopped pair query (the batch-serving
+        // to a dedicated canonical pair query (the batch-serving
         // equivalence the query engine relies on).
         use crate::generators;
         use rand::rngs::StdRng;
@@ -679,18 +848,16 @@ mod tests {
                 let mut from_shared = PathScratch::new();
                 let found =
                     shared.extract_path_into(NodeId::new(dst), Dist::INFINITE, &mut from_shared);
-                let direct = dedicated.shortest_path_bounded(
-                    &g,
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    Dist::INFINITE,
-                    &mask,
-                );
-                assert_eq!(found, direct.is_some(), "{src}->{dst} reachability");
-                if let Some(p) = direct {
-                    assert_eq!(from_shared.dist(), p.dist, "{src}->{dst} dist");
-                    assert_eq!(from_shared.nodes(), &p.nodes[..], "{src}->{dst} nodes");
-                    assert_eq!(from_shared.edges(), &p.edges[..], "{src}->{dst} edges");
+                let direct = dedicated
+                    .astar(&g, NodeId::new(src), NodeId::new(dst), &mask, &NoPotential)
+                    .is_some();
+                assert_eq!(found, direct, "{src}->{dst} reachability");
+                if direct {
+                    let mut p = PathScratch::new();
+                    assert!(dedicated.extract_path_into(NodeId::new(dst), Dist::INFINITE, &mut p));
+                    assert_eq!(from_shared.dist(), p.dist(), "{src}->{dst} dist");
+                    assert_eq!(from_shared.nodes(), p.nodes(), "{src}->{dst} nodes");
+                    assert_eq!(from_shared.edges(), p.edges(), "{src}->{dst} edges");
                 }
             }
         }

@@ -76,7 +76,7 @@ pub use adjacency::GraphView;
 pub use bitset::BitSet;
 pub use bytes::SharedBytes;
 pub use csr::{CsrStorage, FrozenCsr, IncrementalCsr};
-pub use dijkstra::{DijkstraEngine, PathScratch, ShortestPath};
+pub use dijkstra::{DijkstraEngine, NoPotential, PathScratch, Potential, ShortestPath};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};
 pub use heap::IndexedHeap;
