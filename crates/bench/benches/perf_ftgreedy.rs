@@ -12,8 +12,8 @@
 //!   behavior);
 //! * `optimized` — the default [`OracleKind::Branching`] path: incremental
 //!   CSR view + per-construction scratch + Zobrist memo;
-//! * `pooled` — [`OracleKind::Parallel`]: same, with root subtrees fanned
-//!   over the persistent worker pool.
+//! * `pooled` — [`OracleKind::Parallel`]: same, with windows of
+//!   candidate edges decided on the persistent worker pool.
 //!
 //! `BENCH_2.json` (committed) records the same comparison with exact
 //! numbers via `cargo run -p spanner-harness --bin perfbench`.

@@ -23,6 +23,7 @@ use spanner_faults::{
     GreedyHeuristicOracle, HittingSetOracle, OracleQuery, OracleStats, ParallelBranchingOracle,
 };
 use spanner_graph::{EdgeId, Graph};
+use std::collections::VecDeque;
 
 /// Which oracle implementation FT-greedy should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,8 +37,12 @@ pub enum OracleKind {
     Exhaustive,
     /// Path-enumeration + hitting-set branch & bound.
     HittingSet,
-    /// Branching with the root subtrees fanned out over this many worker
-    /// threads (exact; useful at large `f` on dense instances).
+    /// Branching on a persistent pool of this many worker threads:
+    /// windows of upcoming candidates are decided concurrently, one whole
+    /// query per worker, and committed in weight order, so the output is
+    /// the sequential [`OracleKind::Branching`] output bit for bit. Pays
+    /// off where most candidates are dropped (dense inputs); keep-dense
+    /// runs stay on the calling thread.
     Parallel(usize),
     /// **Inexact** polynomial-time heuristic (the open-problem probe):
     /// kept edges are always justified, but edges may be dropped wrongly,
@@ -196,8 +201,7 @@ impl<'a> FtGreedy<'a> {
     }
 
     /// The optimized parallel path: a persistent worker pool sharing an
-    /// incremental CSR view of the spanner, alive for the whole run
-    /// (the pre-PR-2 implementation spawned threads per query).
+    /// incremental CSR view of the spanner, alive for the whole run.
     fn run_pooled(&self, threads: usize) -> FtSpanner {
         let mut oracle = ParallelBranchingOracle::new(threads);
         self.run_pooled_with(&mut oracle)
@@ -205,11 +209,9 @@ impl<'a> FtGreedy<'a> {
 
     /// The `Parallel` path of [`FtGreedy::run`] over a **caller-owned**
     /// pooled oracle, so one persistent worker pool (and its scratch)
-    /// can serve many constructions. `run()` with
-    /// [`OracleKind::Parallel`] used to spawn — and join — a fresh pool
-    /// per construction; partitioned builds
+    /// can serve many constructions: partitioned builds
     /// ([`crate::partition`]) run every shard and the boundary stitch
-    /// through a single oracle instead, and
+    /// through a single oracle, and
     /// [`spanner_faults::OracleStats::pool_spawns`] proves it.
     ///
     /// The shared view is reset to this run's graph; the oracle's
@@ -224,17 +226,117 @@ impl<'a> FtGreedy<'a> {
         // once at the end rather than maintained redundantly per edge.
         let mut kept = Vec::new();
         let mut witnesses = Vec::new();
-        for parent_id in self.graph.edges_by_weight() {
-            let query = self.query_for(parent_id);
-            if let Some(found) = oracle.find_blocking_faults_in_view(query) {
-                let e = self.graph.edge(parent_id);
-                oracle.view_push_edge(e.u(), e.v(), e.weight());
-                kept.push(parent_id);
-                witnesses.push(found);
-            }
-        }
+        self.keep_pooled(
+            oracle,
+            &self.graph.edges_by_weight(),
+            &mut kept,
+            &mut witnesses,
+        );
         let spanner = Spanner::from_kept_edges_in_order(self.graph, kept, self.stretch);
         self.finish(spanner, witnesses, oracle.stats())
+    }
+
+    /// Algorithm 1's keep loop over a pooled oracle: decides `candidates`
+    /// (parent edge ids, in the order the greedy scans them) against the
+    /// oracle's shared view, which must already hold the spanner built so
+    /// far. Every kept edge is pushed to the view and appended to `kept`
+    /// with its witness. The output is exactly the sequential loop's.
+    ///
+    /// Upcoming candidates are decided speculatively in *windows*, one
+    /// whole query per pool job, all against the current view. The view
+    /// only grows, so a drop verdict holds in every later view and is
+    /// final wherever it sits in the window; the first keep saw the
+    /// sequential view (only drops precede it) and is committed; later
+    /// keeps were decided against a view that now lacks an edge, so they
+    /// are decided again. The window adapts to the verdicts alone: the
+    /// loop runs inline until `2 × threads` drops in a row, then doubles
+    /// the window (up to `16 × threads`) while no window needs a re-check,
+    /// and drops back inline as soon as one does — keep-dense runs (sparse
+    /// shards keep most of their edges) never pay a pool round trip per
+    /// keep.
+    pub(crate) fn keep_pooled(
+        &self,
+        oracle: &mut ParallelBranchingOracle,
+        candidates: &[EdgeId],
+        kept: &mut Vec<EdgeId>,
+        witnesses: &mut Vec<FaultSet>,
+    ) {
+        let entry_run = 2 * oracle.threads();
+        let max_window = 16 * oracle.threads();
+        let mut keep = |oracle: &mut ParallelBranchingOracle, id: EdgeId, found: FaultSet| {
+            let e = self.graph.edge(id);
+            oracle.view_push_edge(e.u(), e.v(), e.weight());
+            kept.push(id);
+            witnesses.push(found);
+        };
+        let mut upcoming = candidates.iter().copied();
+        // Earlier keeps to decide again, in scan order, ahead of
+        // `upcoming`.
+        let mut rechecks: VecDeque<EdgeId> = VecDeque::new();
+        let mut drop_run = 0;
+        // 0 = decide inline on the calling thread.
+        let mut window = 0;
+        let mut batch = Vec::new();
+        let mut queries = Vec::new();
+        let mut verdicts = Vec::new();
+        let mut stale = Vec::new();
+        loop {
+            if window == 0 {
+                let Some(id) = rechecks.pop_front().or_else(|| upcoming.next()) else {
+                    break;
+                };
+                match oracle.find_blocking_faults_in_view(self.query_for(id)) {
+                    Some(found) => {
+                        keep(oracle, id, found);
+                        drop_run = 0;
+                    }
+                    None => {
+                        drop_run += 1;
+                        if drop_run >= entry_run {
+                            window = entry_run;
+                        }
+                    }
+                }
+                continue;
+            }
+            batch.clear();
+            while batch.len() < window {
+                match rechecks.pop_front().or_else(|| upcoming.next()) {
+                    Some(id) => batch.push(id),
+                    None => break,
+                }
+            }
+            if batch.is_empty() {
+                break;
+            }
+            queries.clear();
+            queries.extend(batch.iter().map(|&id| self.query_for(id)));
+            oracle.find_blocking_faults_batch_in_view(&queries, &mut verdicts);
+            let mut kept_in_batch = false;
+            stale.clear();
+            for (&id, verdict) in batch.iter().zip(verdicts.drain(..)) {
+                match verdict {
+                    // H only grows: a drop is final wherever it sits.
+                    None => {}
+                    // Only drops precede it: decided on the sequential view.
+                    Some(found) if !kept_in_batch => {
+                        keep(oracle, id, found);
+                        kept_in_batch = true;
+                    }
+                    Some(_) => stale.push(id),
+                }
+            }
+            if stale.is_empty() {
+                window = (window * 2).min(max_window);
+            } else {
+                oracle.note_speculative_rechecks(stale.len());
+                for &id in stale.iter().rev() {
+                    rechecks.push_front(id);
+                }
+                window = 0;
+                drop_run = 0;
+            }
+        }
     }
 
     fn finish(&self, spanner: Spanner, witnesses: Vec<FaultSet>, stats: OracleStats) -> FtSpanner {

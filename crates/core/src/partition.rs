@@ -24,6 +24,15 @@
 //!    `k·w` (ball-sized), which is the whole scaling win; all oracle
 //!    configurations are exact, so this is a pure perf trade.
 //!
+//! Steps 2 and 3 share one keep loop, the pooled FT-greedy driver
+//! behind [`FtGreedy::run_pooled_with`]: it decides windows of upcoming
+//! candidates concurrently, one whole query per pool job, and commits
+//! them in weight order (drops are final because the union only grows;
+//! the first keep of a window is exact; later keeps are decided again).
+//! Its output is the sequential keep loop's, bit for bit, at every pool
+//! width. The stitch is where dense inputs spend their time — nearly all
+//! of its candidates are drops — so it is where the windows grow widest.
+//!
 //! # Why the union satisfies the `(2k−1)`-stretch `f`-fault contract
 //!
 //! Fix any fault set `F`, `|F| ≤ f`, and any parent edge `e = (u, v)`
@@ -229,21 +238,15 @@ impl<'a> PartitionedFtGreedy<'a> {
             let e = self.graph.edge(id);
             oracle.view_push_edge(e.u(), e.v(), e.weight());
         }
-        for &id in &candidates {
-            let e = self.graph.edge(id);
-            let query = spanner_faults::OracleQuery {
-                u: e.u(),
-                v: e.v(),
-                bound: e.weight().stretched(self.stretch),
-                budget: self.faults,
-                model: self.model,
-            };
-            if let Some(found) = oracle.find_blocking_faults_in_view(query) {
-                oracle.view_push_edge(e.u(), e.v(), e.weight());
-                union_kept.push(id);
-                union_witnesses.push(found);
-            }
-        }
+        FtGreedy::new(self.graph, self.stretch)
+            .faults(self.faults)
+            .model(self.model)
+            .keep_pooled(
+                &mut oracle,
+                &candidates,
+                &mut union_kept,
+                &mut union_witnesses,
+            );
         let stitch_secs = t2.elapsed().as_secs_f64();
 
         let report = PartitionReport {

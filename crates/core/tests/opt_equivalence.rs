@@ -122,3 +122,45 @@ fn spanner_view_stays_in_lockstep() {
         assert_eq!(from_view, from_graph, "view diverged at {v}");
     }
 }
+
+/// Drop-dense instances: on weighted complete graphs almost every
+/// candidate is dropped, so the pooled driver leaves its inline mode and
+/// decides wide speculative windows. Kept edges *and* witnesses must
+/// still match the reference greedy at every pool width, and
+/// `speculative_rechecks` proves windows opened and were re-decided.
+#[test]
+fn wide_speculative_windows_match_reference() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use spanner_graph::generators::{complete, with_uniform_weights};
+    let mut rng = StdRng::seed_from_u64(0x5EC);
+    let graphs: Vec<Graph> = [16usize, 18, 20, 22, 24]
+        .iter()
+        .map(|&n| with_uniform_weights(&complete(n), 1, 10, &mut rng))
+        .collect();
+    let mut rechecks = [0u64; 4];
+    for (gi, g) in graphs.iter().enumerate() {
+        for f in 0..3 {
+            for model in [FaultModel::Vertex, FaultModel::Edge] {
+                let reference = FtGreedy::new(g, 3)
+                    .faults(f)
+                    .model(model)
+                    .run_with_oracle(&mut ReferenceBranchingOracle::new());
+                for (ti, threads) in [1usize, 2, 3, 8].into_iter().enumerate() {
+                    let pooled = FtGreedy::new(g, 3)
+                        .faults(f)
+                        .model(model)
+                        .oracle(OracleKind::Parallel(threads))
+                        .run();
+                    let label = format!("graph {gi} f={f} {model:?} threads={threads}");
+                    assert_same_output(&label, &reference, &pooled);
+                    rechecks[ti] += pooled.stats().speculative_rechecks;
+                }
+            }
+        }
+    }
+    assert!(
+        rechecks.iter().all(|&r| r > 0),
+        "some pool width never re-decided a window verdict: {rechecks:?}"
+    );
+}

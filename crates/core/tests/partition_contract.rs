@@ -81,3 +81,100 @@ fn stitch_actually_fires_on_these_instances() {
     }
     assert!(fired, "no instance kept any stitch edge");
 }
+
+/// The dense zoo: weighted complete graphs and high-radius geometric
+/// graphs, sharded so that *every* vertex is a boundary vertex. This is
+/// the regime where the stitch does most of the work (and where the
+/// pooled driver opens its widest speculative windows).
+fn dense_instances() -> Vec<(&'static str, Graph, usize)> {
+    let mut rng = StdRng::seed_from_u64(0xDE45E);
+    vec![
+        (
+            "complete-12-weighted",
+            with_uniform_weights(&complete(12), 1, 30, &mut rng),
+            3,
+        ),
+        (
+            "complete-11-weighted",
+            with_uniform_weights(&complete(11), 1, 6, &mut rng),
+            4,
+        ),
+        ("geometric-12-r0.8", random_geometric(12, 0.8, &mut rng), 3),
+        ("geometric-12-r0.9", random_geometric(12, 0.9, &mut rng), 4),
+    ]
+}
+
+#[test]
+fn dense_contract_exhaustive_with_every_vertex_on_the_boundary() {
+    for (name, g, target) in dense_instances() {
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for f in [1usize, 2] {
+                let built = PartitionedFtGreedy::new(&g, 3)
+                    .faults(f)
+                    .model(model)
+                    .shard_target(target)
+                    .threads(2)
+                    .run();
+                let report = built.report();
+                assert!(report.shards > 1, "{name}: instance must actually shard");
+                assert_eq!(
+                    report.boundary_vertices,
+                    g.node_count(),
+                    "{name}: every vertex must be a boundary vertex"
+                );
+                let audit = verify_ft_exhaustive(&g, built.ft().spanner(), f, model);
+                assert!(
+                    audit.satisfied(),
+                    "{name} f={f} model={model:?}: exhaustive audit failed: {audit:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dense_output_is_identical_across_pool_widths() {
+    for (name, g, target) in dense_instances() {
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for f in [1usize, 2] {
+                let runs: Vec<_> = [1usize, 2, 4]
+                    .into_iter()
+                    .map(|threads| {
+                        PartitionedFtGreedy::new(&g, 3)
+                            .faults(f)
+                            .model(model)
+                            .shard_target(target)
+                            .threads(threads)
+                            .run()
+                    })
+                    .collect();
+                for (built, threads) in runs.iter().zip([1, 2, 4]) {
+                    assert!(
+                        built.report().pool_spawns <= 1,
+                        "{name} threads={threads}: pool spawned more than once"
+                    );
+                }
+                let first = runs[0].ft();
+                let bytes = first.freeze(&g).encode();
+                for (built, threads) in runs.iter().zip([1, 2, 4]).skip(1) {
+                    let label = format!("{name} f={f} model={model:?} threads={threads}");
+                    assert_eq!(
+                        first.spanner().parent_edge_ids(),
+                        built.ft().spanner().parent_edge_ids(),
+                        "{label}: kept edges diverged"
+                    );
+                    assert_eq!(
+                        first.witnesses(),
+                        built.ft().witnesses(),
+                        "{label}: witnesses diverged"
+                    );
+                    assert_eq!(
+                        bytes,
+                        built.ft().freeze(&g).encode(),
+                        "{label}: artifact bytes diverged"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -153,6 +153,12 @@ impl BranchingOracle {
         self.config
     }
 
+    /// Replaces the configuration, keeping the scratch (the pooled
+    /// oracle's workers run each job under the configuration it carries).
+    pub(crate) fn set_config(&mut self, config: BranchingConfig) {
+        self.config = config;
+    }
+
     /// Clears the per-query scratch (keeping allocations) and sizes the
     /// working mask for `view`. Counts a scratch rebuild when the mask
     /// storage genuinely grew.
@@ -320,65 +326,11 @@ impl BranchingOracle {
             None
         }
     }
-
-    /// Like [`BranchingOracle::find_blocking_faults_in`], but starts the
-    /// search from a pre-committed partial fault set (counted against the
-    /// budget). Used by the parallel oracle to fan the root branches out
-    /// across workers; also handy for "what if X were already down?"
-    /// analyses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is larger than the budget or disagrees with the
-    /// query's fault model.
-    pub fn find_blocking_faults_with_initial_in<V: GraphView>(
-        &mut self,
-        view: &V,
-        query: OracleQuery,
-        initial: &FaultSet,
-    ) -> Option<FaultSet> {
-        assert!(initial.len() <= query.budget, "initial set exceeds budget");
-        assert!(
-            initial.is_empty() || initial.model() == query.model,
-            "initial set model mismatch"
-        );
-        self.begin_query(view);
-        match initial {
-            FaultSet::Vertices(v) => {
-                for n in v.iter() {
-                    self.push_fault(FaultModel::Vertex, n.index());
-                }
-            }
-            FaultSet::Edges(e) => {
-                for id in e.iter() {
-                    self.push_fault(FaultModel::Edge, id.index());
-                }
-            }
-        }
-        if self.search(view, &query) {
-            Some(self.collect_current(query.model))
-        } else {
-            None
-        }
-    }
-
-    /// [`BranchingOracle::find_blocking_faults_with_initial_in`] over a
-    /// plain [`Graph`] (kept for API compatibility).
-    pub fn find_blocking_faults_with_initial(
-        &mut self,
-        graph: &Graph,
-        query: OracleQuery,
-        initial: &FaultSet,
-    ) -> Option<FaultSet> {
-        self.find_blocking_faults_with_initial_in(graph, query, initial)
-    }
 }
 
-/// The shared front of both exact oracles: a Menger disjoint-path
-/// pre-filter followed — only when the pre-filter proves nothing — by the
-/// exact min-cut shortcut. One implementation serves the sequential and
-/// the pooled parallel oracle so their root phases cannot drift apart
-/// (their outputs are contractually identical).
+/// The root front of every query: a Menger disjoint-path pre-filter
+/// followed — only when the pre-filter proves nothing — by the exact
+/// min-cut shortcut.
 ///
 /// The pre-filter greedily packs `budget + 1` pairwise disjoint `u–v`
 /// paths of *unbounded* length. Any such family is a Menger certificate
@@ -390,7 +342,7 @@ impl BranchingOracle {
 /// `mask` must be the query's (empty) base mask. Returns `Some(witness)`
 /// when a cut within budget decides the query; `None` means "no shortcut
 /// — run the branching search".
-pub(crate) fn cut_shortcut_with_prefilter<V: GraphView>(
+fn cut_shortcut_with_prefilter<V: GraphView>(
     view: &V,
     engine: &mut DijkstraEngine,
     mask: &FaultMask,

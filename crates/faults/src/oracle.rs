@@ -50,6 +50,12 @@ pub struct OracleStats {
     /// partitioned build) spawns exactly once; the frontier bench
     /// asserts that.
     pub pool_spawns: u64,
+    /// Number of batch verdicts a pooled construction threw away because
+    /// an earlier keep in the same batch grew the spanner they were
+    /// decided against (each is decided again; see
+    /// [`ParallelBranchingOracle`](crate::ParallelBranchingOracle)).
+    /// Wasted work: zero for the sequential oracles.
+    pub speculative_rechecks: u64,
 }
 
 impl OracleStats {
@@ -62,6 +68,7 @@ impl OracleStats {
         self.cut_shortcuts += other.cut_shortcuts;
         self.scratch_rebuilds += other.scratch_rebuilds;
         self.pool_spawns += other.pool_spawns;
+        self.speculative_rechecks += other.speculative_rechecks;
     }
 }
 
@@ -69,14 +76,15 @@ impl fmt::Display for OracleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "nodes={} sp-queries={} packing-prunes={} memo-hits={} cut-shortcuts={} scratch-rebuilds={} pool-spawns={}",
+            "nodes={} sp-queries={} packing-prunes={} memo-hits={} cut-shortcuts={} scratch-rebuilds={} pool-spawns={} speculative-rechecks={}",
             self.nodes_explored,
             self.shortest_path_queries,
             self.packing_prunes,
             self.memo_hits,
             self.cut_shortcuts,
             self.scratch_rebuilds,
-            self.pool_spawns
+            self.pool_spawns,
+            self.speculative_rechecks
         )
     }
 }
@@ -111,6 +119,7 @@ mod tests {
             cut_shortcuts: 5,
             scratch_rebuilds: 6,
             pool_spawns: 7,
+            speculative_rechecks: 8,
         };
         a.absorb(OracleStats {
             nodes_explored: 10,
@@ -120,6 +129,7 @@ mod tests {
             cut_shortcuts: 50,
             scratch_rebuilds: 60,
             pool_spawns: 70,
+            speculative_rechecks: 80,
         });
         assert_eq!(a.nodes_explored, 11);
         assert_eq!(a.shortest_path_queries, 22);
@@ -128,11 +138,13 @@ mod tests {
         assert_eq!(a.cut_shortcuts, 55);
         assert_eq!(a.scratch_rebuilds, 66);
         assert_eq!(a.pool_spawns, 77);
+        assert_eq!(a.speculative_rechecks, 88);
     }
 
     #[test]
     fn stats_display_nonempty() {
         let s = OracleStats::default();
         assert!(s.to_string().contains("nodes=0"));
+        assert!(s.to_string().contains("speculative-rechecks=0"));
     }
 }

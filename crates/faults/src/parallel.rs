@@ -1,52 +1,62 @@
-//! A parallel exact fault oracle with a persistent worker pool.
+//! A pooled exact fault oracle: whole queries are the unit of
+//! parallelism.
 //!
-//! The branching search is embarrassingly parallel at the root: any
-//! blocking fault set must contain one of the current shortest path's
-//! candidates, and the per-candidate subtrees are independent. This
-//! oracle fans those subtrees out over a pool of long-lived worker
-//! threads, each running a sequential [`BranchingOracle`] whose scratch
-//! (mask, memo, Dijkstra arrays) persists across *all* queries of a
-//! construction — the pre-PR-2 implementation spawned fresh
-//! `std::thread::scope` threads (and fresh oracle state) per query, which
-//! dominated small-query workloads.
+//! FT-greedy (Algorithm 1 of Bodwin–Patel) decides its candidate edges
+//! in weight order against a spanner `H` that only ever grows. Almost
+//! every decision in a dense construction is a *drop* settled by the
+//! root packing prune within a handful of Dijkstras, so splitting one
+//! query's search tree across threads leaves the extra cores idle.
+//! This oracle instead runs **one whole sequential [`BranchingOracle`]
+//! query per pool job**, so a batch of upcoming candidates is decided
+//! concurrently against one snapshot of the spanner.
 //!
-//! The pool cannot borrow a caller's graph (workers outlive any one
-//! query), so workers share an [`IncrementalCsr`] spanner view behind an
-//! `Arc<RwLock<…>>`. FT-greedy drives that view directly: it appends each
-//! kept edge via [`ParallelBranchingOracle::view_push_edge`] and queries
-//! via [`ParallelBranchingOracle::find_blocking_faults_in_view`], so the
-//! view stays current for the whole run with no per-query setup. The
-//! plain [`FaultOracle`] entry point remains correct for arbitrary graphs
-//! by resynchronizing the view (O(n + m)) before querying — still cheaper
-//! than the thread spawns it replaced.
+//! # Why a batch can be committed exactly
 //!
-//! Determinism: workers report per-candidate results which are re-ordered
-//! by candidate index, and the lowest-index success wins regardless of
-//! thread timing — the same answer the sequential oracle's DFS returns.
-//! Memoization stays worker-local (sharing it would race and the root
-//! subtrees rarely overlap); the packing and min-cut prunes run once, up
-//! front, on the main thread.
+//! A drop verdict ("no `F` with `|F| ≤ f` stretches `(u, v)` beyond the
+//! bound in `H`") survives every later edge insertion: for any fault set
+//! `F` of a supergraph `H' ⊇ H`, `H ∖ (F ∩ H)` is a subgraph of
+//! `H' ∖ F`, so distances only shrink. Only a *keep* needs the exact
+//! current `H`. The greedy driver (`spanner_core`'s FT-greedy) therefore
+//! commits a batch in weight order: every drop is final, the first keep
+//! is exact (everything before it was a drop, so it saw the sequential
+//! view), and later keeps are re-decided against the grown view. Kept
+//! edges and witnesses stay bit-identical to the sequential greedy; the
+//! verdicts thrown away are counted in
+//! [`OracleStats::speculative_rechecks`].
+//!
+//! # Determinism
+//!
+//! A [`BranchingOracle`] query is a pure function of the view, the
+//! query and the configuration: every scratch buffer is cleared, never
+//! carried over, between queries. So it does not matter which worker
+//! ran which query, or in what order results came back — batch verdicts
+//! are re-ordered by index before the caller sees them.
+//!
+//! # Sharing the view
+//!
+//! Workers outlive any one query, so they cannot borrow the caller's
+//! graph: they share an [`IncrementalCsr`] spanner view behind an
+//! `Arc<RwLock<…>>`. The caller grows it with
+//! [`ParallelBranchingOracle::view_push_edge`] between batches (never
+//! while one is in flight). Queries the driver decides on the calling
+//! thread go through [`ParallelBranchingOracle::find_blocking_faults_in_view`],
+//! a plain [`BranchingOracle`] on the same view; the [`FaultOracle`]
+//! entry point is that same single-query decision over an arbitrary
+//! graph.
 
-use crate::packing::{disjoint_path_packing_counted, PackingScratch};
-use crate::{
-    BranchingConfig, BranchingOracle, FaultModel, FaultOracle, FaultSet, OracleQuery, OracleStats,
-};
-use spanner_graph::connectivity::CutScratch;
-use spanner_graph::{
-    DijkstraEngine, EdgeId, FaultMask, Graph, GraphView, IncrementalCsr, NodeId, PathScratch,
-    Weight,
-};
+use crate::{BranchingConfig, BranchingOracle, FaultOracle, FaultSet, OracleQuery, OracleStats};
+use spanner_graph::{EdgeId, Graph, IncrementalCsr, NodeId, Weight};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One root-candidate search job handed to a pool worker.
+/// One whole query handed to a pool worker.
 struct Job {
     seq: u64,
     index: usize,
-    candidate: usize,
     query: OracleQuery,
+    config: BranchingConfig,
 }
 
 /// A worker's answer for one job.
@@ -60,9 +70,9 @@ struct Pool {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// Parallel exact oracle. Agrees with [`BranchingOracle`] on every query
-/// (property-tested); worthwhile when single queries dominate, e.g. large
-/// `f` on dense instances.
+/// Pooled exact oracle. Every answer is the answer [`BranchingOracle`]
+/// gives for the same view, query and configuration (property-tested);
+/// batches of queries run concurrently on a persistent worker pool.
 ///
 /// # Examples
 ///
@@ -85,16 +95,11 @@ struct Pool {
 #[derive(Debug)]
 pub struct ParallelBranchingOracle {
     threads: usize,
-    config: BranchingConfig,
-    engine: DijkstraEngine,
+    /// The caller's own oracle, for single queries.
+    inline: BranchingOracle,
+    /// Counters absorbed from the workers, plus the pool's own.
     stats: OracleStats,
     view: Arc<RwLock<IncrementalCsr>>,
-    // Root-phase scratch, reused across queries.
-    root_mask: FaultMask,
-    root_path: PathScratch,
-    root_candidates: Vec<usize>,
-    packing: PackingScratch,
-    cuts: CutScratch,
     pool: Option<PoolHandle>,
     seq: u64,
 }
@@ -113,59 +118,54 @@ impl std::fmt::Debug for PoolHandle {
 
 impl ParallelBranchingOracle {
     /// Creates an oracle using `threads` persistent workers (at least 1).
-    /// Workers are spawned lazily on the first query, so configuring the
+    /// Workers are spawned when the first construction resets the view
+    /// ([`ParallelBranchingOracle::view_reset`]), so configuring the
     /// oracle first costs nothing.
     pub fn new(threads: usize) -> Self {
         ParallelBranchingOracle {
             threads: threads.max(1),
-            config: BranchingConfig::default(),
-            engine: DijkstraEngine::new(),
+            inline: BranchingOracle::new(),
             stats: OracleStats::default(),
             view: Arc::new(RwLock::new(IncrementalCsr::new(0))),
-            root_mask: FaultMask::default(),
-            root_path: PathScratch::new(),
-            root_candidates: Vec::new(),
-            packing: PackingScratch::new(),
-            cuts: CutScratch::new(),
             pool: None,
             seq: 0,
         }
     }
 
-    /// Sets the per-worker branching configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool already started working (workers bake the
-    /// configuration in at spawn time).
+    /// Sets the branching configuration of every subsequent query, on
+    /// the calling thread and on the workers alike.
     pub fn with_config(mut self, config: BranchingConfig) -> Self {
-        assert!(
-            self.pool.is_none(),
-            "configure the oracle before its first query"
-        );
-        self.config = config;
+        self.inline.set_config(config);
         self
     }
 
-    /// Enables or disables the *root-level* min-cut shortcut for
-    /// subsequent queries.
-    ///
-    /// Unlike [`ParallelBranchingOracle::with_config`] this is safe after
-    /// the pool has spawned: workers never run the root shortcut (they
-    /// bake `use_cut_shortcut: false` at spawn), so the flag only affects
-    /// the root phase executed on the calling thread. All configurations
-    /// are exact; the shortcut is a performance trade. Partitioned
-    /// construction turns it off for the boundary stitch, where the
-    /// shortcut's unbounded whole-graph packing probes dominate the cost
-    /// of the (ball-bounded) search they would prune.
-    pub fn set_root_cut_shortcut(&mut self, enabled: bool) {
-        self.config.use_cut_shortcut = enabled;
+    /// The number of pool workers.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
-    /// Resets the shared spanner view to `node_count` isolated vertices.
-    /// FT-greedy calls this once per construction, then grows the view
-    /// with [`ParallelBranchingOracle::view_push_edge`].
+    /// Enables or disables the min-cut shortcut (which only ever runs at
+    /// the root of a query) for every subsequent query, inline and
+    /// pooled alike; safe at any time, because each job carries the
+    /// configuration it runs under. All configurations are exact; the
+    /// shortcut is a performance trade. Partitioned construction turns
+    /// it off for the boundary stitch, where the shortcut's unbounded
+    /// whole-graph packing probes dominate the cost of the
+    /// (ball-bounded) search they would prune.
+    pub fn set_root_cut_shortcut(&mut self, enabled: bool) {
+        let config = BranchingConfig {
+            use_cut_shortcut: enabled,
+            ..self.inline.config()
+        };
+        self.inline.set_config(config);
+    }
+
+    /// Resets the shared spanner view to `node_count` isolated vertices
+    /// and makes sure the worker pool is up. FT-greedy calls this once
+    /// per construction, then grows the view with
+    /// [`ParallelBranchingOracle::view_push_edge`].
     pub fn view_reset(&mut self, node_count: usize) {
+        self.ensure_pool();
         self.view.write().expect("view lock").reset(node_count);
     }
 
@@ -178,160 +178,68 @@ impl ParallelBranchingOracle {
             .push_edge(u, v, weight)
     }
 
-    /// Answers a query against the shared spanner view (the hot path —
-    /// no per-query graph sync). Root shortcuts run on the calling
-    /// thread; candidate subtrees fan out across the pool.
+    /// Decides one query against the shared spanner view on the calling
+    /// thread (no pool round trip).
     pub fn find_blocking_faults_in_view(&mut self, query: OracleQuery) -> Option<FaultSet> {
-        self.ensure_pool();
-        let view = Arc::clone(&self.view);
-        let guard = view.read().expect("view lock");
-        match self.root_phase(&guard, query) {
-            Some(answer) => answer,
-            None => {
-                // Release the read lock before blocking on worker
-                // results: workers take their own read locks, and a
-                // queued writer must never find this thread holding one
-                // while it waits on the pool (reader-writer deadlock).
-                drop(guard);
-                self.fan_out(query)
-            }
-        }
+        let guard = self.view.read().expect("view lock");
+        self.inline.find_blocking_faults_in(&*guard, query)
     }
 
-    /// The sequential root of the search: min-cut shortcut, root shortest
-    /// path, packing prune, candidate extraction. Returns `Some(answer)`
-    /// when the query is decided without fanning out; on `None` the
-    /// candidates are staged in `self.root_candidates`.
-    fn root_phase(
+    /// Decides every query of `queries` against the current shared view,
+    /// one whole query per pool job, and writes the answers to
+    /// `verdicts` in query order (`verdicts[i]` answers `queries[i]`).
+    pub fn find_blocking_faults_batch_in_view(
         &mut self,
-        view: &IncrementalCsr,
-        query: OracleQuery,
-    ) -> Option<Option<FaultSet>> {
-        if self
-            .root_mask
-            .reset_for(view.node_count(), view.edge_count())
-        {
-            self.stats.scratch_rebuilds += 1;
-        }
-        self.root_candidates.clear();
-        // Root-level shortcuts: the exact same Menger-prefiltered min-cut
-        // front the sequential oracle runs (shared implementation, so the
-        // two paths cannot drift).
-        if self.config.use_cut_shortcut && query.budget > 0 {
-            if let Some(cut) = crate::branching::cut_shortcut_with_prefilter(
-                view,
-                &mut self.engine,
-                &self.root_mask,
-                &mut self.packing,
-                &mut self.cuts,
-                &mut self.stats,
-                query,
-            ) {
-                return Some(Some(cut));
-            }
-        }
-        self.stats.nodes_explored += 1;
-        self.stats.shortest_path_queries += 1;
-        if !self.engine.shortest_path_bounded_into(
-            view,
-            query.u,
-            query.v,
-            query.bound,
-            &self.root_mask,
-            &mut self.root_path,
-        ) {
-            return Some(Some(FaultSet::empty(query.model)));
-        }
-        if query.budget == 0 {
-            return Some(None);
-        }
-        match query.model {
-            FaultModel::Vertex => {
-                for n in self.root_path.interior_nodes() {
-                    self.root_candidates.push(n.index());
-                }
-            }
-            FaultModel::Edge => {
-                for e in self.root_path.edges() {
-                    self.root_candidates.push(e.index());
-                }
-            }
-        }
-        if self.root_candidates.is_empty() {
-            return Some(None);
-        }
-        if self.config.use_packing {
-            let probe = disjoint_path_packing_counted(
-                view,
-                &mut self.engine,
-                &self.root_mask,
-                query.u,
-                query.v,
-                query.bound,
-                query.model,
-                query.budget + 1,
-                &mut self.packing,
-            );
-            self.stats.shortest_path_queries += probe.queries;
-            if probe.packed > query.budget {
-                self.stats.packing_prunes += 1;
-                return Some(None);
-            }
-        }
-        None
-    }
-
-    /// Distributes the staged root candidates over the pool and reduces
-    /// the answers deterministically (lowest candidate index wins).
-    fn fan_out(&mut self, query: OracleQuery) -> Option<FaultSet> {
+        queries: &[OracleQuery],
+        verdicts: &mut Vec<Option<FaultSet>>,
+    ) {
+        self.ensure_pool();
         let pool = &self.pool.as_ref().expect("pool spawned").0;
         self.seq += 1;
-        for (index, &candidate) in self.root_candidates.iter().enumerate() {
+        let config = self.inline.config();
+        for (index, &query) in queries.iter().enumerate() {
             pool.jobs
                 .send(Job {
                     seq: self.seq,
                     index,
-                    candidate,
                     query,
+                    config,
                 })
                 .expect("worker pool alive");
         }
-        let mut records: Vec<(usize, Option<FaultSet>, OracleStats)> =
-            Vec::with_capacity(self.root_candidates.len());
-        while records.len() < self.root_candidates.len() {
+        verdicts.clear();
+        verdicts.resize(queries.len(), None);
+        let mut received = 0;
+        while received < queries.len() {
             // recv_timeout + liveness check rather than a bare recv: if a
             // worker dies mid-job (panic), its result never arrives but
             // the channel stays open through the survivors' senders — a
-            // bare recv would hang the whole construction. The old
-            // thread::scope design re-raised worker panics; this restores
-            // that loud failure.
+            // bare recv would hang the whole construction.
             match pool.results.recv_timeout(Duration::from_millis(100)) {
                 Ok((seq, index, found, stats)) => {
                     debug_assert_eq!(seq, self.seq, "stale job result");
-                    records.push((index, found, stats));
+                    verdicts[index] = found;
+                    self.stats.absorb(stats);
+                    received += 1;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     assert!(
                         !pool.handles.iter().any(|h| h.is_finished()),
-                        "a pool worker died mid-query"
+                        "a pool worker died mid-batch"
                     );
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("worker pool shut down mid-query");
+                    panic!("worker pool shut down mid-batch");
                 }
             }
         }
-        records.sort_by_key(|(index, _, _)| *index);
-        let mut answer = None;
-        for (_, found, stats) in records {
-            self.stats.absorb(stats);
-            if answer.is_none() {
-                if let Some(f) = found {
-                    answer = Some(f);
-                }
-            }
-        }
-        answer
+    }
+
+    /// Records `count` batch verdicts the caller threw away because an
+    /// earlier keep in the same batch changed the view
+    /// ([`OracleStats::speculative_rechecks`]).
+    pub fn note_speculative_rechecks(&mut self, count: usize) {
+        self.stats.speculative_rechecks += count as u64;
     }
 
     /// Spawns the persistent workers on first use.
@@ -343,12 +251,6 @@ impl ParallelBranchingOracle {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let (result_tx, result_rx) = mpsc::channel::<JobResult>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let config = BranchingConfig {
-            // The root-level cut shortcut already ran; workers skip it
-            // (per-subtree cuts rarely pay off).
-            use_cut_shortcut: false,
-            ..self.config
-        };
         let mut handles = Vec::with_capacity(self.threads);
         for _ in 0..self.threads {
             let jobs = Arc::clone(&job_rx);
@@ -357,8 +259,8 @@ impl ParallelBranchingOracle {
             handles.push(std::thread::spawn(move || {
                 // One sequential oracle per worker, alive for the whole
                 // pool lifetime: its scratch persists across every query
-                // of the construction.
-                let mut oracle = BranchingOracle::with_config(config);
+                // of every construction.
+                let mut oracle = BranchingOracle::new();
                 loop {
                     let job = {
                         let rx = jobs.lock().expect("job queue lock");
@@ -367,13 +269,10 @@ impl ParallelBranchingOracle {
                             Err(_) => return, // pool dropped
                         }
                     };
-                    let initial = match job.query.model {
-                        FaultModel::Vertex => FaultSet::vertices([NodeId::new(job.candidate)]),
-                        FaultModel::Edge => FaultSet::edges([EdgeId::new(job.candidate)]),
-                    };
+                    oracle.set_config(job.config);
                     let found = {
                         let guard = view.read().expect("view lock");
-                        oracle.find_blocking_faults_with_initial_in(&*guard, job.query, &initial)
+                        oracle.find_blocking_faults_in(&*guard, job.query)
                     };
                     let stats = oracle.stats();
                     oracle.reset_stats();
@@ -404,26 +303,27 @@ impl Drop for ParallelBranchingOracle {
 }
 
 impl FaultOracle for ParallelBranchingOracle {
+    /// One query over an arbitrary graph, decided on the calling thread.
     fn find_blocking_faults(&mut self, graph: &Graph, query: OracleQuery) -> Option<FaultSet> {
-        // Arbitrary-graph entry point: resynchronize the shared view
-        // (reusing its allocations), then query it. FT-greedy avoids this
-        // O(n + m) sync by growing the view incrementally instead.
-        self.view.write().expect("view lock").sync_from_graph(graph);
-        self.find_blocking_faults_in_view(query)
+        self.inline.find_blocking_faults_in(graph, query)
     }
 
     fn stats(&self) -> OracleStats {
-        self.stats
+        let mut stats = self.stats;
+        stats.absorb(self.inline.stats());
+        stats
     }
 
     fn reset_stats(&mut self) {
         self.stats = OracleStats::default();
+        self.inline.reset_stats();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultModel;
     use spanner_graph::Dist;
 
     fn q(u: usize, v: usize, bound: u64, budget: usize, model: FaultModel) -> OracleQuery {
@@ -438,6 +338,14 @@ mod tests {
 
     fn diamond() -> Graph {
         Graph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap()
+    }
+
+    /// Loads `g` into the oracle's shared view.
+    fn load_view(o: &mut ParallelBranchingOracle, g: &Graph) {
+        o.view_reset(g.node_count());
+        for (_, e) in g.edges() {
+            o.view_push_edge(e.u(), e.v(), e.weight());
+        }
     }
 
     #[test]
@@ -463,16 +371,24 @@ mod tests {
         use rand::SeedableRng;
         use spanner_graph::generators::erdos_renyi;
         let mut rng = StdRng::seed_from_u64(55);
+        let mut par = ParallelBranchingOracle::new(3);
+        let mut verdicts = Vec::new();
         for trial in 0..20 {
             let g = erdos_renyi(12, 0.35, &mut rng);
-            for budget in 0..3 {
-                let query = q(0, 1, 3, budget, FaultModel::Vertex);
-                let mut par = ParallelBranchingOracle::new(3);
+            load_view(&mut par, &g);
+            let queries: Vec<_> = (0..3)
+                .flat_map(|budget| {
+                    [FaultModel::Vertex, FaultModel::Edge]
+                        .map(|model| q(0, 1 + trial % 11, 3, budget, model))
+                })
+                .collect();
+            par.find_blocking_faults_batch_in_view(&queries, &mut verdicts);
+            for (query, batched) in queries.iter().zip(&verdicts) {
                 let mut seq = BranchingOracle::new();
-                let a = par.find_blocking_faults(&g, query);
-                let b = seq.find_blocking_faults(&g, query);
-                assert_eq!(a.is_some(), b.is_some(), "trial {trial} budget {budget}");
-                if let Some(w) = a {
+                let expected = seq.find_blocking_faults(&g, *query);
+                assert_eq!(batched, &expected, "trial {trial} {query:?}");
+                assert_eq!(par.find_blocking_faults(&g, *query), expected);
+                if let Some(w) = expected {
                     let mask = w.to_mask(g.node_count(), g.edge_count());
                     let d = spanner_graph::dijkstra::dist(&g, query.u, query.v, &mask);
                     assert!(d > query.bound);
@@ -484,11 +400,16 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let g = diamond();
-        let query = q(0, 3, 2, 2, FaultModel::Vertex);
+        let queries: Vec<_> = (0..3)
+            .flat_map(|budget| (1..4).map(move |v| q(0, v, 2, budget, FaultModel::Vertex)))
+            .collect();
         let mut answers = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut o = ParallelBranchingOracle::new(threads);
-            answers.push(o.find_blocking_faults(&g, query));
+            load_view(&mut o, &g);
+            let mut verdicts = Vec::new();
+            o.find_blocking_faults_batch_in_view(&queries, &mut verdicts);
+            answers.push(verdicts);
         }
         assert!(answers.windows(2).all(|w| w[0] == w[1]));
     }
@@ -500,39 +421,45 @@ mod tests {
             use_cut_shortcut: false,
             ..BranchingConfig::default()
         });
-        let _ = o.find_blocking_faults(&g, q(0, 3, 2, 2, FaultModel::Vertex));
+        load_view(&mut o, &g);
+        let mut verdicts = Vec::new();
+        o.find_blocking_faults_batch_in_view(&[q(0, 3, 2, 2, FaultModel::Vertex)], &mut verdicts);
+        assert_eq!(o.stats().pool_spawns, 1);
         assert!(o.stats().shortest_path_queries > 0);
+        o.note_speculative_rechecks(3);
+        assert_eq!(o.stats().speculative_rechecks, 3);
         o.reset_stats();
         assert_eq!(o.stats(), OracleStats::default());
     }
 
     #[test]
     fn pool_persists_across_queries() {
-        // Many queries through one oracle: the same workers serve all of
+        // Many batches through one oracle: the same workers serve all of
         // them (the pool is spawned once), and the shared view keeps up
         // with incremental growth.
         let mut o = ParallelBranchingOracle::new(2);
         o.view_reset(4);
         let g = diamond();
         let mut seq = BranchingOracle::new();
+        let mut verdicts = Vec::new();
         let mut view_edges = 0usize;
         for (_, e) in g.edges() {
             o.view_push_edge(e.u(), e.v(), e.weight());
             view_edges += 1;
-            for budget in 0..3 {
-                let query = q(0, 3, 2, budget, FaultModel::Vertex);
-                // Compare against a sequential oracle over the same prefix.
-                let mut prefix = Graph::new(4);
-                for (_, pe) in g.edges().take(view_edges) {
-                    prefix.add_edge_unchecked(pe.u(), pe.v(), pe.weight());
-                }
-                assert_eq!(
-                    o.find_blocking_faults_in_view(query),
-                    seq.find_blocking_faults(&prefix, query),
-                    "prefix of {view_edges} edges, budget {budget}"
-                );
+            // Compare against a sequential oracle over the same prefix.
+            let mut prefix = Graph::new(4);
+            for (_, pe) in g.edges().take(view_edges) {
+                prefix.add_edge_unchecked(pe.u(), pe.v(), pe.weight());
+            }
+            let queries: Vec<_> = (0..3).map(|b| q(0, 3, 2, b, FaultModel::Vertex)).collect();
+            o.find_blocking_faults_batch_in_view(&queries, &mut verdicts);
+            for (query, batched) in queries.iter().zip(&verdicts) {
+                let expected = seq.find_blocking_faults(&prefix, *query);
+                assert_eq!(batched, &expected, "prefix of {view_edges} edges");
+                assert_eq!(o.find_blocking_faults_in_view(*query), expected);
             }
         }
+        assert_eq!(o.stats().pool_spawns, 1);
     }
 
     #[test]
@@ -553,5 +480,24 @@ mod tests {
             o.find_blocking_faults_in_view(q(0, 2, 2, 1, FaultModel::Vertex)),
             None
         );
+        assert_eq!(o.stats().pool_spawns, 1, "reset reuses the pool");
+    }
+
+    #[test]
+    fn cut_shortcut_toggle_reaches_the_workers() {
+        // Two parallel paths 0-1-3 and 0-2-3: with the shortcut on, the
+        // vertex cut {1, 2} answers at the root.
+        let g = diamond();
+        let mut o = ParallelBranchingOracle::new(2);
+        load_view(&mut o, &g);
+        let query = q(0, 3, 2, 2, FaultModel::Vertex);
+        let mut verdicts = Vec::new();
+        o.find_blocking_faults_batch_in_view(&[query], &mut verdicts);
+        assert!(o.stats().cut_shortcuts > 0);
+        o.reset_stats();
+        o.set_root_cut_shortcut(false);
+        o.find_blocking_faults_batch_in_view(&[query], &mut verdicts);
+        assert!(verdicts[0].is_some());
+        assert_eq!(o.stats().cut_shortcuts, 0);
     }
 }

@@ -8,7 +8,7 @@
 //! list. It exists for two jobs:
 //!
 //! 1. **Equivalence testing** — the optimized oracle (CSR view, reusable
-//!    scratch, Zobrist memo, pooled parallel fan-out) must produce
+//!    scratch, Zobrist memo, pooled candidate windows) must produce
 //!    identical spanners *and witnesses*; the property tests in
 //!    `spanner-core` pin that.
 //! 2. **Benchmark baseline** — `perf_ftgreedy` and the `perfbench`

@@ -69,7 +69,7 @@ use spanner_core::frozen::{
     SECTION_WITNESSES, SECTION_WITNESS_INDEX,
 };
 use spanner_core::routing::{Route, RouteError};
-use spanner_core::{EpochServer, FrozenSpanner, FtGreedy};
+use spanner_core::{EpochServer, FrozenSpanner, FtGreedy, FtSpanner, OracleKind};
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::io::binary::{fnv1a64, fnv1a64_words, parse_container, parse_container_v2};
 use spanner_graph::{generators, io, Graph, NodeId, SharedBytes};
@@ -346,6 +346,18 @@ fn build_graph(spec: &GraphSpec) -> Result<Graph, String> {
     })
 }
 
+/// The construction `build` ships and `serve` re-runs to cross-check an
+/// artifact: FT-greedy on the pooled oracle, one worker per logical CPU.
+/// Its output is the sequential greedy's, bit for bit, at any width.
+fn construct(g: &Graph, stretch: u64, faults: usize, model: FaultModel) -> FtSpanner {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    FtGreedy::new(g, stretch)
+        .faults(faults)
+        .model(model)
+        .oracle(OracleKind::Parallel(threads))
+        .run()
+}
+
 fn run_build(args: BuildArgs) -> Result<(), String> {
     let g = build_graph(&args.spec)?;
     if g.node_count() == 0 {
@@ -359,11 +371,7 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
         args.faults,
         args.model
     );
-    let ft = FtGreedy::new(&g, args.stretch)
-        .faults(args.faults)
-        .model(args.model)
-        .run();
-    let mut frozen = ft.freeze(&g);
+    let mut frozen = construct(&g, args.stretch, args.faults, args.model).freeze(&g);
     if args.detach {
         frozen = frozen.detach_witnesses();
     } else if args.shard {
@@ -709,10 +717,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     // the artifact on disk must be its canonical encoding, byte for
     // byte — after re-laying the rebuild out in the on-disk artifact's
     // own version/witness layout.
-    let fresh = FtGreedy::new(parent.as_ref(), loaded.stretch())
-        .faults(budget)
-        .model(loaded.model())
-        .run()
+    let fresh = construct(parent.as_ref(), loaded.stretch(), budget, loaded.model())
         .freeze(parent.as_ref());
     let rebuilt = Arc::new(if loaded.witnesses_detached() {
         fresh.detach_witnesses()
