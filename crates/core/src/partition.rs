@@ -15,14 +15,17 @@
 //!    ([`FtGreedy::run_pooled_with`]; the pool spawns once, and
 //!    [`OracleStats::pool_spawns`](spanner_faults::OracleStats) proves
 //!    it).
-//! 3. **Boundary stitch** — cross-shard edges plus the boundary-vertex
-//!    closure (intra-shard edges between two boundary vertices that
-//!    their shard dropped) are re-run through the FT-greedy keep rule
-//!    with the **global** budget `f`, querying the union of all shard
-//!    spanners as it grows. The stitch disables the root min-cut
-//!    shortcut — with it off, every stitch Dijkstra is bounded by
-//!    `k·w` (ball-sized), which is the whole scaling win; all oracle
-//!    configurations are exact, so this is a pure perf trade.
+//! 3. **Boundary stitch** — the cross-shard edges, and only those, are
+//!    run through the FT-greedy keep rule with the **global** budget
+//!    `f`, querying the union of all shard spanners as it grows. No
+//!    intra-shard edge is re-decided: a kept one is in the union, and a
+//!    dropped one — even between two boundary vertices — carries its
+//!    shard's drop certificate into every union (the "Intra-shard edge"
+//!    case below), so the stitch oracle could only answer "drop" again.
+//!    The stitch disables the root min-cut shortcut — with it off, every
+//!    stitch Dijkstra is bounded by `k·w` (ball-sized), which is the
+//!    whole scaling win; all oracle configurations are exact, so this is
+//!    a pure perf trade.
 //!
 //! Steps 2 and 3 share one keep loop, the pooled FT-greedy driver
 //! behind [`FtGreedy::run_pooled_with`]: it decides windows of upcoming
@@ -30,8 +33,8 @@
 //! them in weight order (drops are final because the union only grows;
 //! the first keep of a window is exact; later keeps are decided again).
 //! Its output is the sequential keep loop's, bit for bit, at every pool
-//! width. The stitch is where dense inputs spend their time — nearly all
-//! of its candidates are drops — so it is where the windows grow widest.
+//! width. Nearly all stitch candidates on dense inputs are drops, so the
+//! stitch is where the windows grow widest.
 //!
 //! # Why the union satisfies the `(2k−1)`-stretch `f`-fault contract
 //!
@@ -44,7 +47,11 @@
 //!   `f` faults and lives entirely inside the induced subgraph `G_i`,
 //!   so the per-shard guarantee gives a path of length `≤ k·w(e)` in
 //!   `H_i ∖ F_i`. That path uses only shard-`i` vertices and `H_i`
-//!   edges, so no fault of `F ∖ F_i` touches it, and `H ⊇ H_i`.
+//!   edges, so no fault of `F ∖ F_i` touches it, and `H ⊇ H_i`. The
+//!   argument holds for kept and dropped intra-shard edges alike, whatever
+//!   their endpoints' boundary status — which is why the stitch never
+//!   re-checks a dropped one: against the union (⊇ `H_i`) at budget `f`
+//!   the exact oracle would return the same "drop".
 //! * **Stitch candidate kept.** The edge itself is in `H`.
 //! * **Stitch candidate dropped.** At drop time the oracle certified
 //!   that *no* fault set of size `≤ f` stretches `(u, v)` beyond
@@ -60,7 +67,7 @@ use crate::ft_greedy::{FtGreedy, FtSpanner};
 use crate::Spanner;
 use spanner_faults::{FaultModel, FaultOracle, FaultSet, ParallelBranchingOracle};
 use spanner_graph::partition::bfs_balls;
-use spanner_graph::{BitSet, EdgeId, Graph, NodeId};
+use spanner_graph::{EdgeId, Graph, NodeId};
 use std::time::Instant;
 
 /// Configurable partitioned FT-greedy runner (non-consuming builder),
@@ -154,7 +161,6 @@ impl<'a> PartitionedFtGreedy<'a> {
     /// [`FtSpanner::freeze`] → `VFTSPANR` pipeline unchanged.
     pub fn run(&self) -> PartitionedSpanner {
         let n = self.graph.node_count();
-        let m = self.graph.edge_count();
 
         // Phase 1: partition the vertex set, classify the edges.
         let t0 = Instant::now();
@@ -162,14 +168,10 @@ impl<'a> PartitionedFtGreedy<'a> {
         let boundary = partition.boundary(self.graph);
         let mut shard_edges: Vec<Vec<EdgeId>> = vec![Vec::new(); partition.shard_count()];
         let mut cross_edges: Vec<EdgeId> = Vec::new();
-        let mut closure_pool: Vec<EdgeId> = Vec::new();
         for (id, e) in self.graph.edges() {
             let (su, sv) = (partition.shard_of(e.u()), partition.shard_of(e.v()));
             if su == sv {
                 shard_edges[su].push(id);
-                if boundary.contains(e.u().index()) && boundary.contains(e.v().index()) {
-                    closure_pool.push(id);
-                }
             } else {
                 cross_edges.push(id);
             }
@@ -181,7 +183,6 @@ impl<'a> PartitionedFtGreedy<'a> {
         let mut oracle = ParallelBranchingOracle::new(self.threads);
         let mut union_kept: Vec<EdgeId> = Vec::new();
         let mut union_witnesses: Vec<FaultSet> = Vec::new();
-        let mut kept_mask = BitSet::new(m);
         let mut local_of = vec![u32::MAX; n];
         for (shard, edges) in shard_edges.iter().enumerate() {
             let members = partition.members(shard);
@@ -207,7 +208,6 @@ impl<'a> PartitionedFtGreedy<'a> {
             let edge_offset = union_kept.len();
             for &local in ft.spanner().parent_edge_ids() {
                 let global = edges[local.index()];
-                kept_mask.insert(global.index());
                 union_kept.push(global);
             }
             for w in ft.witnesses() {
@@ -220,14 +220,12 @@ impl<'a> PartitionedFtGreedy<'a> {
         let shard_kept = union_kept.len();
         let build_secs = t1.elapsed().as_secs_f64();
 
-        // Phase 3: boundary stitch over the union, global budget f.
+        // Phase 3: boundary stitch over the union, global budget f. Only
+        // cross edges are candidates: an intra-shard edge its shard
+        // dropped is already a drop against any union ⊇ its shard
+        // spanner (see the module docs).
         let t2 = Instant::now();
-        let mut candidates = cross_edges.clone();
-        candidates.extend(
-            closure_pool
-                .iter()
-                .filter(|e| !kept_mask.contains(e.index())),
-        );
+        let mut candidates = cross_edges;
         candidates.sort_by_key(|&e| (self.graph.weight(e), e));
         // Bounded-ball Dijkstras only from here on: the root min-cut
         // shortcut's unbounded packing probes are what partitioning is
@@ -253,7 +251,7 @@ impl<'a> PartitionedFtGreedy<'a> {
             shards: partition.shard_count(),
             largest_shard: partition.largest_shard(),
             boundary_vertices: boundary.len(),
-            cross_edges: cross_edges.len(),
+            cross_edges: candidates.len(),
             stitch_candidates: candidates.len(),
             shard_kept,
             stitch_kept: union_kept.len() - shard_kept,
@@ -326,8 +324,9 @@ pub struct PartitionReport {
     pub boundary_vertices: usize,
     /// Parent edges whose endpoints lie in different shards.
     pub cross_edges: usize,
-    /// Edges the stitch pass re-examined (cross edges + dropped
-    /// boundary-closure edges).
+    /// Edges the stitch pass decided: exactly the cross edges. Intra-shard
+    /// edges are settled by their shard build (a dropped one stays a drop
+    /// in every union; see the module docs), so none is re-examined.
     pub stitch_candidates: usize,
     /// Edges kept by the per-shard builds.
     pub shard_kept: usize,
@@ -469,7 +468,7 @@ mod tests {
             r.shard_kept + r.stitch_kept,
             built.ft().spanner().edge_count()
         );
-        assert!(r.stitch_candidates >= r.cross_edges);
+        assert_eq!(r.stitch_candidates, r.cross_edges);
         assert!(r.total_secs() >= r.build_secs);
     }
 }

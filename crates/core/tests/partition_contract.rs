@@ -12,8 +12,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::partition::PartitionedFtGreedy;
 use spanner_core::verify::verify_ft_exhaustive;
-use spanner_faults::FaultModel;
+use spanner_faults::reference::ReferenceBranchingOracle;
+use spanner_faults::{FaultModel, FaultOracle, OracleQuery};
 use spanner_graph::generators::{complete, cycle, grid, random_geometric, with_uniform_weights};
+use spanner_graph::partition::bfs_balls;
 use spanner_graph::Graph;
 
 /// The n ≤ 12 instance zoo: name, graph, shard target.
@@ -177,4 +179,61 @@ fn dense_output_is_identical_across_pool_widths() {
             }
         }
     }
+}
+
+/// The stitch decides cross edges only. That is exact because an
+/// intra-shard edge its shard dropped is still a drop against the final
+/// union at the global budget — including boundary-closure edges, whose
+/// endpoints both touch other shards. Pin it with the frozen reference
+/// oracle on every zoo instance, both models, f ∈ {1, 2}.
+#[test]
+fn dropped_intra_shard_edges_stay_dropped_in_the_union() {
+    const SEED: u64 = 9;
+    let mut closure_drops = 0;
+    for (name, g, target) in instances().into_iter().chain(dense_instances()) {
+        let partition = bfs_balls(&g, target, SEED);
+        let boundary = partition.boundary(&g);
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for f in [1usize, 2] {
+                let built = PartitionedFtGreedy::new(&g, 3)
+                    .faults(f)
+                    .model(model)
+                    .shard_target(target)
+                    .seed(SEED)
+                    .threads(2)
+                    .run();
+                let report = built.report();
+                assert_eq!(report.cross_edges, partition.cross_edge_count(&g), "{name}");
+                assert_eq!(report.stitch_candidates, report.cross_edges, "{name}");
+                let union = built.ft().spanner();
+                let mut oracle = ReferenceBranchingOracle::new();
+                for (id, e) in g.edges() {
+                    if partition.shard_of(e.u()) != partition.shard_of(e.v())
+                        || union.contains_parent_edge(id)
+                    {
+                        continue;
+                    }
+                    if boundary.contains(e.u().index()) && boundary.contains(e.v().index()) {
+                        closure_drops += 1;
+                    }
+                    let query = OracleQuery {
+                        u: e.u(),
+                        v: e.v(),
+                        bound: e.weight().stretched(3),
+                        budget: f,
+                        model,
+                    };
+                    assert_eq!(
+                        oracle.find_blocking_faults(union.graph(), query),
+                        None,
+                        "{name} f={f} model={model:?}: dropped edge {id:?} is stretched in the union"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        closure_drops > 0,
+        "no boundary-closure edge was ever dropped"
+    );
 }

@@ -12,7 +12,11 @@
 //!
 //! * **Packing pruning** ([`crate::packing`]): if more than
 //!   `remaining-budget` pairwise disjoint short paths survive, no extension
-//!   of the current fault set can work — stop.
+//!   of the current fault set can work — stop. Each node's probe starts
+//!   from the shortest path the node has just found, so it never repeats
+//!   the node's own Dijkstra; at the root, the min-cut shortcut's Menger
+//!   pre-filter can certify the same prune outright (see
+//!   [`cut_shortcut_with_prefilter`]).
 //! * **Memoization**: the same fault *set* reached by different orders
 //!   explores the same subtree; a hash set of visited sets collapses those
 //!   permutations.
@@ -252,6 +256,7 @@ impl BranchingOracle {
                 q.bound,
                 q.model,
                 remaining + 1,
+                Some(&self.scratch.path),
                 &mut self.scratch.packing,
             );
             self.stats.shortest_path_queries += probe.queries;
@@ -308,7 +313,7 @@ impl BranchingOracle {
     ) -> Option<FaultSet> {
         self.begin_query(view);
         if self.config.use_cut_shortcut && query.budget > 0 {
-            if let Some(cut) = cut_shortcut_with_prefilter(
+            match cut_shortcut_with_prefilter(
                 view,
                 &mut self.engine,
                 &self.scratch.mask,
@@ -316,8 +321,11 @@ impl BranchingOracle {
                 &mut self.scratch.cuts,
                 &mut self.stats,
                 query,
+                self.config.use_packing,
             ) {
-                return Some(cut);
+                RootVerdict::Cut(cut) => return Some(cut),
+                RootVerdict::Drop => return None,
+                RootVerdict::Search => {}
             }
         }
         if self.search(view, &query) {
@@ -326,6 +334,17 @@ impl BranchingOracle {
             None
         }
     }
+}
+
+/// What the root front decided for a query.
+enum RootVerdict {
+    /// A cut within budget blocks every `u–v` path: the query's witness.
+    Cut(FaultSet),
+    /// `budget + 1` disjoint paths within the bound: nothing blocks the
+    /// pair, the query answers `None`.
+    Drop,
+    /// Nothing proven: run the branching search.
+    Search,
 }
 
 /// The root front of every query: a Menger disjoint-path pre-filter
@@ -339,9 +358,18 @@ impl BranchingOracle {
 /// with byte-identical output. Greedy packing is not Menger-optimal, so a
 /// short family proves nothing and the exact cut runs.
 ///
-/// `mask` must be the query's (empty) base mask. Returns `Some(witness)`
-/// when a cut within budget decides the query; `None` means "no shortcut
-/// — run the branching search".
+/// The same family doubles as a **drop certificate**: when every packed
+/// path also weighs at most `query.bound`, it is a packing of `budget + 1`
+/// disjoint *short* paths, so by the packing lemma ([`crate::packing`])
+/// no fault set within budget stretches the pair — exactly the root
+/// packing prune the search would reach after re-running those
+/// Dijkstras under the bound. With `certify_drops` (the packing prune's
+/// toggle) the query ends there, counted as one explored node and one
+/// packing prune; a family with a path over the bound goes on to the
+/// search.
+///
+/// `mask` must be the query's (empty) base mask.
+#[allow(clippy::too_many_arguments)]
 fn cut_shortcut_with_prefilter<V: GraphView>(
     view: &V,
     engine: &mut DijkstraEngine,
@@ -350,7 +378,8 @@ fn cut_shortcut_with_prefilter<V: GraphView>(
     cuts: &mut CutScratch,
     stats: &mut OracleStats,
     query: OracleQuery,
-) -> Option<FaultSet> {
+    certify_drops: bool,
+) -> RootVerdict {
     let probe = disjoint_path_packing_counted(
         view,
         engine,
@@ -360,11 +389,18 @@ fn cut_shortcut_with_prefilter<V: GraphView>(
         Dist::INFINITE,
         query.model,
         query.budget + 1,
+        None,
         packing,
     );
     stats.shortest_path_queries += probe.queries;
     if probe.packed > query.budget {
-        return None; // certified: no cut within budget exists
+        // Certified: no cut within budget exists.
+        if certify_drops && probe.longest <= query.bound {
+            stats.nodes_explored += 1;
+            stats.packing_prunes += 1;
+            return RootVerdict::Drop;
+        }
+        return RootVerdict::Search;
     }
     let witness = match query.model {
         FaultModel::Vertex => spanner_graph::connectivity::min_vertex_cut_st_with(
@@ -386,10 +422,13 @@ fn cut_shortcut_with_prefilter<V: GraphView>(
         )
         .map(FaultSet::edges),
     };
-    if witness.is_some() {
-        stats.cut_shortcuts += 1;
+    match witness {
+        Some(cut) => {
+            stats.cut_shortcuts += 1;
+            RootVerdict::Cut(cut)
+        }
+        None => RootVerdict::Search,
     }
-    witness
 }
 
 impl FaultOracle for BranchingOracle {
@@ -576,5 +615,61 @@ mod tests {
             with_memo.stats().nodes_explored,
             without_memo.stats().nodes_explored
         );
+    }
+
+    /// Internally disjoint unit-weight `0 → 1` routes, one per entry of
+    /// `hops` (the route's edge count).
+    fn theta(hops: &[usize]) -> Graph {
+        let mut g = Graph::new(2);
+        for &h in hops {
+            let mut prev = NodeId::new(0);
+            for _ in 1..h {
+                let mid = g.add_node();
+                g.add_edge(prev, mid, spanner_graph::Weight::UNIT);
+                prev = mid;
+            }
+            g.add_edge(prev, NodeId::new(1), spanner_graph::Weight::UNIT);
+        }
+        g
+    }
+
+    #[test]
+    fn root_prefilter_certifies_drop_when_every_route_fits_the_bound() {
+        // Three disjoint 2-hop routes, bound 3, f = 2: the prefilter's
+        // three Dijkstras pack all three, each within the bound, so the
+        // query ends at the root as one packing prune.
+        let g = theta(&[2, 2, 2]);
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            let mut o = BranchingOracle::new();
+            assert_eq!(o.find_blocking_faults(&g, q(0, 1, 3, 2, model)), None);
+            let stats = o.stats();
+            assert_eq!(stats.shortest_path_queries, 3, "{model:?}");
+            assert_eq!(stats.packing_prunes, 1, "{model:?}");
+            assert_eq!(stats.nodes_explored, 1, "{model:?}");
+            assert_eq!(stats.cut_shortcuts, 0, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn root_prefilter_with_a_route_over_the_bound_falls_through_to_search() {
+        // The third route has 4 hops > bound 3: the prefilter still packs
+        // three paths (no cut within budget), but they are no drop
+        // certificate, so the search decides — and finds the 2-fault
+        // witness the reference oracle finds.
+        use crate::reference::ReferenceBranchingOracle;
+        let g = theta(&[2, 2, 4]);
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            let query = q(0, 1, 3, 2, model);
+            let mut o = BranchingOracle::new();
+            let found = o.find_blocking_faults(&g, query);
+            assert!(found.is_some(), "{model:?}");
+            assert_eq!(
+                found,
+                ReferenceBranchingOracle::new().find_blocking_faults(&g, query),
+                "{model:?}"
+            );
+            assert!(o.stats().nodes_explored > 1, "{model:?}: search must run");
+            assert_eq!(o.stats().cut_shortcuts, 0, "{model:?}");
+        }
     }
 }

@@ -7,23 +7,36 @@
 //! interior, and a single edge fault only one path's edges. The converse is
 //! *not* true (length-bounded Menger fails), so the packing count is a
 //! lower bound for pruning, never a decision procedure.
+//!
+//! The probe packs greedily: each bounded shortest path found is faulted
+//! out of a working mask before the next query. A caller that has just
+//! found the first of those paths itself — a branching search node, whose
+//! own Dijkstra ran under the same mask and bound — passes it as the
+//! probe's *seed*, and the probe starts packing from it instead of
+//! repeating that Dijkstra.
 
 use crate::FaultModel;
 use spanner_graph::{DijkstraEngine, Dist, FaultMask, Graph, GraphView, NodeId, PathScratch};
 
-/// The outcome of a packing probe: how many disjoint paths were packed
-/// and how many bounded Dijkstras that actually took.
+/// The outcome of a packing probe: how many disjoint paths were packed,
+/// how many bounded Dijkstras that actually took, and the weight of the
+/// heaviest packed path.
 ///
 /// The query count is exact (one per loop iteration, including the final
-/// miss), so [`crate::OracleStats::shortest_path_queries`] charged from it
-/// reflects real work — the pre-PR-2 accounting over-charged a flat
-/// `packed + 1` even when the probe stopped early at its cap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// miss; a seed path costs none), so
+/// [`crate::OracleStats::shortest_path_queries`] charged from it reflects
+/// real work — the pre-PR-2 accounting over-charged a flat `packed + 1`
+/// even when the probe stopped early at its cap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PackingProbe {
     /// Number of pairwise disjoint short paths found (at most the cap).
     pub packed: usize,
     /// Number of bounded shortest-path queries the probe issued.
     pub queries: u64,
+    /// Weight of the heaviest path actually packed ([`Dist::ZERO`] when
+    /// none was). An unbounded probe whose `longest` fits a tighter bound
+    /// has packed its paths under that bound too.
+    pub longest: Dist,
 }
 
 /// Reusable buffers for [`disjoint_path_packing_counted`]: the working
@@ -45,6 +58,12 @@ impl PackingScratch {
 
 /// Like [`disjoint_path_packing`], but generic over the graph layout,
 /// allocation-free via `scratch`, and reporting its true query count.
+///
+/// `seed`, when given, must be the path the probe's first query would
+/// find: the bounded shortest `u→v` path in `view ∖ mask` that a search
+/// node has just extracted with the same engine, mask and bound. The
+/// probe packs it without re-running that Dijkstra, so the packed count
+/// is the unseeded one and the probe issues one query fewer.
 #[allow(clippy::too_many_arguments)]
 pub fn disjoint_path_packing_counted<V: GraphView>(
     view: &V,
@@ -55,25 +74,44 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
     bound: Dist,
     model: FaultModel,
     cap: usize,
+    mut seed: Option<&PathScratch>,
     scratch: &mut PackingScratch,
 ) -> PackingProbe {
-    let mut probe = PackingProbe::default();
+    let mut probe = PackingProbe {
+        packed: 0,
+        queries: 0,
+        longest: Dist::ZERO,
+    };
     if cap == 0 {
         return probe;
     }
     scratch.mask.copy_from(mask);
-    while probe.packed < cap {
-        probe.queries += 1;
-        if !engine.shortest_path_bounded_into(view, u, v, bound, &scratch.mask, &mut scratch.path) {
-            break;
-        }
+    loop {
+        let path = match seed.take() {
+            Some(path) => path,
+            None => {
+                probe.queries += 1;
+                if !engine.shortest_path_bounded_into(
+                    view,
+                    u,
+                    v,
+                    bound,
+                    &scratch.mask,
+                    &mut scratch.path,
+                ) {
+                    break;
+                }
+                &scratch.path
+            }
+        };
         probe.packed += 1;
+        probe.longest = probe.longest.max(path.dist());
         if probe.packed >= cap {
             break;
         }
         match model {
             FaultModel::Vertex => {
-                let interior = scratch.path.interior_nodes();
+                let interior = path.interior_nodes();
                 if interior.is_empty() {
                     // Direct edge: no vertex fault can ever block it.
                     probe.packed = cap;
@@ -84,7 +122,7 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
                 }
             }
             FaultModel::Edge => {
-                for e in scratch.path.edges() {
+                for e in path.edges() {
                     scratch.mask.fault_edge(*e);
                 }
             }
@@ -130,7 +168,19 @@ pub fn disjoint_path_packing(
     cap: usize,
 ) -> usize {
     let mut scratch = PackingScratch::new();
-    disjoint_path_packing_counted(graph, engine, mask, u, v, bound, model, cap, &mut scratch).packed
+    disjoint_path_packing_counted(
+        graph,
+        engine,
+        mask,
+        u,
+        v,
+        bound,
+        model,
+        cap,
+        None,
+        &mut scratch,
+    )
+    .packed
 }
 
 #[cfg(test)]
@@ -278,13 +328,15 @@ mod tests {
             Dist::finite(3),
             FaultModel::Vertex,
             10,
+            None,
             &mut scratch,
         );
         assert_eq!(
             probe,
             PackingProbe {
                 packed: 3,
-                queries: 4
+                queries: 4,
+                longest: Dist::finite(3),
             }
         );
         // Cap truncation: stops right at the cap, no trailing miss query.
@@ -297,13 +349,15 @@ mod tests {
             Dist::finite(3),
             FaultModel::Vertex,
             2,
+            None,
             &mut scratch,
         );
         assert_eq!(
             probe,
             PackingProbe {
                 packed: 2,
-                queries: 2
+                queries: 2,
+                longest: Dist::finite(3),
             }
         );
         // Direct-edge saturation costs exactly one query.
@@ -318,15 +372,110 @@ mod tests {
             Dist::finite(1),
             FaultModel::Vertex,
             7,
+            None,
             &mut scratch,
         );
         assert_eq!(
             probe,
             PackingProbe {
                 packed: 7,
-                queries: 1
+                queries: 1,
+                longest: Dist::finite(1),
             }
         );
+        // Seeded with the path the first query would find, each probe
+        // packs the same paths for one query fewer.
+        for (graph, bound, cap, packed, queries) in
+            [(&g, 3, 10, 3, 3), (&g, 3, 2, 2, 1), (&direct, 1, 7, 7, 0)]
+        {
+            let base = FaultMask::for_graph(graph);
+            let (u, v, bound) = (NodeId::new(0), NodeId::new(1), Dist::finite(bound));
+            let mut seed = PathScratch::new();
+            assert!(engine.shortest_path_bounded_into(graph, u, v, bound, &base, &mut seed));
+            let probe = disjoint_path_packing_counted(
+                graph,
+                &mut engine,
+                &base,
+                u,
+                v,
+                bound,
+                FaultModel::Vertex,
+                cap,
+                Some(&seed),
+                &mut scratch,
+            );
+            assert_eq!(
+                probe,
+                PackingProbe {
+                    packed,
+                    queries,
+                    longest: bound,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_probe_matches_unseeded_on_random_graphs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use spanner_graph::generators::{erdos_renyi, with_uniform_weights};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut engine = DijkstraEngine::new();
+        let mut scratch = PackingScratch::new();
+        let mut seed = PathScratch::new();
+        let mut seeded_runs = 0;
+        for _ in 0..60 {
+            let n = rng.gen_range(6..16);
+            let g = with_uniform_weights(&erdos_renyi(n, 0.45, &mut rng), 1, 5, &mut rng);
+            let (u, v) = (NodeId::new(0), NodeId::new(n - 1));
+            let mut mask = FaultMask::for_graph(&g);
+            for _ in 0..rng.gen_range(0..3) {
+                let x = rng.gen_range(1..n - 1);
+                mask.fault_vertex(NodeId::new(x));
+            }
+            if g.edge_count() > 0 {
+                mask.fault_edge(spanner_graph::EdgeId::new(rng.gen_range(0..g.edge_count())));
+            }
+            let bound = Dist::finite(rng.gen_range(2..12));
+            for model in [FaultModel::Vertex, FaultModel::Edge] {
+                for cap in 1..=4 {
+                    if !engine.shortest_path_bounded_into(&g, u, v, bound, &mask, &mut seed) {
+                        continue;
+                    }
+                    let seeded = disjoint_path_packing_counted(
+                        &g,
+                        &mut engine,
+                        &mask,
+                        u,
+                        v,
+                        bound,
+                        model,
+                        cap,
+                        Some(&seed),
+                        &mut scratch,
+                    );
+                    let plain = disjoint_path_packing_counted(
+                        &g,
+                        &mut engine,
+                        &mask,
+                        u,
+                        v,
+                        bound,
+                        model,
+                        cap,
+                        None,
+                        &mut scratch,
+                    );
+                    let label = format!("n={n} model={model:?} cap={cap}");
+                    assert_eq!(seeded.packed, plain.packed, "{label}");
+                    assert_eq!(seeded.longest, plain.longest, "{label}");
+                    assert_eq!(seeded.queries + 1, plain.queries, "{label}");
+                    seeded_runs += 1;
+                }
+            }
+        }
+        assert!(seeded_runs > 100, "too few instances had a seed path");
     }
 
     #[test]
