@@ -42,14 +42,22 @@
 //! input — and revalidated element-wise against the forward table), and
 //! optionally the parent graph itself.
 //!
-//! The codec's contract, pinned by `tests/artifact_props.rs`:
+//! The witness map is one fixed-stride section. The paper bounds every
+//! witness at |F_e| ≤ f under the artifact's single fault model, so a
+//! record is a `u32` length plus `f` `u32` id slots — `4 + 4f` bytes —
+//! and [`FrozenSpanner::witnesses_for`] is one multiply and one bounds
+//! check, reading exactly one record.
+//!
+//! The codec's contract, pinned by `tests/artifact_props.rs` and
+//! `tests/witness_props.rs`:
 //!
 //! * `decode(encode(a))` re-encodes **byte-identically** and serves
 //!   every epoch'd query batch **bit-identically** to `a`;
 //! * truncated, corrupt, or crafted input returns a typed
 //!   [`ArtifactError`] — decoding never panics;
-//! * unknown format versions and unknown sections are rejected with
-//!   typed errors, never misread (the compatibility policy).
+//! * other format versions and unknown sections are rejected with
+//!   typed errors, never misread (the compatibility policy: rebuild
+//!   from the parent graph).
 //!
 //! The `spanner-artifact` harness binary wraps the codec for the shell
 //! (`build` / `inspect` / `serve`), and CI round-trips an artifact
@@ -69,50 +77,31 @@ use std::sync::{Arc, OnceLock};
 /// Magic bytes of a persisted [`FrozenSpanner`] container.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"VFTSPANR";
 
-/// The v1 container format: tag/length section framing, eager decode.
-/// This is what freeze paths write by default; [`FrozenSpanner::decode`]
-/// accepts it forever.
-pub const ARTIFACT_VERSION: u32 = 1;
-
-/// The v2 container format: alignment-padded sections behind a 64-bit
-/// section table, readable **in place** via [`FrozenSpanner::open`].
-/// Produced by [`FrozenSpanner::to_v2`] / `spanner-artifact migrate`.
-pub const ARTIFACT_VERSION_V2: u32 = 2;
-
-/// v2 header flag: the artifact is routing-only — the witness section
-/// was detached at build time and witness accessors return
+/// Header flag: the artifact is routing-only — the witness section was
+/// detached at build time and witness accessors return
 /// [`ArtifactError::WitnessesDetached`].
 pub const FLAG_WITNESSES_DETACHED: u32 = 1;
 
-/// v2 header flag: the witness map is stored *sharded* — every record is
-/// zero-padded to an 8-byte boundary and a [`SECTION_WITNESS_INDEX`]
-/// section carries per-edge offsets into it, so
-/// [`FrozenSpanner::witnesses_for`] decodes only the bytes of the edge
-/// it was asked about. Produced by [`FrozenSpanner::to_v2_sharded`] /
-/// `spanner-artifact migrate --shard`.
-pub const FLAG_WITNESSES_SHARDED: u32 = 2;
-
 /// Construction metadata: stretch, model, budget, counts.
 pub const SECTION_META: u32 = 1;
-/// The spanner adjacency (graph payload, edge ids = spanner edge ids).
+/// The spanner adjacency (in-place CSR payload, edge ids = spanner edge
+/// ids).
 pub const SECTION_SPANNER: u32 = 2;
 /// Spanner-edge → parent-edge id map, in spanner edge-id order.
 pub const SECTION_PARENT_EDGES: u32 = 3;
-/// Recorded witness fault sets, indexed by spanner edge id.
+/// Recorded witness fault sets: a count, then one fixed-stride record
+/// per spanner edge.
 pub const SECTION_WITNESSES: u32 = 4;
 /// The parent graph (graph payload), present iff the artifact carries
 /// the handle.
 pub const SECTION_PARENT: u32 = 5;
-/// Per-edge offset index over [`SECTION_WITNESSES`]: `count` then
-/// `count + 1` monotone 8-aligned `u64` offsets bracketing each witness
-/// record. Present iff [`FLAG_WITNESSES_SHARDED`] is set.
-pub const SECTION_WITNESS_INDEX: u32 = 6;
 
-/// Errors from [`FrozenSpanner::decode`] / [`FrozenSpanner::open`]:
-/// either the container itself is bad, it parsed but describes an
-/// inconsistent artifact, or an accessor asked for data the artifact was
-/// deliberately built without. Hostile input always lands here — never
-/// in a panic.
+/// Errors from [`FrozenSpanner::decode`] / [`FrozenSpanner::open`] and
+/// the witness accessors: either the container itself is bad, it parsed
+/// but describes an inconsistent artifact, an accessor asked for data
+/// the artifact was deliberately built without, or the caller named an
+/// edge the artifact does not have. Hostile input always lands here —
+/// never in a panic.
 ///
 /// `Clone` so lazily-decoded sections can memoize a failure and return
 /// it verbatim on every subsequent access.
@@ -135,6 +124,14 @@ pub enum ArtifactError {
     /// detached at build time ([`FLAG_WITNESSES_DETACHED`]), so witness
     /// queries cannot be served from it.
     WitnessesDetached,
+    /// A witness query named a spanner edge id at or beyond the
+    /// artifact's edge count.
+    InvalidEdge {
+        /// The edge id that was asked for.
+        edge: EdgeId,
+        /// The artifact's spanner edge count.
+        edge_count: usize,
+    },
 }
 
 /// Stable error codes [`ArtifactError`] adds on top of the
@@ -142,8 +139,11 @@ pub enum ArtifactError {
 /// ([`BINARY_ERROR_CODES`](spanner_graph::io::binary::BINARY_ERROR_CODES)).
 /// The full decode-path code set is the union of the two; the snapshot
 /// test in `tests/error_taxonomy.rs` pins it.
-pub const ARTIFACT_ERROR_CODES: &[&str] =
-    &["artifact/cross-section", "artifact/witnesses-detached"];
+pub const ARTIFACT_ERROR_CODES: &[&str] = &[
+    "artifact/cross-section",
+    "artifact/invalid-edge",
+    "artifact/witnesses-detached",
+];
 
 impl ArtifactError {
     /// A stable, machine-readable error code (part of the public error
@@ -153,14 +153,15 @@ impl ArtifactError {
     ///
     /// [`ArtifactError::Format`] routes straight through
     /// [`BinaryError::code`] so the container-level taxonomy has one
-    /// source of truth; the only code added at this layer is
-    /// `artifact/cross-section` for sections that parse individually
-    /// but contradict each other.
+    /// source of truth; this layer adds `artifact/cross-section` for
+    /// sections that parse individually but contradict each other, plus
+    /// the two accessor refusals.
     pub fn code(&self) -> &'static str {
         match self {
             ArtifactError::Format(e) => e.code(),
             ArtifactError::Inconsistent { .. } => "artifact/cross-section",
             ArtifactError::WitnessesDetached => "artifact/witnesses-detached",
+            ArtifactError::InvalidEdge { .. } => "artifact/invalid-edge",
         }
     }
 
@@ -182,6 +183,10 @@ impl fmt::Display for ArtifactError {
             ArtifactError::WitnessesDetached => {
                 write!(f, "witnesses are detached from this routing-only artifact")
             }
+            ArtifactError::InvalidEdge { edge, edge_count } => write!(
+                f,
+                "spanner edge {edge} is out of range (the artifact has {edge_count} edges)"
+            ),
         }
     }
 }
@@ -209,8 +214,8 @@ fn inconsistent(context: &'static str, detail: String) -> ArtifactError {
 /// Sentinel in the parent→spanner edge map for "not kept".
 const NOT_KEPT: u32 = u32::MAX;
 
-/// The spanner↔parent edge translation tables: owned `Vec`s (freeze and
-/// v1 decode) or in-place reads over a shared v2 buffer (the open path).
+/// The spanner↔parent edge translation tables: owned `Vec`s (freeze) or
+/// in-place reads over a shared buffer (decode and open).
 /// Both store the forward table (spanner edge → parent edge id) and the
 /// precomputed inverse, in the same canonical byte format.
 #[derive(Clone, Debug)]
@@ -308,9 +313,9 @@ impl TranslationTables {
     }
 }
 
-/// Where the parent graph lives: absent, decoded (freeze / v1 decode),
-/// or raw v2 section bytes decoded lazily on first use and memoized —
-/// clones share the memo cell, so one decode serves every handle.
+/// Where the parent graph lives: absent, held (freeze), or raw section
+/// bytes decoded lazily on first use and memoized — clones share the
+/// memo cell, so one decode serves every handle.
 #[derive(Clone, Debug)]
 enum ParentStore {
     None,
@@ -323,35 +328,26 @@ enum ParentStore {
     },
 }
 
-/// Where the witness map lives: decoded, raw v2 section bytes decoded
-/// lazily on first use (memoized, shared across clones), raw *sharded*
-/// v2 bytes behind a per-edge offset index (single records decoded on
-/// demand, the full map only when [`FrozenSpanner::witnesses`] forces
-/// it), or detached at build time (routing-only replica).
+/// Where the witness map lives: held (freeze), raw fixed-stride section
+/// bytes read in place, or detached at build time (routing-only
+/// replica). A bytes store reads single records on demand and decodes
+/// the full map only when [`FrozenSpanner::witnesses`] forces it
+/// (memoized, shared across clones).
 ///
-/// The `touched` counters meter witness-section bytes actually read —
-/// the instrumentation `witnessbench` and the sharded-access tests
-/// assert on. Shared across clones like the memo cells.
+/// The `touched` counter meters witness-section bytes actually read,
+/// shared across clones like the memo cell.
 #[derive(Clone, Debug)]
 enum WitnessStore {
     Eager(Vec<FaultSet>),
-    Lazy {
-        bytes: SharedBytes,
-        at: usize,
-        len: usize,
-        cell: Arc<OnceLock<Result<Vec<FaultSet>, ArtifactError>>>,
-        touched: Arc<AtomicU64>,
-    },
-    Sharded {
+    Bytes {
         bytes: SharedBytes,
         /// Witness section range inside `bytes`.
         at: usize,
         len: usize,
-        /// Witness-index section range inside `bytes`.
-        idx_at: usize,
-        idx_len: usize,
-        /// Record count (validated against the payload header at decode).
+        /// Record count (0 or the edge count, validated at open).
         count: usize,
+        /// Record width `4 + 4f` (overflow-checked at open).
+        stride: usize,
         cell: Arc<OnceLock<Result<Vec<FaultSet>, ArtifactError>>>,
         touched: Arc<AtomicU64>,
     },
@@ -383,16 +379,6 @@ pub struct FrozenSpanner {
     budget: Option<usize>,
     model: FaultModel,
     witnesses: WitnessStore,
-    /// The container version this artifact round-trips through:
-    /// [`FrozenSpanner::encode`] re-emits the version the artifact was
-    /// decoded from (or built as), so canonical re-encode holds for both
-    /// formats.
-    version: u32,
-    /// Whether [`FrozenSpanner::encode`] writes the witness map sharded
-    /// ([`FLAG_WITNESSES_SHARDED`] + [`SECTION_WITNESS_INDEX`]). Carried
-    /// separately from the store so an eagerly-held map (the
-    /// [`FrozenSpanner::to_v2_sharded`] path) still encodes sharded.
-    sharded: bool,
     /// The A* landmark table, built from the adjacency on first use and
     /// shared by every clone (clones share the adjacency). Never encoded.
     landmarks: Arc<OnceLock<Landmarks>>,
@@ -408,6 +394,12 @@ impl FrozenSpanner {
 
     /// Seals a spanner together with its construction metadata; the
     /// artifact [`FtSpanner::freeze`](crate::FtSpanner::freeze) builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every witness holds at most `budget` ids (none
+    /// without a budget) in `model` — the bound the fixed-stride witness
+    /// section is laid out by.
     pub(crate) fn assemble(
         spanner: &Spanner,
         parent: Option<Arc<Graph>>,
@@ -415,6 +407,11 @@ impl FrozenSpanner {
         model: FaultModel,
         witnesses: Vec<FaultSet>,
     ) -> Self {
+        let f = budget.unwrap_or(0);
+        assert!(
+            witnesses.iter().all(|w| w.model() == model && w.len() <= f),
+            "every witness must hold at most f = {f} ids in the {model} model"
+        );
         let parent_edges = spanner.parent_edge_ids().to_vec();
         let spanner_of_parent =
             inverse_translation(parent.as_ref().map(|p| p.edge_count()), &parent_edges);
@@ -429,8 +426,6 @@ impl FrozenSpanner {
             budget,
             model,
             witnesses: WitnessStore::Eager(witnesses),
-            version: ARTIFACT_VERSION,
-            sharded: false,
             landmarks: Arc::default(),
         }
     }
@@ -476,12 +471,6 @@ impl FrozenSpanner {
         self.model
     }
 
-    /// The container version this artifact round-trips through
-    /// ([`ARTIFACT_VERSION`] or [`ARTIFACT_VERSION_V2`]).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Whether this artifact serves its packed tables in place from a
     /// shared buffer (the [`FrozenSpanner::open`] path).
     pub fn is_in_place(&self) -> bool {
@@ -494,25 +483,16 @@ impl FrozenSpanner {
         matches!(self.witnesses, WitnessStore::Detached)
     }
 
-    /// Whether the witness map travels sharded: per-record 8-aligned
-    /// padding plus a [`SECTION_WITNESS_INDEX`] offset index, so
-    /// [`FrozenSpanner::witnesses_for`] touches only the queried edge's
-    /// bytes.
-    pub fn witnesses_sharded(&self) -> bool {
-        self.sharded
-    }
-
     /// Witness-section bytes this artifact has actually read so far:
-    /// index entries plus record extents for sharded per-edge access,
-    /// the whole section once for a forced monolithic decode. Always 0
-    /// for eagerly-decoded or detached stores — the meter exists for the
-    /// lazy serving paths, where "how many bytes did that lookup fault
-    /// in" is the quantity `witnessbench` gates.
+    /// exactly one `4 + 4f`-byte record per
+    /// [`FrozenSpanner::witnesses_for`] lookup, plus the whole section
+    /// once when [`FrozenSpanner::witnesses`] forces the full map. Always
+    /// 0 for held or detached stores — the meter exists for the in-place
+    /// serving path, where "how many bytes did that lookup fault in" is
+    /// the quantity worth watching.
     pub fn witness_bytes_touched(&self) -> u64 {
         match &self.witnesses {
-            WitnessStore::Lazy { touched, .. } | WitnessStore::Sharded { touched, .. } => {
-                touched.load(Ordering::Relaxed)
-            }
+            WitnessStore::Bytes { touched, .. } => touched.load(Ordering::Relaxed),
             _ => 0,
         }
     }
@@ -555,54 +535,33 @@ impl FrozenSpanner {
     /// The recorded witness fault sets, indexed by spanner edge id
     /// (empty when frozen from a bare spanner).
     ///
-    /// On an artifact loaded via [`FrozenSpanner::open`] the witness
-    /// section is decoded on first use, then memoized.
+    /// On an artifact read from bytes the witness section is decoded on
+    /// first use, then memoized.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::WitnessesDetached`] on a routing-only replica;
-    /// otherwise an [`ArtifactError`] when the lazily-decoded witness
-    /// section is corrupt.
+    /// otherwise an [`ArtifactError`] when a witness record is corrupt.
     pub fn witnesses(&self) -> Result<&[FaultSet], ArtifactError> {
         match &self.witnesses {
             WitnessStore::Eager(w) => Ok(w),
             WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
-            WitnessStore::Lazy {
+            WitnessStore::Bytes {
                 bytes,
                 at,
                 len,
-                cell,
-                touched,
-            } => {
-                let res = cell.get_or_init(|| {
-                    touched.fetch_add(*len as u64, Ordering::Relaxed);
-                    let payload = &bytes.as_slice()[*at..*at + *len];
-                    parse_witness_payload(payload, self.node_count(), self.edge_count())
-                });
-                match res {
-                    Ok(w) => Ok(w),
-                    Err(e) => Err(e.clone()),
-                }
-            }
-            WitnessStore::Sharded {
-                bytes,
-                at,
-                len,
-                idx_at,
-                idx_len,
+                stride,
                 cell,
                 touched,
                 ..
             } => {
                 let res = cell.get_or_init(|| {
-                    touched.fetch_add((*len + *idx_len) as u64, Ordering::Relaxed);
-                    let data = bytes.as_slice();
-                    parse_sharded_witness_payload(
-                        &data[*at..*at + *len],
-                        &data[*idx_at..*idx_at + *idx_len],
-                        self.node_count(),
-                        self.edge_count(),
-                    )
+                    touched.fetch_add(*len as u64, Ordering::Relaxed);
+                    bytes.as_slice()[at + 8..at + len]
+                        .chunks_exact(*stride)
+                        .enumerate()
+                        .map(|(i, rec)| self.parse_witness_record(rec, i))
+                        .collect()
                 });
                 match res {
                     Ok(w) => Ok(w),
@@ -614,66 +573,95 @@ impl FrozenSpanner {
 
     /// The witness fault set of one spanner edge.
     ///
-    /// On a sharded artifact ([`FrozenSpanner::witnesses_sharded`]) this
-    /// is the page-granular path: two index entries locate edge `e`'s
-    /// record and only that record's bytes are read and decoded —
-    /// O(|F_e|) per call, no up-front scan, nothing memoized. Every
-    /// other store answers from the full map (forcing the one-shot
-    /// monolithic decode on a lazy store). An artifact carrying no
-    /// witness map (frozen from a bare [`Spanner`]) answers with an
-    /// empty set in the artifact's fault model.
+    /// On an artifact read from bytes this reads and validates exactly
+    /// edge `edge`'s `4 + 4f`-byte record — O(f) per call, no up-front
+    /// scan, nothing memoized. An artifact carrying no witness map
+    /// (frozen from a bare [`Spanner`]) answers with an empty set in the
+    /// artifact's fault model.
     ///
     /// # Errors
     ///
+    /// [`ArtifactError::InvalidEdge`] when `edge` is not a spanner edge;
     /// [`ArtifactError::WitnessesDetached`] on a routing-only replica;
-    /// otherwise an [`ArtifactError`] when the lazily-read record (or,
-    /// for monolithic stores, section) is corrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is out of range.
+    /// otherwise an [`ArtifactError`] when the record is corrupt.
     pub fn witnesses_for(&self, edge: EdgeId) -> Result<FaultSet, ArtifactError> {
         let i = edge.index();
-        assert!(i < self.edge_count(), "spanner edge out of range");
+        if i >= self.edge_count() {
+            return Err(ArtifactError::InvalidEdge {
+                edge,
+                edge_count: self.edge_count(),
+            });
+        }
         match &self.witnesses {
             WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
             WitnessStore::Eager(sets) => Ok(sets
                 .get(i)
                 .cloned()
                 .unwrap_or_else(|| FaultSet::empty(self.model))),
-            WitnessStore::Lazy { .. } => {
-                let sets = self.witnesses()?;
-                Ok(sets
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| FaultSet::empty(self.model)))
-            }
-            WitnessStore::Sharded {
+            WitnessStore::Bytes { count: 0, .. } => Ok(FaultSet::empty(self.model)),
+            WitnessStore::Bytes {
                 bytes,
                 at,
-                idx_at,
-                count,
+                stride,
                 touched,
                 ..
             } => {
-                if *count == 0 {
-                    return Ok(FaultSet::empty(self.model));
-                }
-                // The offset index was validated at decode/open time
-                // (monotone, 8-aligned, bracketed by the payload), so
-                // these two reads and the record slice are in bounds.
-                let data = bytes.as_slice();
-                let start = read_u64_at(data, idx_at + 8 + 8 * i) as usize;
-                let next = read_u64_at(data, idx_at + 8 + 8 * (i + 1)) as usize;
-                touched.fetch_add(16 + (next - start) as u64, Ordering::Relaxed);
-                parse_sharded_witness_record(
-                    &data[*at + start..*at + next],
-                    i,
-                    self.node_count(),
-                    self.edge_count(),
-                )
+                // The section length was proven equal to `8 + count ×
+                // stride` at open, so the record slice is in bounds.
+                touched.fetch_add(*stride as u64, Ordering::Relaxed);
+                let start = at + 8 + i * stride;
+                self.parse_witness_record(&bytes.as_slice()[start..start + stride], i)
             }
         }
+    }
+
+    /// Validates witness record `i` (`rec` is its `4 + 4f` bytes): a
+    /// length of at most f, ids in range for the artifact's model, stored
+    /// sorted and deduplicated, unused slots zero — so accept implies
+    /// canonical re-encode.
+    fn parse_witness_record(&self, rec: &[u8], i: usize) -> Result<FaultSet, ArtifactError> {
+        let f = (rec.len() - 4) / 4;
+        let len = read_u32_at(rec, 0) as usize;
+        if len > f {
+            return Err(BinaryError::Malformed {
+                context: "witness length",
+                detail: format!("witness {i} claims {len} ids, the fault budget is {f}"),
+            }
+            .into());
+        }
+        let id = |j: usize| read_u32_at(rec, 4 + 4 * j) as usize;
+        if let Some(j) = (len..f).find(|&j| id(j) != 0) {
+            return Err(BinaryError::Malformed {
+                context: "witness padding",
+                detail: format!("witness {i} carries a nonzero unused slot {j}"),
+            }
+            .into());
+        }
+        let bound = match self.model {
+            FaultModel::Vertex => self.node_count(),
+            FaultModel::Edge => self.edge_count(),
+        };
+        if let Some(bad) = (0..len).map(id).find(|&c| c >= bound) {
+            return Err(inconsistent(
+                "witness map",
+                format!("witness {i} references component {bad}, id space is {bound}"),
+            ));
+        }
+        // Ids are stored normalized (sorted ascending, deduplicated). The
+        // FaultSet constructors would silently renormalize a crafted
+        // record — and then the artifact would no longer re-encode to the
+        // bytes that were accepted — so reject it with a typed error.
+        if (1..len).any(|j| id(j - 1) >= id(j)) {
+            return Err(inconsistent(
+                "witness map",
+                format!("witness {i} ids are not sorted and deduplicated"),
+            ));
+        }
+        let ids = (0..len).map(id);
+        Ok(match self.model {
+            FaultModel::Vertex => FaultSet::vertices(ids.map(NodeId::new)),
+            FaultModel::Edge => FaultSet::edges(ids.map(EdgeId::new)),
+        })
     }
 
     /// Parent edge id of a spanner edge.
@@ -724,9 +712,9 @@ impl FrozenSpanner {
 /// Builds the parent→spanner inverse of a `parent_edges` table: one slot
 /// per parent edge id (the parent's edge count when the handle is
 /// available, otherwise just enough to cover the referenced ids),
-/// `NOT_KEPT` where the parent edge did not survive. Shared by
-/// [`FrozenSpanner::assemble`] and [`FrozenSpanner::decode`] so the two
-/// construction paths cannot drift.
+/// `NOT_KEPT` where the parent edge did not survive. Decoding never
+/// derives the table: `validate_tables` proves the stored inverse equal
+/// to it in place, so allocations stay bounded by the input.
 fn inverse_translation(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]) -> Vec<u32> {
     let slots = parent_edge_count.unwrap_or(0).max(
         parent_edges
@@ -751,7 +739,7 @@ struct MetaFields {
     edge_count: usize,
 }
 
-/// Parses the 35-byte `META` payload (identical in v1 and v2).
+/// Parses the 34-byte `META` payload.
 fn parse_meta_payload(payload: &[u8]) -> Result<MetaFields, ArtifactError> {
     let mut r = ByteReader::new(payload);
     let stretch = r.u64("stretch")?;
@@ -798,211 +786,74 @@ fn parse_meta_payload(payload: &[u8]) -> Result<MetaFields, ArtifactError> {
     })
 }
 
-/// Serializes the `WITNESSES` section payload (identical in v1 and v2).
-fn witness_payload(sets: &[FaultSet]) -> Vec<u8> {
-    let mut witnesses = Vec::new();
-    put_u64(&mut witnesses, sets.len() as u64);
+/// Serializes the fixed-stride `WITNESSES` section payload: `count`,
+/// then per witness a `u32` length and `f` `u32` id slots, ids sorted
+/// ascending, unused slots zero.
+fn witness_payload(sets: &[FaultSet], f: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + sets.len() * (4 + 4 * f));
+    put_u64(&mut out, sets.len() as u64);
     for set in sets {
-        witnesses.push(match set.model() {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        let (vs, es) = (set.vertex_faults(), set.edge_faults());
-        put_u64(&mut witnesses, set.len() as u64);
-        for v in vs {
-            put_u32(&mut witnesses, v.raw());
+        put_u32(&mut out, set.len() as u32);
+        for id in set.component_indices() {
+            put_u32(&mut out, id as u32);
         }
-        for e in es {
-            put_u32(&mut witnesses, e.raw());
+        for _ in set.len()..f {
+            put_u32(&mut out, 0);
         }
     }
-    witnesses
+    out
 }
 
-/// Parses and validates one witness record (model tag, length, ids)
-/// from `r`: ids in range for their model's id space, stored normalized
-/// (sorted, deduplicated) so accept implies canonical re-encode. The
-/// record body is byte-identical between the monolithic and sharded
-/// layouts; only the framing around it differs.
-fn parse_witness_record(
-    r: &mut ByteReader<'_>,
-    i: usize,
-    node_count: usize,
+/// Validates the shape of a `WITNESSES` section before anything is
+/// sliced from it and returns `(count, stride)`. The budget comes from
+/// META — outside the program — so the stride `4 + 4f` and the section
+/// length `8 + count × stride` are computed with checked arithmetic and
+/// compared against the bytes present; records are validated one by
+/// one as they are read.
+fn witness_layout(
+    data: &[u8],
+    at: usize,
+    len: usize,
+    budget: Option<usize>,
     edge_count: usize,
-) -> Result<FaultSet, ArtifactError> {
-    let model_tag = r.u8("witness model")?;
-    let len = r.count(4, "witness length")?;
-    let mut ids = Vec::with_capacity(len);
-    for _ in 0..len {
-        ids.push(r.u32("witness component id")? as usize);
-    }
-    let bound = match model_tag {
-        0 => node_count,
-        1 => edge_count,
-        other => {
-            return Err(BinaryError::Malformed {
-                context: "witness model",
-                detail: format!("unknown tag {other}"),
-            }
-            .into())
+) -> Result<(usize, usize), ArtifactError> {
+    if len < 8 {
+        return Err(BinaryError::Truncated {
+            context: "witness count",
         }
-    };
-    if let Some(&bad) = ids.iter().find(|&&id| id >= bound) {
+        .into());
+    }
+    let count_raw = read_u64_at(data, at);
+    if count_raw != 0 && count_raw != edge_count as u64 {
         return Err(inconsistent(
             "witness map",
-            format!("witness {i} references component {bad}, id space is {bound}"),
+            format!("{count_raw} witness sets for {edge_count} spanner edges"),
         ));
     }
-    // The format stores witness ids normalized (sorted ascending,
-    // deduplicated). The FaultSet constructors would silently
-    // renormalize a crafted record — and then the artifact would
-    // no longer re-encode to the bytes that were accepted, so
-    // reject denormalized input here with a typed error instead.
-    if ids.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(inconsistent(
-            "witness map",
-            format!("witness {i} ids are not sorted and deduplicated"),
-        ));
-    }
-    Ok(if model_tag == 0 {
-        FaultSet::vertices(ids.into_iter().map(NodeId::new))
-    } else {
-        FaultSet::edges(ids.into_iter().map(EdgeId::new))
-    })
-}
-
-/// Parses and validates a `WITNESSES` payload (monolithic layout:
-/// records packed back to back, no padding). Shared by v1 decode and
-/// the v2 lazy store.
-fn parse_witness_payload(
-    payload: &[u8],
-    node_count: usize,
-    edge_count: usize,
-) -> Result<Vec<FaultSet>, ArtifactError> {
-    let mut r = ByteReader::new(payload);
-    let count = r.count(9, "witness count")?;
-    if count != 0 && count != edge_count {
-        return Err(inconsistent(
-            "witness map",
-            format!("{count} witness sets for {edge_count} spanner edges"),
-        ));
-    }
-    let mut witnesses = Vec::with_capacity(count);
-    for i in 0..count {
-        witnesses.push(parse_witness_record(&mut r, i, node_count, edge_count)?);
-    }
-    r.expect_drained("witness map")?;
-    Ok(witnesses)
-}
-
-/// Parses and validates one *sharded* witness record: the record body
-/// followed by zero padding up to the 8-byte boundary the offset index
-/// promised. The indexed extent must be exactly the canonical padded
-/// length — a record that under- or over-fills its slice means the
-/// index and payload disagree, which is the sharded layout's own
-/// failure class ([`BinaryError::WitnessIndex`]).
-fn parse_sharded_witness_record(
-    rec: &[u8],
-    i: usize,
-    node_count: usize,
-    edge_count: usize,
-) -> Result<FaultSet, ArtifactError> {
-    let mut r = ByteReader::new(rec);
-    let set = parse_witness_record(&mut r, i, node_count, edge_count)?;
-    let body = 9 + 4 * set.len();
-    let padded = body.next_multiple_of(binary::V2_SECTION_ALIGN);
-    if rec.len() != padded {
-        return Err(BinaryError::WitnessIndex {
-            context: "witness record",
+    let count = count_raw as usize;
+    let stride = budget
+        .unwrap_or(0)
+        .checked_mul(4)
+        .and_then(|ids| ids.checked_add(4));
+    let expected = stride
+        .and_then(|s| count.checked_mul(s))
+        .and_then(|records| records.checked_add(8));
+    match (stride, expected) {
+        (Some(stride), Some(expected)) if expected == len => Ok((count, stride)),
+        _ => Err(BinaryError::Malformed {
+            context: "witness map",
             detail: format!(
-                "record {i} is indexed as {} bytes, its body pads to {padded}",
-                rec.len()
+                "{count} records at fault budget {} do not fill the {len}-byte section",
+                budget.unwrap_or(0)
             ),
         }
-        .into());
+        .into()),
     }
-    if rec[body..].iter().any(|&b| b != 0) {
-        return Err(BinaryError::WitnessIndex {
-            context: "witness record",
-            detail: format!("record {i} carries nonzero padding"),
-        }
-        .into());
-    }
-    Ok(set)
-}
-
-/// Parses and validates a full sharded `WITNESSES` payload against its
-/// offset index: every record must start exactly where the index says,
-/// fill its indexed extent, and pass the shared per-record checks. This
-/// is the force-everything path ([`FrozenSpanner::witnesses`] on a
-/// sharded store, which the eager [`FrozenSpanner::decode`] uses to
-/// validate the whole file); per-edge serving goes through
-/// [`parse_sharded_witness_record`] directly.
-fn parse_sharded_witness_payload(
-    payload: &[u8],
-    idx_payload: &[u8],
-    node_count: usize,
-    edge_count: usize,
-) -> Result<Vec<FaultSet>, ArtifactError> {
-    let count = binary::parse_offset_index(idx_payload, 8, payload.len() as u64)?;
-    let declared = read_u64_at(payload, 0) as usize;
-    if declared != count {
-        return Err(BinaryError::WitnessIndex {
-            context: "witness index",
-            detail: format!("index holds {count} records, witness map declares {declared}"),
-        }
-        .into());
-    }
-    if count != 0 && count != edge_count {
-        return Err(inconsistent(
-            "witness map",
-            format!("{count} witness sets for {edge_count} spanner edges"),
-        ));
-    }
-    let offset_at = |i: usize| read_u64_at(idx_payload, 8 + 8 * i) as usize;
-    let mut witnesses = Vec::with_capacity(count);
-    for i in 0..count {
-        witnesses.push(parse_sharded_witness_record(
-            &payload[offset_at(i)..offset_at(i + 1)],
-            i,
-            node_count,
-            edge_count,
-        )?);
-    }
-    Ok(witnesses)
-}
-
-/// Serializes the sharded `WITNESSES` payload and its offset index:
-/// every record zero-padded to the next 8-byte boundary (so each starts
-/// aligned and the final offset closes the section aligned), offsets
-/// collected as the records are laid down. Returns
-/// `(witness_payload, index_payload)`.
-fn witness_payload_sharded(sets: &[FaultSet]) -> (Vec<u8>, Vec<u8>) {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, sets.len() as u64);
-    let mut offsets = Vec::with_capacity(sets.len() + 1);
-    for set in sets {
-        offsets.push(payload.len() as u64);
-        payload.push(match set.model() {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        put_u64(&mut payload, set.len() as u64);
-        for v in set.vertex_faults() {
-            put_u32(&mut payload, v.raw());
-        }
-        for e in set.edge_faults() {
-            put_u32(&mut payload, e.raw());
-        }
-        payload.resize(payload.len().next_multiple_of(binary::V2_SECTION_ALIGN), 0);
-    }
-    offsets.push(payload.len() as u64);
-    (payload, binary::write_offset_index(&offsets))
 }
 
 /// Parses a `PARENT` payload into a [`Graph`] (full simple-graph
 /// invariants re-enforced). Cross-checks against the spanner happen in
-/// `FrozenSpanner::check_parent_consistency` / the v1 decode body.
+/// `FrozenSpanner::check_parent_consistency`.
 fn parse_parent_payload(payload: &[u8]) -> Result<Graph, ArtifactError> {
     let mut r = ByteReader::new(payload);
     let graph = binary::read_graph_payload(&mut r)?;
@@ -1010,7 +861,7 @@ fn parse_parent_payload(payload: &[u8]) -> Result<Graph, ArtifactError> {
     Ok(graph)
 }
 
-/// Validates a v2 `PARENT_EDGES` section **in place** and returns a
+/// Validates a `PARENT_EDGES` section **in place** and returns a
 /// borrowed table view. O(fwd + inv) scans, no allocation sized by the
 /// input. The checks pin the stored inverse to exactly the inverse
 /// function of the forward table (back-pointer agreement + a kept-slot
@@ -1018,7 +869,7 @@ fn parse_parent_payload(payload: &[u8]) -> Result<Graph, ArtifactError> {
 /// parent travels with the artifact — the canonical slot count
 /// `max(fwd) + 1`; with a parent, the slot count is checked against the
 /// parent's edge count when the parent is decoded.
-fn validate_tables_v2(
+fn validate_tables(
     bytes: &SharedBytes,
     at: usize,
     len: usize,
@@ -1135,109 +986,37 @@ impl FrozenSpanner {
     /// # Ok::<(), spanner_core::frozen::ArtifactError>(())
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        match self.version {
-            ARTIFACT_VERSION_V2 => self.encode_v2(),
-            _ => self.encode_v1(),
-        }
-    }
-
-    /// The 35-byte `META` section payload (shared by both versions).
-    fn meta_payload(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(35);
-        put_u64(&mut meta, self.stretch);
-        meta.push(match self.model {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        meta.push(self.budget.is_some() as u8);
-        put_u64(&mut meta, self.budget.unwrap_or(0) as u64);
-        put_u64(&mut meta, self.node_count() as u64);
-        put_u64(&mut meta, self.edge_count() as u64);
-        meta
-    }
-
-    fn encode_v1(&self) -> Vec<u8> {
-        let mut spanner = Vec::new();
-        binary::write_view_payload(&self.csr, &mut spanner);
-
+        let flags = if self.witnesses_detached() {
+            FLAG_WITNESSES_DETACHED
+        } else {
+            0
+        };
+        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, flags);
+        w.section(SECTION_META, self.meta_payload());
+        let mut spanner = Vec::with_capacity(self.csr.payload_len());
+        self.csr.write_payload(&mut spanner);
+        w.section(SECTION_SPANNER, spanner);
         // Both translation directions travel in the bytes. The inverse
         // is derivable from the forward table, but *storing* it is what
         // keeps decode's allocations bounded by the input: its length is
         // then guarded against the bytes actually present, where a
         // re-derived table would be sized by an attacker-controlled
-        // maximum id (a crafted 100-byte file claiming parent edge
-        // 0xfffffffe must not conjure a 16 GiB allocation).
-        let parent_edges = self.tables.payload();
-
-        let sets = match &self.witnesses {
-            WitnessStore::Eager(sets) => sets,
-            // v1 artifacts are always eagerly decoded; lazy or detached
-            // stores only arise behind `version == 2`.
-            _ => unreachable!("v1 artifacts hold eager witness stores"),
-        };
-        let witnesses = witness_payload(sets);
-
-        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-        w.section(SECTION_META, &self.meta_payload())
-            .section(SECTION_SPANNER, &spanner)
-            .section(SECTION_PARENT_EDGES, &parent_edges)
-            .section(SECTION_WITNESSES, &witnesses);
-        if let ParentStore::Eager(parent) = &self.parent {
-            let mut payload = Vec::new();
-            binary::write_view_payload(parent.as_ref(), &mut payload);
-            w.section(SECTION_PARENT, &payload);
-        }
-        w.finish()
-    }
-
-    fn encode_v2(&self) -> Vec<u8> {
-        let mut flags = if self.witnesses_detached() {
-            FLAG_WITNESSES_DETACHED
-        } else {
-            0
-        };
-        if self.sharded {
-            flags |= FLAG_WITNESSES_SHARDED;
-        }
-        let mut w = binary::ContainerWriterV2::new(ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, flags);
-        w.section(SECTION_META, self.meta_payload());
-        let mut spanner = Vec::with_capacity(self.csr.payload_v2_len());
-        self.csr.write_payload_v2(&mut spanner);
-        w.section(SECTION_SPANNER, spanner);
+        // maximum id.
         w.section(SECTION_PARENT_EDGES, self.tables.payload());
-        // The witness index (tag 6) sorts after the parent section (tag
-        // 5) in the canonical ascending-tag order, so it is held back
-        // here and emitted last.
-        let mut witness_index: Option<Vec<u8>> = None;
+        // Sections held as raw (validated) bytes are re-emitted as they
+        // are, so re-encoding never forces a decode and stays canonical.
         match &self.witnesses {
             WitnessStore::Eager(sets) => {
-                if self.sharded {
-                    let (payload, idx) = witness_payload_sharded(sets);
-                    w.section(SECTION_WITNESSES, payload);
-                    witness_index = Some(idx);
-                } else {
-                    w.section(SECTION_WITNESSES, witness_payload(sets));
-                }
+                w.section(
+                    SECTION_WITNESSES,
+                    witness_payload(sets, self.budget.unwrap_or(0)),
+                );
             }
-            // Lazily-held sections re-emit their raw (validated) bytes,
-            // so re-encoding never forces a decode and stays canonical.
-            WitnessStore::Lazy { bytes, at, len, .. } => {
+            WitnessStore::Bytes { bytes, at, len, .. } => {
                 w.section(
                     SECTION_WITNESSES,
                     bytes.as_slice()[*at..*at + *len].to_vec(),
                 );
-            }
-            WitnessStore::Sharded {
-                bytes,
-                at,
-                len,
-                idx_at,
-                idx_len,
-                ..
-            } => {
-                let data = bytes.as_slice();
-                w.section(SECTION_WITNESSES, data[*at..*at + *len].to_vec());
-                witness_index = Some(data[*idx_at..*idx_at + *idx_len].to_vec());
             }
             WitnessStore::Detached => {}
         }
@@ -1252,301 +1031,98 @@ impl FrozenSpanner {
                 w.section(SECTION_PARENT, bytes.as_slice()[*at..*at + *len].to_vec());
             }
         }
-        if let Some(idx) = witness_index {
-            w.section(SECTION_WITNESS_INDEX, idx);
-        }
         w.finish()
     }
 
-    /// Re-versions this artifact as a v2 (in-place layout) container:
-    /// [`FrozenSpanner::encode`] then writes the alignment-padded v2
-    /// format [`FrozenSpanner::open`] reads in place. Content is
-    /// unchanged — this is the `spanner-artifact migrate` primitive, and
-    /// it is byte-canonical: the same artifact always yields the same
-    /// v2 bytes, and re-migrating a v2 artifact is the identity.
-    ///
-    /// Always produces the *monolithic* witness layout: on a sharded
-    /// artifact this is the unshard direction, and
-    /// `to_v2_sharded().to_v2()` round-trips to the original monolithic
-    /// bytes (the migrate identity `artifact_props.rs` pins).
-    ///
-    /// # Panics
-    ///
-    /// Panics when unsharding an [`FrozenSpanner::open`]ed artifact
-    /// whose (lazily-validated) witness records turn out corrupt —
-    /// untrusted bytes should go through [`FrozenSpanner::decode`],
-    /// which validates everything first.
-    pub fn to_v2(&self) -> FrozenSpanner {
-        let mut out = self.clone();
-        if matches!(self.witnesses, WitnessStore::Sharded { .. }) {
-            let sets = self
-                .witnesses()
-                .expect("sharded witness store failed validation")
-                .to_vec();
-            out.witnesses = WitnessStore::Eager(sets);
-        }
-        out.sharded = false;
-        out.version = ARTIFACT_VERSION_V2;
-        out
+    /// The 34-byte `META` section payload.
+    fn meta_payload(&self) -> Vec<u8> {
+        let mut meta = Vec::with_capacity(34);
+        put_u64(&mut meta, self.stretch);
+        meta.push(match self.model {
+            FaultModel::Vertex => 0,
+            FaultModel::Edge => 1,
+        });
+        meta.push(self.budget.is_some() as u8);
+        put_u64(&mut meta, self.budget.unwrap_or(0) as u64);
+        put_u64(&mut meta, self.node_count() as u64);
+        put_u64(&mut meta, self.edge_count() as u64);
+        meta
     }
 
-    /// Re-versions this artifact as a v2 container with a **sharded**
-    /// witness map: records padded to 8-byte boundaries, a
-    /// [`SECTION_WITNESS_INDEX`] of per-edge offsets, and
-    /// [`FLAG_WITNESSES_SHARDED`] in the header, so a mapped replica's
-    /// [`FrozenSpanner::witnesses_for`] touches only the queried edge's
-    /// bytes. Byte-canonical like [`FrozenSpanner::to_v2`], and the
-    /// `spanner-artifact migrate --shard` primitive. A detached
-    /// (routing-only) artifact has no witness map to shard and passes
-    /// through unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the witness map must be forced from a lazily-opened
-    /// artifact whose witness section turns out corrupt — untrusted
-    /// bytes should go through [`FrozenSpanner::decode`] first.
+    /// The identity: a copy of this artifact, which already has the only
+    /// witness layout there is.
+    // The `pipebench/` benchmark is the only caller; the next benchmark
+    // change removes the call, and this shim with it.
+    #[doc(hidden)]
     pub fn to_v2_sharded(&self) -> FrozenSpanner {
-        let mut out = self.clone();
-        if self.witnesses_detached() {
-            out.sharded = false;
-        } else {
-            let sets = self
-                .witnesses()
-                .expect("witness store failed validation")
-                .to_vec();
-            out.witnesses = WitnessStore::Eager(sets);
-            out.sharded = true;
-        }
-        out.version = ARTIFACT_VERSION_V2;
-        out
+        self.clone()
     }
 
-    /// A routing-only copy of this artifact: the witness section (which
-    /// dominates artifact size) is dropped, the v2 header carries
-    /// [`FLAG_WITNESSES_DETACHED`], and [`FrozenSpanner::witnesses`]
-    /// returns [`ArtifactError::WitnessesDetached`]. Always a v2
-    /// artifact — v1 has no flag field to mark the absence.
+    /// A routing-only copy of this artifact: the witness section is
+    /// dropped, the header carries [`FLAG_WITNESSES_DETACHED`], and
+    /// [`FrozenSpanner::witnesses`] returns
+    /// [`ArtifactError::WitnessesDetached`].
     pub fn detach_witnesses(&self) -> FrozenSpanner {
         let mut out = self.clone();
         out.witnesses = WitnessStore::Detached;
-        out.sharded = false;
-        out.version = ARTIFACT_VERSION_V2;
         out
     }
 
     /// Deserializes an artifact previously produced by
     /// [`FrozenSpanner::encode`], revalidating every invariant the
-    /// serving layer relies on (translation tables in range, witness map
-    /// sized to the edge set, spanner edges present in the parent with
-    /// identical endpoints and weights).
+    /// serving layer relies on (translation tables in range, every
+    /// witness record well formed, spanner edges present in the parent
+    /// with identical endpoints and weights). The bytes are copied into
+    /// an aligned buffer and then read like [`FrozenSpanner::open`]
+    /// reads them, with the lazy sections forced up front.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError`] on any defect — truncation, corruption, an
-    /// unknown version or section, or internally contradictory sections.
-    /// No input, however hostile, can cause a panic.
+    /// [`ArtifactError`] on any defect — truncation, corruption, another
+    /// format version, an unknown section, or internally contradictory
+    /// sections. No input, however hostile, can cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<FrozenSpanner, ArtifactError> {
-        // Dispatch on the declared version field; each branch then
-        // re-validates the whole container (checksum first) for its
-        // format, so a lying version field still fails closed.
-        if bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes() {
-            Self::decode_v2(SharedBytes::copy_aligned(bytes), true)
-        } else {
-            Self::decode_v1(bytes)
+        let frozen = Self::load(SharedBytes::copy_aligned(bytes))?;
+        // Force (and memoize) the lazy sections so decode() means "the
+        // whole file is valid". A detached witness store is not an
+        // invalid file.
+        frozen.parent()?;
+        match frozen.witnesses() {
+            Ok(_) | Err(ArtifactError::WitnessesDetached) => {}
+            Err(e) => return Err(e),
         }
+        Ok(frozen)
     }
 
-    fn decode_v1(bytes: &[u8]) -> Result<FrozenSpanner, ArtifactError> {
-        let container = binary::parse_container(bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION)?;
-        for section in &container.sections {
-            if !matches!(
-                section.tag,
-                SECTION_META
-                    | SECTION_SPANNER
-                    | SECTION_PARENT_EDGES
-                    | SECTION_WITNESSES
-                    | SECTION_PARENT
-            ) {
-                return Err(BinaryError::UnknownSection { tag: section.tag }.into());
-            }
-        }
-        let require = |tag: u32, name: &'static str| {
-            container
-                .section(tag)
-                .ok_or(BinaryError::MissingSection { name })
-        };
-
-        // META: the declared shape everything else is checked against.
-        let meta = parse_meta_payload(require(SECTION_META, "meta")?)?;
-        let (stretch, model, budget) = (meta.stretch, meta.model, meta.budget);
-        let (node_count, edge_count) = (meta.node_count, meta.edge_count);
-
-        // SPANNER: the packed adjacency, cross-checked against META.
-        let mut r = ByteReader::new(require(SECTION_SPANNER, "spanner adjacency")?);
-        let csr = binary::read_frozen_csr_payload(&mut r)?;
-        r.expect_drained("spanner adjacency")?;
-        if csr.node_count() != node_count || csr.edge_count() != edge_count {
-            return Err(inconsistent(
-                "spanner shape",
-                format!(
-                    "meta declares {node_count} nodes / {edge_count} edges, adjacency holds {} / {}",
-                    csr.node_count(),
-                    csr.edge_count()
-                ),
-            ));
-        }
-
-        // PARENT (optional): full simple-graph invariants re-enforced.
-        let parent = match container.section(SECTION_PARENT) {
-            None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload);
-                let graph = binary::read_graph_payload(&mut r)?;
-                r.expect_drained("parent graph")?;
-                if graph.node_count() != node_count {
-                    return Err(inconsistent(
-                        "parent shape",
-                        format!(
-                            "parent has {} nodes, spanner has {node_count}",
-                            graph.node_count()
-                        ),
-                    ));
-                }
-                Some(Arc::new(graph))
-            }
-        };
-
-        // PARENT_EDGES: both translation directions. The stored inverse
-        // is read first under the bytes-present allocation guard
-        // (`ByteReader::count`), then proven equal to what the freezing
-        // path would have derived — never re-derived from the forward
-        // ids, whose attacker-controlled maximum would otherwise size
-        // the table (and the allocation) unboundedly.
-        let mut r = ByteReader::new(require(SECTION_PARENT_EDGES, "parent-edge table")?);
-        let count = r.count(4, "parent-edge count")?;
-        if count != edge_count {
-            return Err(inconsistent(
-                "parent-edge table",
-                format!("{count} entries for {edge_count} spanner edges"),
-            ));
-        }
-        let mut parent_edges = Vec::with_capacity(count);
-        for _ in 0..count {
-            parent_edges.push(EdgeId::from(r.u32("parent edge id")?));
-        }
-        let slots = r.count(4, "parent-edge slot count")?;
-        let mut spanner_of_parent = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            spanner_of_parent.push(r.u32("parent-edge slot")?);
-        }
-        r.expect_drained("parent-edge table")?;
-        if let Some(&widest) = parent_edges.iter().max() {
-            if widest.index() >= slots {
-                return Err(inconsistent(
-                    "parent-edge table",
-                    format!(
-                        "forward table references parent edge {widest} outside the {slots}-slot inverse"
-                    ),
-                ));
-            }
-        }
-        let expected = inverse_translation(parent.as_ref().map(|p| p.edge_count()), &parent_edges);
-        if expected != spanner_of_parent {
-            return Err(inconsistent(
-                "parent-edge table",
-                format!(
-                    "stored inverse ({} slots) disagrees with the forward table (expect {} slots)",
-                    spanner_of_parent.len(),
-                    expected.len()
-                ),
-            ));
-        }
-        // Injectivity: two spanner edges claiming the same parent edge
-        // would let `apply_faults` mask only one copy of a failed link,
-        // serving routes over the other. The inverse keeps one entry per
-        // distinct parent id, so a simple census detects collisions.
-        let kept = spanner_of_parent.iter().filter(|&&s| s != NOT_KEPT).count();
-        if kept != edge_count {
-            return Err(inconsistent(
-                "parent-edge table",
-                format!(
-                    "forward table is not injective: {edge_count} spanner edges share {kept} parent edges"
-                ),
-            ));
-        }
-        if let Some(parent) = &parent {
-            for (own, parent_id) in parent_edges.iter().enumerate() {
-                if parent_id.index() >= parent.edge_count() {
-                    return Err(inconsistent(
-                        "parent-edge table",
-                        format!(
-                            "spanner edge {own} maps to parent edge {parent_id} but the parent has {} edges",
-                            parent.edge_count()
-                        ),
-                    ));
-                }
-                let own_id = EdgeId::new(own);
-                let e = parent.edge(*parent_id);
-                if csr.edge_endpoints(own_id) != e.endpoints()
-                    || csr.edge_weight(own_id) != e.weight()
-                {
-                    return Err(inconsistent(
-                        "parent-edge table",
-                        format!("spanner edge {own} disagrees with parent edge {parent_id}"),
-                    ));
-                }
-            }
-        }
-
-        // WITNESSES: indexed by spanner edge id; ids validated against
-        // the id spaces they reference (vertex ids over the shared
-        // vertex set, edge ids over the partial spanner, matching
-        // `FtSpanner::witnesses`).
-        let witnesses = parse_witness_payload(
-            require(SECTION_WITNESSES, "witness map")?,
-            node_count,
-            edge_count,
-        )?;
-
-        Ok(FrozenSpanner {
-            csr,
-            parent: parent.map_or(ParentStore::None, ParentStore::Eager),
-            tables: TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            },
-            stretch,
-            budget,
-            model,
-            witnesses: WitnessStore::Eager(witnesses),
-            version: ARTIFACT_VERSION,
-            sharded: false,
-            landmarks: Arc::default(),
+    /// Opens an artifact **in place**: the packed adjacency and
+    /// translation tables are validated and then *borrowed* from
+    /// `bytes` (an mmap'd file, an aligned heap buffer, …) with no `Vec`
+    /// rebuild; the witness section's shape is validated up front and
+    /// its records on read, and the parent graph is decoded lazily on
+    /// first use. Open cost is O(header + validation scans) — the
+    /// cold-start path for "build once, serve from thousands of
+    /// replicas".
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError`] on any structural defect, including a buffer
+    /// that misses the 8-byte base alignment
+    /// (`artifact/misaligned-section`). Hostile input cannot panic and
+    /// cannot size an allocation beyond the bytes present.
+    pub fn open(bytes: SharedBytes) -> Result<MappedSpanner, ArtifactError> {
+        Ok(MappedSpanner {
+            inner: Self::load(bytes)?,
         })
     }
 
-    /// Parses a v2 container over `shared`. With `eager` set (the
-    /// [`FrozenSpanner::decode`] path) the witness and parent sections
-    /// are forced immediately, so the call validates the whole file;
-    /// without it (the [`FrozenSpanner::open`] path) they stay raw bytes
-    /// until first use and open cost is O(sections + tables scan), with
-    /// no per-record materialization of the packed CSR.
-    fn decode_v2(shared: SharedBytes, eager: bool) -> Result<FrozenSpanner, ArtifactError> {
-        let container = binary::parse_container_v2(
-            shared.as_slice(),
-            ARTIFACT_MAGIC,
-            ARTIFACT_VERSION_V2,
-            FLAG_WITNESSES_DETACHED | FLAG_WITNESSES_SHARDED,
-        )?;
+    /// Parses a container over `shared`, validating everything but the
+    /// parent section and the individual witness records, which stay
+    /// raw bytes until first use. No per-record materialization of the
+    /// packed CSR.
+    fn load(shared: SharedBytes) -> Result<FrozenSpanner, ArtifactError> {
+        let container =
+            binary::parse_container(shared.as_slice(), ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED)?;
         let detached = container.flags & FLAG_WITNESSES_DETACHED != 0;
-        let sharded = container.flags & FLAG_WITNESSES_SHARDED != 0;
-        if detached && sharded {
-            return Err(BinaryError::Malformed {
-                context: "header flags",
-                detail: "witness map declared both detached and sharded".to_string(),
-            }
-            .into());
-        }
         for section in &container.sections {
             match section.tag {
                 SECTION_META | SECTION_SPANNER | SECTION_PARENT_EDGES | SECTION_PARENT => {}
@@ -1555,14 +1131,6 @@ impl FrozenSpanner {
                     return Err(BinaryError::Malformed {
                         context: "witness map",
                         detail: "detached artifact carries a witness section".to_string(),
-                    }
-                    .into())
-                }
-                SECTION_WITNESS_INDEX if sharded => {}
-                SECTION_WITNESS_INDEX => {
-                    return Err(BinaryError::WitnessIndex {
-                        context: "witness index",
-                        detail: "index section present without the sharded header flag".to_string(),
                     }
                     .into())
                 }
@@ -1585,9 +1153,8 @@ impl FrozenSpanner {
                 .ok_or(BinaryError::MissingSection { name })
         };
         let data = shared.as_slice();
-        let section_bytes = |s: binary::SectionV2| &data[s.offset..s.offset + s.len];
-
-        let meta = parse_meta_payload(section_bytes(require(SECTION_META, "meta")?))?;
+        let m = require(SECTION_META, "meta")?;
+        let meta = parse_meta_payload(&data[m.offset..m.offset + m.len])?;
 
         // SPANNER: validated in place — alignment, counts, ranges, and
         // adjacency ≡ canonical derivation — then *borrowed*, not
@@ -1609,7 +1176,7 @@ impl FrozenSpanner {
 
         let parent_section = container.section(SECTION_PARENT);
         let pe = require(SECTION_PARENT_EDGES, "parent-edge table")?;
-        let tables = validate_tables_v2(
+        let tables = validate_tables(
             &shared,
             pe.offset,
             pe.len,
@@ -1630,51 +1197,20 @@ impl FrozenSpanner {
             WitnessStore::Detached
         } else {
             let w = require(SECTION_WITNESSES, "witness map")?;
-            if sharded {
-                // The offset index is validated up front — O(count)
-                // over the index section only, never the payload — so
-                // per-edge access can slice records without any bounds
-                // arithmetic of its own.
-                let idx = require(SECTION_WITNESS_INDEX, "witness index")?;
-                let count = binary::parse_offset_index(section_bytes(idx), 8, w.len as u64)?;
-                let declared = read_u64_at(data, w.offset) as usize;
-                if declared != count {
-                    return Err(BinaryError::WitnessIndex {
-                        context: "witness index",
-                        detail: format!(
-                            "index holds {count} records, witness map declares {declared}"
-                        ),
-                    }
-                    .into());
-                }
-                if count != 0 && count != meta.edge_count {
-                    return Err(inconsistent(
-                        "witness map",
-                        format!("{count} witness sets for {} spanner edges", meta.edge_count),
-                    ));
-                }
-                WitnessStore::Sharded {
-                    bytes: shared.clone(),
-                    at: w.offset,
-                    len: w.len,
-                    idx_at: idx.offset,
-                    idx_len: idx.len,
-                    count,
-                    cell: Arc::new(OnceLock::new()),
-                    touched: Arc::new(AtomicU64::new(0)),
-                }
-            } else {
-                WitnessStore::Lazy {
-                    bytes: shared.clone(),
-                    at: w.offset,
-                    len: w.len,
-                    cell: Arc::new(OnceLock::new()),
-                    touched: Arc::new(AtomicU64::new(0)),
-                }
+            let (count, stride) =
+                witness_layout(data, w.offset, w.len, meta.budget, meta.edge_count)?;
+            WitnessStore::Bytes {
+                bytes: shared.clone(),
+                at: w.offset,
+                len: w.len,
+                count,
+                stride,
+                cell: Arc::new(OnceLock::new()),
+                touched: Arc::new(AtomicU64::new(0)),
             }
         };
 
-        let frozen = FrozenSpanner {
+        Ok(FrozenSpanner {
             csr,
             parent,
             tables,
@@ -1682,49 +1218,12 @@ impl FrozenSpanner {
             budget: meta.budget,
             model: meta.model,
             witnesses,
-            version: ARTIFACT_VERSION_V2,
-            sharded,
             landmarks: Arc::default(),
-        };
-        if eager {
-            // Force (and memoize) the lazy sections so decode() means
-            // "the whole file is valid", exactly as it does for v1. A
-            // detached witness store is not an invalid file.
-            frozen.parent()?;
-            match frozen.witnesses() {
-                Ok(_) | Err(ArtifactError::WitnessesDetached) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(frozen)
-    }
-
-    /// Opens a v2 artifact **in place**: the packed adjacency and
-    /// translation tables are validated and then *borrowed* from
-    /// `bytes` (an mmap'd file, an aligned heap buffer, …) with no `Vec`
-    /// rebuild; the witness map and parent graph are decoded lazily on
-    /// first use. Open cost is O(header + validation scans) — the
-    /// cold-start path for "build once, serve from thousands of
-    /// replicas".
-    ///
-    /// v1 artifacts are rejected with a typed
-    /// [`BinaryError::UnsupportedVersion`] (run `spanner-artifact
-    /// migrate` first); [`FrozenSpanner::decode`] keeps accepting them
-    /// forever.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError`] on any structural defect, including a buffer
-    /// that misses the 8-byte base alignment
-    /// (`artifact/misaligned-section`). Hostile input cannot panic and
-    /// cannot size an allocation beyond the bytes present.
-    pub fn open(bytes: SharedBytes) -> Result<MappedSpanner, ArtifactError> {
-        Ok(MappedSpanner {
-            inner: Self::decode_v2(bytes, false)?,
         })
     }
 
-    /// Full parent cross-checks, shared by the lazy (v2) decode path:
+    /// Full parent cross-checks, run when the lazy parent section is
+    /// first decoded:
     /// the parent must agree with the spanner and translation tables in
     /// shape, ids, endpoints, and weights.
     fn check_parent_consistency(&self, parent: &Graph) -> Result<(), ArtifactError> {
@@ -1821,6 +1320,34 @@ mod tests {
     use spanner_graph::generators::{complete, cycle};
     use spanner_graph::NodeId;
 
+    /// Seals hand-built sections into an artifact container.
+    fn container(sections: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
+        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, 0);
+        for (tag, payload) in sections {
+            w.section(tag, payload);
+        }
+        w.finish()
+    }
+
+    /// A `META` payload with the given budget and shape.
+    fn meta(budget: Option<u64>, node_count: usize, edge_count: usize) -> Vec<u8> {
+        let mut meta = Vec::new();
+        put_u64(&mut meta, 3);
+        meta.push(0); // vertex model
+        meta.push(budget.is_some() as u8);
+        put_u64(&mut meta, budget.unwrap_or(0));
+        put_u64(&mut meta, node_count as u64);
+        put_u64(&mut meta, edge_count as u64);
+        meta
+    }
+
+    /// The in-place CSR payload of a frozen adjacency.
+    fn csr_payload(csr: &FrozenCsr) -> Vec<u8> {
+        let mut out = Vec::new();
+        csr.write_payload(&mut out);
+        out
+    }
+
     #[test]
     fn freeze_preserves_structure_and_metadata() {
         let g = complete(10);
@@ -1831,7 +1358,6 @@ mod tests {
         assert_eq!(frozen.stretch(), 3);
         assert_eq!(frozen.budget(), Some(1));
         assert_eq!(frozen.model(), FaultModel::Vertex);
-        assert_eq!(frozen.version(), ARTIFACT_VERSION);
         assert_eq!(frozen.witnesses().unwrap(), ft.witnesses());
         assert_eq!(
             frozen.parent_edge_ids().collect::<Vec<_>>(),
@@ -1878,14 +1404,14 @@ mod tests {
         let g =
             spanner_graph::generators::random_geometric(80, 0.25, &mut StdRng::seed_from_u64(3));
         let frozen = FtGreedy::new(&g, 3).faults(1).run().freeze(&g);
-        let bytes = frozen.to_v2_sharded().encode();
+        let bytes = frozen.encode();
         let decoded = FrozenSpanner::decode(&bytes).unwrap();
         let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes)).unwrap();
         assert!(opened.is_in_place());
         assert_eq!(decoded.landmarks(), opened.landmarks());
         assert_eq!(frozen.landmarks(), opened.landmarks());
         // The table is never encoded: building it leaves the bytes alone.
-        assert_eq!(opened.to_v2_sharded().encode(), bytes);
+        assert_eq!(opened.encode(), bytes);
     }
 
     #[test]
@@ -1960,33 +1486,25 @@ mod tests {
 
     #[test]
     fn decode_rejects_cross_section_contradictions() {
-        use spanner_graph::io::binary::{put_u32, put_u64, write_view_payload, ContainerWriter};
         let g = cycle(5);
         let frozen = Spanner::from_parent_edges(&g, g.edge_ids(), 3).freeze();
         // Rebuild the container by hand with a parent-edge table that is
         // one entry short: the count cross-check must catch it.
-        let mut meta = Vec::new();
-        put_u64(&mut meta, frozen.stretch());
-        meta.push(0); // vertex model
-        meta.push(0); // no budget
-        put_u64(&mut meta, 0);
-        put_u64(&mut meta, frozen.node_count() as u64);
-        put_u64(&mut meta, frozen.edge_count() as u64);
-        let mut spanner = Vec::new();
-        write_view_payload(frozen.csr(), &mut spanner);
         let mut short_table = Vec::new();
         put_u64(&mut short_table, (frozen.edge_count() - 1) as u64);
         for id in frozen.parent_edge_ids().skip(1) {
             put_u32(&mut short_table, id.raw());
         }
-        let mut witnesses = Vec::new();
-        put_u64(&mut witnesses, 0);
-        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-        w.section(SECTION_META, &meta)
-            .section(SECTION_SPANNER, &spanner)
-            .section(SECTION_PARENT_EDGES, &short_table)
-            .section(SECTION_WITNESSES, &witnesses);
-        let err = FrozenSpanner::decode(&w.finish()).unwrap_err();
+        let bytes = container(vec![
+            (
+                SECTION_META,
+                meta(None, frozen.node_count(), frozen.edge_count()),
+            ),
+            (SECTION_SPANNER, csr_payload(frozen.csr())),
+            (SECTION_PARENT_EDGES, short_table),
+            (SECTION_WITNESSES, 0u64.to_le_bytes().to_vec()),
+        ]);
+        let err = FrozenSpanner::decode(&bytes).unwrap_err();
         assert!(
             matches!(err, ArtifactError::Inconsistent { .. }),
             "want Inconsistent, got {err}"
@@ -1996,7 +1514,6 @@ mod tests {
 
     #[test]
     fn huge_parent_edge_ids_cannot_force_allocations() {
-        use spanner_graph::io::binary::{put_u32, put_u64, write_view_payload, ContainerWriter};
         // A crafted *bare* artifact (no parent section) whose one
         // spanner edge claims parent edge id 0xfffffffe. The inverse
         // table that id implies would be ~16 GiB; decode must reject the
@@ -2004,17 +1521,6 @@ mod tests {
         // sizing an allocation from the id.
         let g = cycle(3);
         let frozen = Spanner::from_parent_edges(&g, [EdgeId::new(0)], 3).freeze();
-        let mut meta = Vec::new();
-        put_u64(&mut meta, 3);
-        meta.push(0);
-        meta.push(0);
-        put_u64(&mut meta, 0);
-        put_u64(&mut meta, frozen.node_count() as u64);
-        put_u64(&mut meta, 1);
-        let mut spanner = Vec::new();
-        write_view_payload(frozen.csr(), &mut spanner);
-        let mut witnesses = Vec::new();
-        put_u64(&mut witnesses, 0);
         // Case A: the inverse claims u64::MAX slots — the bytes-present
         // guard rejects the count before any allocation.
         // Case B: the inverse is tiny — the forward id falls outside it.
@@ -2026,12 +1532,13 @@ mod tests {
             if inverse_slots == 1 {
                 put_u32(&mut table, 0);
             }
-            let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-            w.section(SECTION_META, &meta)
-                .section(SECTION_SPANNER, &spanner)
-                .section(SECTION_PARENT_EDGES, &table)
-                .section(SECTION_WITNESSES, &witnesses);
-            let err = FrozenSpanner::decode(&w.finish()).unwrap_err();
+            let bytes = container(vec![
+                (SECTION_META, meta(None, frozen.node_count(), 1)),
+                (SECTION_SPANNER, csr_payload(frozen.csr())),
+                (SECTION_PARENT_EDGES, table),
+                (SECTION_WITNESSES, 0u64.to_le_bytes().to_vec()),
+            ]);
+            let err = FrozenSpanner::decode(&bytes).unwrap_err();
             assert!(
                 err.to_string().contains("parent-edge"),
                 "slots={inverse_slots}: {err}"
@@ -2041,25 +1548,10 @@ mod tests {
 
     #[test]
     fn noninjective_forward_table_rejected() {
-        use spanner_graph::io::binary::{put_u32, put_u64, ContainerWriter};
-        // Two spanner copies of the same physical link, both mapped to
-        // parent edge 2: epoching {e2} would mask only one copy, so the
-        // decoder must refuse the artifact outright.
-        let mut meta = Vec::new();
-        put_u64(&mut meta, 3);
-        meta.push(0);
-        meta.push(0);
-        put_u64(&mut meta, 0);
-        put_u64(&mut meta, 3); // nodes
-        put_u64(&mut meta, 2); // edges
-        let mut spanner = Vec::new();
-        put_u64(&mut spanner, 3);
-        put_u64(&mut spanner, 2);
-        for _ in 0..2 {
-            put_u32(&mut spanner, 0);
-            put_u32(&mut spanner, 1);
-            put_u64(&mut spanner, 1);
-        }
+        // Two spanner edges both mapped to parent edge 2: epoching {e2}
+        // would mask only one of them, so the decoder must refuse the
+        // artifact outright.
+        let path = spanner_graph::generators::path(3);
         let mut table = Vec::new();
         put_u64(&mut table, 2);
         put_u32(&mut table, 2);
@@ -2068,34 +1560,23 @@ mod tests {
         put_u32(&mut table, NOT_KEPT);
         put_u32(&mut table, NOT_KEPT);
         put_u32(&mut table, 1); // later claimant wins, as derivation does
-        let mut witnesses = Vec::new();
-        put_u64(&mut witnesses, 0);
-        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-        w.section(SECTION_META, &meta)
-            .section(SECTION_SPANNER, &spanner)
-            .section(SECTION_PARENT_EDGES, &table)
-            .section(SECTION_WITNESSES, &witnesses);
-        let err = FrozenSpanner::decode(&w.finish()).unwrap_err();
+        let bytes = container(vec![
+            (SECTION_META, meta(None, 3, 2)),
+            (SECTION_SPANNER, csr_payload(&FrozenCsr::from_view(&path))),
+            (SECTION_PARENT_EDGES, table),
+            (SECTION_WITNESSES, 0u64.to_le_bytes().to_vec()),
+        ]);
+        let err = FrozenSpanner::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("not injective"), "{err}");
     }
 
     #[test]
     fn denormalized_witness_ids_rejected() {
-        use spanner_graph::io::binary::{put_u32, put_u64, write_view_payload, ContainerWriter};
         // Witness ids arrive unsorted: FaultSet would silently
         // renormalize them, breaking re-encode byte identity — so decode
         // must reject them with a typed error instead.
         let g = cycle(4);
         let frozen = Spanner::from_parent_edges(&g, [EdgeId::new(0)], 3).freeze();
-        let mut meta = Vec::new();
-        put_u64(&mut meta, 3);
-        meta.push(0);
-        meta.push(0);
-        put_u64(&mut meta, 0);
-        put_u64(&mut meta, frozen.node_count() as u64);
-        put_u64(&mut meta, 1);
-        let mut spanner = Vec::new();
-        write_view_payload(frozen.csr(), &mut spanner);
         let mut table = Vec::new();
         put_u64(&mut table, 1);
         put_u32(&mut table, 0);
@@ -2104,17 +1585,17 @@ mod tests {
         for bad_ids in [[3u32, 1], [2, 2]] {
             let mut witnesses = Vec::new();
             put_u64(&mut witnesses, 1);
-            witnesses.push(0); // vertex model
-            put_u64(&mut witnesses, 2);
+            put_u32(&mut witnesses, 2);
             for id in bad_ids {
                 put_u32(&mut witnesses, id);
             }
-            let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-            w.section(SECTION_META, &meta)
-                .section(SECTION_SPANNER, &spanner)
-                .section(SECTION_PARENT_EDGES, &table)
-                .section(SECTION_WITNESSES, &witnesses);
-            let err = FrozenSpanner::decode(&w.finish()).unwrap_err();
+            let bytes = container(vec![
+                (SECTION_META, meta(Some(2), frozen.node_count(), 1)),
+                (SECTION_SPANNER, csr_payload(frozen.csr())),
+                (SECTION_PARENT_EDGES, table.clone()),
+                (SECTION_WITNESSES, witnesses),
+            ]);
+            let err = FrozenSpanner::decode(&bytes).unwrap_err();
             assert!(
                 err.to_string().contains("sorted and deduplicated"),
                 "{bad_ids:?}: {err}"
@@ -2127,16 +1608,30 @@ mod tests {
         let g = cycle(4);
         let frozen = Spanner::from_parent_edges(&g, g.edge_ids(), 3).freeze();
         let bytes = frozen.encode();
+        let reseal = |bytes: &mut Vec<u8>| {
+            let body_len = bytes.len() - 8;
+            let sum = binary::fnv1a64_words(&bytes[..body_len]).to_le_bytes();
+            bytes[body_len..].copy_from_slice(&sum);
+        };
         let mut future = bytes.clone();
         future[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = future.len() - 8;
-        let sum = spanner_graph::io::binary::fnv1a64(&future[..body_len]).to_le_bytes();
-        future[body_len..].copy_from_slice(&sum);
+        reseal(&mut future);
         assert!(matches!(
             FrozenSpanner::decode(&future),
-            Err(ArtifactError::Format(
-                spanner_graph::io::binary::BinaryError::UnsupportedVersion { found: 99, .. }
-            ))
+            Err(ArtifactError::Format(BinaryError::UnsupportedVersion {
+                found: 99,
+                ..
+            }))
+        ));
+        let mut unknown = bytes.clone();
+        unknown[binary::HEADER_LEN..binary::HEADER_LEN + 4]
+            .copy_from_slice(&0xBEEFu32.to_le_bytes());
+        reseal(&mut unknown);
+        assert!(matches!(
+            FrozenSpanner::decode(&unknown),
+            Err(ArtifactError::Format(BinaryError::UnknownSection {
+                tag: 0xBEEF
+            }))
         ));
     }
 

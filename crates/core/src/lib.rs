@@ -30,7 +30,7 @@
 //!   [`EpochHandle`] sessions, O(Δ) epoch deltas, and a coalescing
 //!   batch front-end; persist the artifact with
 //!   [`FrozenSpanner::encode`] and load it in a serving replica with
-//!   [`FrozenSpanner::decode`] — or map a v2 artifact **in place** with
+//!   [`FrozenSpanner::decode`] — or map the same bytes **in place** with
 //!   [`FrozenSpanner::open`] ([`MappedSpanner`]) and serve it without
 //!   decoding — build once, serve many, never reconstruct.
 //!

@@ -164,61 +164,53 @@ fn decoded_artifact_drives_the_worker_pool() {
 }
 
 /// The decoder must refuse, with a typed error, an artifact whose
-/// header claims a future version — even when everything else is valid.
-/// And v1 bytes relabeled as v2 must fail the v2 structural checks,
-/// never be misread as v1.
+/// header names any version but the current one — even when everything
+/// else is valid and the checksum is resealed. Versions 1 and 2 are the
+/// retired layouts: they are rebuilt from their parents, never read.
 #[test]
 fn future_versions_are_refused_not_guessed() {
     let g = spanner_graph::generators::cycle(5);
     let ft = FtGreedy::new(&g, 3).faults(1).run();
-    let v1 = ft.freeze(&g).encode();
-    // Reseal with the checksum the declared version's parser will
-    // verify (byte-wise for the v1 lineage, word-wise for v2), so the
-    // *version/framing* gate is what trips, not the checksum.
+    let bytes = ft.freeze(&g).encode();
     let reseal = |mut bytes: Vec<u8>, version: u32| {
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let body = bytes.len() - 8;
-        let sum = if version == 2 {
-            spanner_graph::io::binary::fnv1a64_words(&bytes[..body])
-        } else {
-            spanner_graph::io::binary::fnv1a64(&bytes[..body])
-        }
-        .to_le_bytes();
+        let sum = spanner_graph::io::binary::fnv1a64_words(&bytes[..body]).to_le_bytes();
         bytes[body..].copy_from_slice(&sum);
         bytes
     };
-    let err = FrozenSpanner::decode(&reseal(v1.clone(), 3)).unwrap_err();
-    assert!(err.to_string().contains("version"), "{err}");
-    // v1 section framing is not a valid v2 section table: typed error,
-    // and decidedly not a silent fallback to the v1 parser.
-    let err = FrozenSpanner::decode(&reseal(v1, 2)).unwrap_err();
-    assert_eq!(err.code(), "artifact/malformed", "{err}");
+    for version in [1, 2, 4, 99] {
+        let stale = reseal(bytes.clone(), version);
+        let err = FrozenSpanner::decode(&stale).unwrap_err();
+        assert_eq!(err.code(), "artifact/bad-version", "v{version}: {err}");
+        assert!(
+            err.remediation().contains("spanner-artifact build"),
+            "{err}"
+        );
+        let shared = spanner_graph::SharedBytes::copy_aligned(&stale);
+        let err = FrozenSpanner::open(shared).unwrap_err();
+        assert_eq!(err.code(), "artifact/bad-version", "v{version}: {err}");
+    }
 }
 
-/// Exhaustive single-corruption sweep over a complete v2 artifact:
-/// *every* truncation point and *every* single-bit flip must yield a
-/// typed error — never a panic, never an accept. The proptests above
-/// sample this space; for the v2 envelope the artifact is small enough
-/// to sweep it whole.
+/// Exhaustive single-corruption sweep over a complete artifact: *every*
+/// truncation point and *every* single-bit flip must yield a typed
+/// error — never a panic, never an accept. The proptests above sample
+/// this space; the artifact is small enough to sweep it whole.
 #[test]
 fn v2_rejects_every_truncation_and_every_bit_flip() {
     let g = spanner_graph::generators::complete(6);
-    let v2 = FtGreedy::new(&g, 3)
-        .faults(1)
-        .run()
-        .freeze(&g)
-        .to_v2()
-        .encode();
-    FrozenSpanner::decode(&v2).expect("the uncorrupted artifact decodes");
-    for cut in 0..v2.len() {
+    let bytes = FtGreedy::new(&g, 3).faults(1).run().freeze(&g).encode();
+    FrozenSpanner::decode(&bytes).expect("the uncorrupted artifact decodes");
+    for cut in 0..bytes.len() {
         assert!(
-            FrozenSpanner::decode(&v2[..cut]).is_err(),
+            FrozenSpanner::decode(&bytes[..cut]).is_err(),
             "truncation to {cut} bytes was accepted"
         );
     }
-    for at in 0..v2.len() {
+    for at in 0..bytes.len() {
         for bit in 0..8 {
-            let mut corrupt = v2.clone();
+            let mut corrupt = bytes.clone();
             corrupt[at] ^= 1 << bit;
             assert!(
                 FrozenSpanner::decode(&corrupt).is_err(),
@@ -250,18 +242,16 @@ fn open_rejects_an_offset_by_one_buffer() {
     }
 
     let g = spanner_graph::generators::complete(6);
-    let v2 = FtGreedy::new(&g, 3)
-        .faults(1)
-        .run()
-        .freeze(&g)
-        .to_v2()
-        .encode();
-    let mut buf = vec![0u8; v2.len() + 16];
+    let bytes = FtGreedy::new(&g, 3).faults(1).run().freeze(&g).encode();
+    let mut buf = vec![0u8; bytes.len() + 16];
     let start = (8 - buf.as_ptr() as usize % 8) % 8 + 1;
-    buf[start..start + v2.len()].copy_from_slice(&v2);
-    let shared = SharedBytes::from_source(Arc::new(OffsetByOne { buf, len: v2.len() }));
+    buf[start..start + bytes.len()].copy_from_slice(&bytes);
+    let shared = SharedBytes::from_source(Arc::new(OffsetByOne {
+        buf,
+        len: bytes.len(),
+    }));
     // The bytes are pristine — only the base address is hostile.
-    assert_eq!(shared.as_slice(), &v2[..]);
+    assert_eq!(shared.as_slice(), &bytes[..]);
     let err = FrozenSpanner::open(shared).unwrap_err();
     assert_eq!(err.code(), "artifact/misaligned-section", "{err}");
 }

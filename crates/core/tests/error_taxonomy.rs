@@ -12,7 +12,7 @@
 use spanner_core::frozen::{ArtifactError, ARTIFACT_ERROR_CODES};
 use spanner_core::routing::{RouteError, ROUTE_ERROR_CODES};
 use spanner_graph::io::binary::{remediation_for_code, BinaryError, BINARY_ERROR_CODES};
-use spanner_graph::{GraphError, NodeId};
+use spanner_graph::{EdgeId, GraphError, NodeId};
 use std::collections::BTreeSet;
 
 /// The frozen taxonomy. This list is the snapshot: a new error variant
@@ -24,13 +24,13 @@ const SNAPSHOT: &[&str] = &[
     "artifact/bit-flip",
     "artifact/cross-section",
     "artifact/graph-invariant",
+    "artifact/invalid-edge",
     "artifact/malformed",
     "artifact/misaligned-section",
     "artifact/missing-section",
     "artifact/section-replay",
     "artifact/truncation",
     "artifact/unknown-section",
-    "artifact/witness-index",
     "artifact/witnesses-detached",
     "route/endpoint-failed",
     "route/invalid-endpoint",
@@ -49,8 +49,8 @@ fn constructed_codes() -> BTreeSet<&'static str> {
             expected: *b"VFTSPANR",
         },
         BinaryError::UnsupportedVersion {
-            found: 9,
-            supported: 1,
+            found: 2,
+            supported: 3,
         },
         BinaryError::ChecksumMismatch {
             stored: 0,
@@ -70,10 +70,6 @@ fn constructed_codes() -> BTreeSet<&'static str> {
             context: "c",
             offset: 1,
         },
-        BinaryError::WitnessIndex {
-            context: "c",
-            detail: String::new(),
-        },
     ];
     let artifact = [
         ArtifactError::Format(BinaryError::Truncated { context: "t" }),
@@ -82,6 +78,10 @@ fn constructed_codes() -> BTreeSet<&'static str> {
             detail: String::new(),
         },
         ArtifactError::WitnessesDetached,
+        ArtifactError::InvalidEdge {
+            edge: EdgeId::new(5),
+            edge_count: 5,
+        },
     ];
     let route = [
         RouteError::InvalidEndpoint(NodeId::new(0)),

@@ -1,6 +1,6 @@
 //! Zero-copy serving must be invisible in the answers.
 //!
-//! PR 8 added the VFTSPANR v2 in-place layout: [`FrozenSpanner::open`]
+//! The `VFTSPANR` layout is read in place: [`FrozenSpanner::open`]
 //! borrows the packed adjacency straight out of an aligned byte buffer
 //! ([`MappedSpanner`]) instead of decoding it into owned tables. These
 //! property tests pin the whole point of that machinery: across random
@@ -76,17 +76,17 @@ proptest! {
     ) {
         let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
         let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
-        let v2 = ft.freeze(&g).to_v2().encode();
+        let bytes = ft.freeze(&g).encode();
 
-        let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
-        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))
-            .expect("v2 must open in place");
+        let owned = Arc::new(FrozenSpanner::decode(&bytes).expect("own encoding must decode"));
+        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))
+            .expect("own encoding must open in place");
         prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
 
         // The detached routing-only replica: same bytes minus witnesses.
         let detached_bytes = owned.detach_witnesses().encode();
         let detached = FrozenSpanner::open(SharedBytes::copy_aligned(&detached_bytes))
-            .expect("detached v2 must open in place");
+            .expect("detached artifact must open in place");
         prop_assert!(detached.witnesses_detached());
 
         let served_owned = EpochServer::new(Arc::clone(&owned)).with_threads(3);

@@ -1,7 +1,7 @@
 //! Partitioned spanners must be first-class artifact citizens.
 //!
 //! The stitched union's witnesses are translated to union coordinates,
-//! so it should freeze, encode to the VFTSPANR v2 in-place layout,
+//! so it should freeze, encode to the in-place VFTSPANR layout,
 //! `open` without copying, and serve **bit-identically** to its owned
 //! decode — exactly the property `mapped_serving_props.rs` pins for
 //! monolithic constructions. These property tests run the same
@@ -81,13 +81,13 @@ proptest! {
         let ft = built.ft();
         prop_assert_eq!(ft.witnesses().len(), ft.spanner().edge_count());
 
-        // Freeze → v2 encode → open must round-trip the stitched union.
-        let v2 = ft.freeze(&g).to_v2().encode();
-        let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
+        // Freeze → encode → open must round-trip the stitched union.
+        let bytes = ft.freeze(&g).encode();
+        let owned = Arc::new(FrozenSpanner::decode(&bytes).expect("own encoding must decode"));
         prop_assert_eq!(owned.edge_count(), ft.spanner().edge_count());
         prop_assert_eq!(owned.budget(), Some(f));
-        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))
-            .expect("v2 must open in place");
+        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))
+            .expect("own encoding must open in place");
         prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
 
         let served_owned = EpochServer::new(Arc::clone(&owned)).with_threads(3);

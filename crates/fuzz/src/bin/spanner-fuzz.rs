@@ -280,12 +280,9 @@ fn run_corpus(args: CorpusArgs) -> Result<(), String> {
 
     // The corpus is a regression gate on the taxonomy: every decode
     // code must be exercised, or regeneration fails loudly.
-    let mut missing: Vec<&str> = spanner_graph::io::binary::BINARY_ERROR_CODES
-        .iter()
-        .chain(spanner_core::frozen::ARTIFACT_ERROR_CODES)
-        .chain(&[corpus::OK_LABEL])
-        .filter(|code| !covered.contains(**code))
-        .copied()
+    let mut missing: Vec<&str> = corpus::decode_outcome_labels()
+        .into_iter()
+        .filter(|code| !covered.contains(*code))
         .collect();
     missing.sort_unstable();
     if !missing.is_empty() {

@@ -1,17 +1,13 @@
 //! Structure-aware mutation of `VFTSPANR`/`VFTGRAPH` containers.
 //!
 //! A naive byte-flipping fuzzer gets stopped at the door: the container
-//! verifies its trailing FNV-1a checksum *before* parsing any section,
-//! so random corruption almost always lands in the `artifact/bit-flip`
+//! verifies its trailing checksum *before* parsing any section, so
+//! random corruption almost always lands in the `artifact/bit-flip`
 //! bucket and the section parsers never see a hostile byte. The
-//! [`Mutator`] therefore understands both container frames — the v1
-//! `(tag, len, payload)` record stream and the v2 alignment-padded
-//! section table — and reseals most mutants with a recomputed checksum
+//! [`Mutator`] therefore understands the container's section table and
+//! reseals most mutants with a recomputed [`fnv1a64_words`] checksum
 //! ([`Mutant::checksum_fixed`]) so the mutation reaches the decode
-//! logic it is aimed at. Resealing is version-aware: a container whose
-//! header declares v2 is sealed with the word-wise
-//! [`fnv1a64_words`] the v2 parser verifies, everything else with the
-//! byte-wise [`fnv1a64`].
+//! logic it is aimed at.
 //!
 //! Each [`AttackClass`] names a *mutation strategy*, not a decoder
 //! outcome: a truncation can surface as `artifact/truncation` or (when
@@ -27,25 +23,11 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spanner_graph::io::binary::{
-    fnv1a64, fnv1a64_words, put_u64, ContainerWriterV2, V2_HEADER_LEN, V2_SECTION_ENTRY_LEN,
+    fnv1a64_words, put_u64, ContainerWriter, HEADER_LEN, SECTION_ENTRY_LEN,
 };
-
-/// Byte width of the v1 container header (magic[8] + version u32).
-const HEADER_LEN: usize = 12;
 
 /// Byte width of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
-
-/// Byte width of a v1 section's `(tag: u32, len: u64)` record header.
-const SECTION_HEADER_LEN: usize = 4 + 8;
-
-/// Whether these bytes declare the v2 in-place layout — the same
-/// dispatch `FrozenSpanner::decode` uses (version field 2), minus the
-/// `VFTGRAPH` magic, which routes to the v1-framed graph codec
-/// regardless of its version field.
-pub(crate) fn is_v2(bytes: &[u8]) -> bool {
-    bytes.len() >= HEADER_LEN && bytes[..8] != *b"VFTGRAPH" && bytes[8..12] == 2u32.to_le_bytes()
-}
 
 /// The mutation strategies the fuzzer applies, one per adversarial
 /// capability we defend against. See the taxonomy appendix in
@@ -60,9 +42,9 @@ pub enum AttackClass {
     /// corruption reaches the section parsers; left unsealed some of the
     /// time to keep the checksum gate itself under test.
     BitFlip,
-    /// Duplicate a section: a complete `(tag, len, payload)` v1 record,
-    /// or a v2 re-lay with one tag appearing twice in the table (a
-    /// replayed/spliced-in section from another copy of the file).
+    /// Duplicate a section: a re-lay with one tag appearing twice in the
+    /// table (a replayed/spliced-in section from another copy of the
+    /// file).
     SectionReplay,
     /// Transplant one section's payload into another section's frame,
     /// keeping the frame lengths self-consistent (well-formed container,
@@ -122,18 +104,15 @@ pub struct Mutant {
 }
 
 /// One section located by the lenient frame parser: byte offsets into
-/// the original container. v1 records are contiguous
-/// (`start..payload..end`); v2 sections split across the table entry
-/// (`start`) and the padded payload region they point at.
+/// the original container. A section splits across its table entry
+/// (`start`) and the padded payload region it points at.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameSection {
-    /// Offset of the record header: the `tag` u32 of a v1 record, or a
-    /// v2 table entry.
+    /// Offset of the section's table entry.
     pub(crate) start: usize,
     /// The section tag.
     pub(crate) tag: u32,
-    /// Offset of the `len` u64 field (inside the v1 record header or
-    /// the v2 table entry).
+    /// Offset of the `len` u64 field inside the table entry.
     pub(crate) len_at: usize,
     /// Offset of the payload.
     pub(crate) payload: usize,
@@ -148,69 +127,31 @@ impl FrameSection {
     }
 }
 
-/// Lenient section-frame recovery, dispatching on the declared version:
-/// v1 containers are walked as `(tag, len, payload)` records, v2
-/// containers through their section table, stopping (not failing) at
-/// the first record that does not fit. Unlike the real parsers it
-/// tolerates unknown tags, duplicates, and broken padding — mutants of
-/// mutants must still be mutable. Also used by
+/// Lenient section-frame recovery: reads the section table (count
+/// bounded by the bytes present, entries kept only while their payloads
+/// fit), stopping — not failing — at the first entry that does not fit.
+/// Unlike the real parser it ignores reserved fields, alignment,
+/// padding, unknown tags, and duplicates: those are the parser's gates,
+/// and mutants of mutants must still be mutable. Also used by
 /// [`crate::seeds::directed_probes`] to aim byte surgery at a specific
 /// section.
 pub(crate) fn frame_sections(bytes: &[u8]) -> Vec<FrameSection> {
-    if is_v2(bytes) {
-        return frame_sections_v2(bytes);
-    }
     let mut sections = Vec::new();
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return sections;
     }
     let body_end = bytes.len() - CHECKSUM_LEN;
-    let mut at = HEADER_LEN;
-    while at + SECTION_HEADER_LEN <= body_end {
-        let tag = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let len_bytes: [u8; 8] = bytes[at + 4..at + SECTION_HEADER_LEN].try_into().unwrap();
-        let len = u64::from_le_bytes(len_bytes);
-        let payload = at + SECTION_HEADER_LEN;
-        let Some(end) = (len as usize).checked_add(payload) else {
-            break;
-        };
-        if len > (body_end - payload) as u64 {
-            break;
-        }
-        sections.push(FrameSection {
-            start: at,
-            tag,
-            len_at: at + 4,
-            payload,
-            len: len as usize,
-        });
-        at = end;
-    }
-    sections
-}
-
-/// The v2 half of [`frame_sections`]: reads the section table leniently
-/// (count bounded by the bytes present, entries kept only while their
-/// payloads fit), ignoring reserved fields, alignment, and padding —
-/// those are the parser's gates, and mutants that break them are still
-/// frames worth mutating further.
-fn frame_sections_v2(bytes: &[u8]) -> Vec<FrameSection> {
-    let mut sections = Vec::new();
-    if bytes.len() < V2_HEADER_LEN + CHECKSUM_LEN {
-        return sections;
-    }
-    let body_end = bytes.len() - CHECKSUM_LEN;
     let claimed = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let fits = ((body_end - V2_HEADER_LEN) / V2_SECTION_ENTRY_LEN) as u64;
+    let fits = ((body_end - HEADER_LEN) / SECTION_ENTRY_LEN) as u64;
     for i in 0..claimed.min(fits) as usize {
-        let entry = V2_HEADER_LEN + i * V2_SECTION_ENTRY_LEN;
+        let entry = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let tag = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap());
         let offset = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap());
         let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap());
         let (Ok(payload), Ok(len)) = (usize::try_from(offset), usize::try_from(len)) else {
             break;
         };
-        if payload < V2_HEADER_LEN || !payload.checked_add(len).is_some_and(|end| end <= body_end) {
+        if payload < HEADER_LEN || !payload.checked_add(len).is_some_and(|end| end <= body_end) {
             break;
         }
         sections.push(FrameSection {
@@ -225,34 +166,27 @@ fn frame_sections_v2(bytes: &[u8]) -> Vec<FrameSection> {
 }
 
 /// Recomputes and rewrites the trailing checksum so the mutant passes
-/// the integrity gate, with the checksum the declared version's parser
-/// verifies (word-wise for v2, byte-wise otherwise). No-op on inputs
-/// too short to carry one.
+/// the integrity gate. No-op on inputs too short to carry a container
+/// header and checksum.
 pub fn fix_checksum(bytes: &mut Vec<u8>) -> bool {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return false;
     }
     let body = bytes.len() - CHECKSUM_LEN;
-    let sum = if is_v2(bytes) {
-        fnv1a64_words(&bytes[..body])
-    } else {
-        fnv1a64(&bytes[..body])
-    };
+    let sum = fnv1a64_words(&bytes[..body]);
     bytes.truncate(body);
     put_u64(bytes, sum);
     true
 }
 
-/// Re-lays a v2 container from `(tag, payload)` parts with the seed's
-/// magic, version, and flags — canonical framing (honest table, correct
-/// padding, fresh word-wise checksum) around whatever hostile content
-/// the parts carry.
-fn rebuild_v2(seed: &[u8], parts: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
+/// Re-lays a container from `(tag, payload)` parts with the seed's magic
+/// and flags — canonical framing (honest table, correct padding, fresh
+/// checksum) around whatever hostile content the parts carry.
+pub(crate) fn rebuild(seed: &[u8], parts: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
     let mut magic = [0u8; 8];
     magic.copy_from_slice(&seed[..8]);
-    let version = u32::from_le_bytes(seed[8..12].try_into().unwrap());
     let flags = u32::from_le_bytes(seed[12..16].try_into().unwrap());
-    let mut w = ContainerWriterV2::new(magic, version, flags);
+    let mut w = ContainerWriter::new(magic, flags);
     for (tag, payload) in parts {
         w.section(tag, payload);
     }
@@ -352,28 +286,18 @@ impl Mutator {
         if sections.is_empty() {
             return self.degrade(seed);
         }
+        // Sections are not contiguous records; replay the chosen one
+        // through the canonical writer — honest framing carrying a
+        // duplicated tag.
         let dup = self.rng.gen_range(0..sections.len());
-        let bytes = if is_v2(seed) {
-            // v2 sections are not contiguous records; replay the chosen
-            // one through the canonical writer instead — honest framing
-            // carrying a duplicated tag.
-            let mut parts = Vec::with_capacity(sections.len() + 1);
-            for (i, s) in sections.iter().enumerate() {
+        let mut parts = Vec::with_capacity(sections.len() + 1);
+        for (i, s) in sections.iter().enumerate() {
+            parts.push((s.tag, seed[s.payload..s.end()].to_vec()));
+            if i == dup {
                 parts.push((s.tag, seed[s.payload..s.end()].to_vec()));
-                if i == dup {
-                    parts.push((s.tag, seed[s.payload..s.end()].to_vec()));
-                }
             }
-            rebuild_v2(seed, parts)
-        } else {
-            let s = sections[dup];
-            let mut bytes = Vec::with_capacity(seed.len() + (s.end() - s.start));
-            bytes.extend_from_slice(&seed[..s.end()]);
-            bytes.extend_from_slice(&seed[s.start..s.end()]);
-            bytes.extend_from_slice(&seed[s.end()..]);
-            bytes
-        };
-        let mut bytes = bytes;
+        }
+        let mut bytes = rebuild(seed, parts);
         let checksum_fixed = fix_checksum(&mut bytes);
         Mutant {
             class: AttackClass::SectionReplay,
@@ -391,63 +315,26 @@ impl Mutator {
         // into another's frame (or emptied, if there is only one
         // section), keeping every length field honest: the frame stays
         // well-formed while the content lies.
-        //
-        // When the seed carries the sharded witness pair (map tag 4,
-        // offset index tag 6), aim at it half the time: transplanting
-        // one over the other is exactly the index/payload skew the
-        // `artifact/witness-index` validation exists for, and random
-        // section picks would reach it too rarely.
-        let witness_pair = || {
-            let at = |tag| sections.iter().position(|s| s.tag == tag);
-            Some((at(4)?, at(6)?))
-        };
-        let (dst, src) = match witness_pair() {
-            Some((map, idx)) if self.rng.gen_bool(0.5) => {
-                if self.rng.gen_bool(0.5) {
-                    (idx, map)
-                } else {
-                    (map, idx)
-                }
-            }
-            _ => (
-                self.rng.gen_range(0..sections.len()),
-                self.rng.gen_range(0..sections.len()),
-            ),
-        };
+        let dst = self.rng.gen_range(0..sections.len());
+        let src = self.rng.gen_range(0..sections.len());
         let donor: &[u8] = if sections.len() > 1 && src != dst {
             &seed[sections[src].payload..sections[src].end()]
         } else {
             &[]
         };
-        let mut bytes = if is_v2(seed) {
-            let parts = sections
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let payload = if i == dst {
-                        donor
-                    } else {
-                        &seed[s.payload..s.end()]
-                    };
-                    (s.tag, payload.to_vec())
-                })
-                .collect();
-            rebuild_v2(seed, parts)
-        } else {
-            let mut bytes = seed[..HEADER_LEN.min(seed.len())].to_vec();
-            for (i, s) in sections.iter().enumerate() {
+        let parts = sections
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
                 let payload = if i == dst {
                     donor
                 } else {
                     &seed[s.payload..s.end()]
                 };
-                bytes.extend_from_slice(&seed[s.start..s.start + 4]);
-                put_u64(&mut bytes, payload.len() as u64);
-                bytes.extend_from_slice(payload);
-            }
-            bytes.extend_from_slice(&[0u8; CHECKSUM_LEN]);
-            bytes
-        };
+                (s.tag, payload.to_vec())
+            })
+            .collect();
+        let mut bytes = rebuild(seed, parts);
         let checksum_fixed = fix_checksum(&mut bytes);
         Mutant {
             class: AttackClass::SectionSplice,
@@ -519,20 +406,10 @@ impl Mutator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_graph::io::binary::ContainerWriter;
 
-    /// A tiny well-formed v1 container with three sections to mutate.
+    /// A tiny well-formed container with three sections to mutate.
     fn sample() -> Vec<u8> {
-        let mut w = ContainerWriter::new(*b"VFTSPANR", 1);
-        w.section(1, &[7u8; 34]);
-        w.section(2, &42u64.to_le_bytes());
-        w.section(3, &[1, 2, 3, 4, 5]);
-        w.finish()
-    }
-
-    /// The same three sections in the v2 alignment-padded layout.
-    fn sample_v2() -> Vec<u8> {
-        let mut w = ContainerWriterV2::new(*b"VFTSPANR", 2, 0);
+        let mut w = ContainerWriter::new(*b"VFTSPANR", 0);
         w.section(1, vec![7u8; 34]);
         w.section(2, 42u64.to_le_bytes().to_vec());
         w.section(3, vec![1, 2, 3, 4, 5]);
@@ -561,30 +438,28 @@ mod tests {
         assert!(fix_checksum(&mut bytes));
         let body = bytes.len() - CHECKSUM_LEN;
         let stored = u64::from_le_bytes(bytes[body..].try_into().unwrap());
-        assert_eq!(stored, fnv1a64(&bytes[..body]));
+        assert_eq!(stored, fnv1a64_words(&bytes[..body]));
     }
+
+    // The section-table envelope below was introduced as container
+    // version 2 and is the only envelope since version 3; the `v2` in
+    // these test names refers to that layout.
 
     #[test]
     fn framing_recovers_v2_sections_from_the_table() {
-        let bytes = sample_v2();
+        let bytes = sample();
         let sections = frame_sections(&bytes);
-        assert_eq!(sections.len(), 3);
         assert_eq!(
             sections.iter().map(|s| s.tag).collect::<Vec<_>>(),
             [1, 2, 3]
         );
-        assert_eq!(sections[0].len, 34);
-        assert_eq!(sections[1].len, 8);
-        assert_eq!(sections[2].len, 5);
-        // Table entries sit in the header region; payloads are 8-aligned
-        // except possibly the last (nothing follows it to misalign).
+        // Table entries sit in the header region; payloads follow the
+        // table and are 8-aligned except possibly the last (nothing
+        // follows it to misalign).
+        assert_eq!(sections[0].payload, HEADER_LEN + 3 * SECTION_ENTRY_LEN);
         for s in &sections[..2] {
             assert_eq!(s.payload % 8, 0, "payload at {}", s.payload);
         }
-        assert_eq!(
-            sections[0].payload,
-            V2_HEADER_LEN + 3 * V2_SECTION_ENTRY_LEN
-        );
         assert_eq!(
             sections[2].end(),
             bytes.len() - CHECKSUM_LEN,
@@ -594,24 +469,36 @@ mod tests {
 
     #[test]
     fn fix_checksum_reseals_v2_with_the_word_checksum() {
-        let mut bytes = sample_v2();
+        let mut bytes = sample();
         let payload = frame_sections(&bytes)[0].payload;
+        let body = bytes.len() - CHECKSUM_LEN;
+        let before = u64::from_le_bytes(bytes[body..].try_into().unwrap());
         bytes[payload] ^= 0xFF;
         assert!(fix_checksum(&mut bytes));
-        let body = bytes.len() - CHECKSUM_LEN;
         let stored = u64::from_le_bytes(bytes[body..].try_into().unwrap());
         assert_eq!(stored, fnv1a64_words(&bytes[..body]));
-        assert_ne!(stored, fnv1a64(&bytes[..body]), "must not seal byte-wise");
+        assert_ne!(stored, before, "a payload edit must change the seal");
     }
 
     #[test]
     fn every_class_mutates_a_well_formed_v2_container() {
-        let seed = sample_v2();
+        // Real encoder output rather than the hand-laid sample: every
+        // spanner and graph seed keeps its framing under every class.
         let mut m = Mutator::new(9);
-        for class in AttackClass::ALL {
-            let mutant = m.mutate_class(class, &seed);
-            assert_eq!(mutant.class, class, "v2 framing present, no degrade");
-            assert_ne!(mutant.bytes, seed, "mutant must differ from seed");
+        for seed in crate::seeds::all_seeds() {
+            for class in AttackClass::ALL {
+                let mutant = m.mutate_class(class, &seed.bytes);
+                assert_eq!(
+                    mutant.class, class,
+                    "{}: framing present, no degrade",
+                    seed.name
+                );
+                assert_ne!(
+                    mutant.bytes, seed.bytes,
+                    "{}: mutant must differ",
+                    seed.name
+                );
+            }
         }
     }
 
@@ -673,7 +560,7 @@ mod tests {
             fixed_seen += 1;
             let body = mutant.bytes.len() - CHECKSUM_LEN;
             let stored = u64::from_le_bytes(mutant.bytes[body..].try_into().unwrap());
-            assert_eq!(stored, fnv1a64(&mutant.bytes[..body]));
+            assert_eq!(stored, fnv1a64_words(&mutant.bytes[..body]));
         }
         assert!(fixed_seen > 32, "resealing should be the common case");
     }

@@ -6,10 +6,10 @@
 //! mutant of a vertex-model artifact never walks the edge-model decode
 //! arm. So the seed set deliberately spans both container kinds
 //! (`VFTSPANR` spanner artifacts, `VFTGRAPH` standalone graphs), both
-//! container versions (v1 record framing and the v2 in-place section
-//! table), both fault models, budgets f ∈ {0, 1, 2}, with-parent and
-//! bare freezes, and empty through moderately-sized graphs — every
-//! decode arm has at least one seed whose mutants reach it.
+//! fault models, budgets f ∈ {0, 1, 2} (witness strides of 4, 8 and 12
+//! bytes), with-parent and bare freezes, and empty through
+//! moderately-sized graphs — every decode arm has at least one seed
+//! whose mutants reach it.
 //!
 //! Seeds are deterministic (fixed generator seeds, no clocks), so the
 //! corpus files derived from them are stable across runs and machines.
@@ -95,77 +95,11 @@ pub fn graph_seeds() -> Vec<Seed> {
     ]
 }
 
-/// v2 (in-place layout) re-encodings of representative spanner seeds:
-/// one with every section present, one bare. Mutants of these reach the
-/// v2 envelope gates — section-table bounds, alignment, canonical
-/// offsets, padding — that no v1 seed can exercise. Witnesses stay
-/// attached: every seed must decode cleanly.
-pub fn v2_seeds() -> Vec<Seed> {
-    use spanner_core::FrozenSpanner;
-    let migrate = |bytes: Vec<u8>| {
-        FrozenSpanner::decode(&bytes)
-            .expect("own seed bytes decode")
-            .to_v2()
-            .encode()
-    };
-    vec![
-        Seed {
-            name: "complete6-f1-vertex-v2",
-            bytes: migrate(ft_artifact(
-                &generators::complete(6),
-                3,
-                1,
-                FaultModel::Vertex,
-            )),
-        },
-        Seed {
-            name: "petersen-bare-v2",
-            bytes: migrate(greedy_spanner(&generators::petersen(), 3).freeze().encode()),
-        },
-    ]
-}
-
-/// Sharded-witness v2 re-encodings: the per-edge offset index (tag 6)
-/// plus `FLAG_WITNESSES_SHARDED`. Mutants of these are the only way the
-/// random sampler reaches the index-validation gates — offset
-/// monotonicity and alignment, index/payload agreement, record padding —
-/// so both fault models ride along. Every seed still decodes cleanly.
-pub fn sharded_seeds() -> Vec<Seed> {
-    use spanner_core::FrozenSpanner;
-    let shard = |bytes: Vec<u8>| {
-        FrozenSpanner::decode(&bytes)
-            .expect("own seed bytes decode")
-            .to_v2_sharded()
-            .encode()
-    };
-    let mut rng = StdRng::seed_from_u64(1009);
-    let geometric = generators::random_geometric(12, 0.6, &mut rng);
-    vec![
-        Seed {
-            name: "complete6-f1-vertex-v2-sharded",
-            bytes: shard(ft_artifact(
-                &generators::complete(6),
-                3,
-                1,
-                FaultModel::Vertex,
-            )),
-        },
-        Seed {
-            name: "geometric12-f2-edge-v2-sharded",
-            bytes: shard(ft_artifact(&geometric, 3, 2, FaultModel::Edge)),
-        },
-    ]
-}
-
-/// All seeds, spanner artifacts first, v2 re-encodings then sharded
-/// re-encodings last — the order is part of the determinism contract
-/// (mutant streams index into it), which is why each new family was
-/// *appended* rather than interleaved.
+/// All seeds, spanner artifacts first — the order is part of the
+/// determinism contract (mutant streams index into it).
 pub fn all_seeds() -> Vec<Seed> {
     let mut seeds = spanner_seeds();
     seeds.extend(graph_seeds());
-    seeds.extend(v2_seeds());
-    seeds.extend(sharded_seeds());
     seeds
 }
 
@@ -184,18 +118,33 @@ pub struct Probe {
 /// surface, these aim one input at each decoder gate the sampler may
 /// miss in a small committed corpus — wrong magic, wrong version,
 /// unknown tag, dropped required section, simple-graph violation, raw
-/// truncation, unsealed corruption, a v2 payload off the 8-byte grid,
-/// and a routing-only (witnesses-detached) artifact. `spanner-fuzz
-/// corpus` labels each with its observed stable code and then
-/// *requires* the combined corpus to cover the whole decode taxonomy,
-/// so a code silently becoming unreachable fails corpus regeneration.
+/// truncation, unsealed corruption, a payload off the 8-byte grid, a
+/// routing-only (witnesses-detached) artifact, and each fixed-stride
+/// witness gate. `spanner-fuzz corpus` labels each with its observed
+/// stable code and then *requires* the combined corpus to cover the
+/// whole decode taxonomy, so a code silently becoming unreachable fails
+/// corpus regeneration.
 pub fn directed_probes() -> Vec<Probe> {
-    use crate::mutate::{fix_checksum, frame_sections};
+    use crate::mutate::{fix_checksum, frame_sections, rebuild};
+    use spanner_graph::io::binary::HEADER_LEN;
+
+    let reseal = |mut bytes: Vec<u8>| {
+        fix_checksum(&mut bytes);
+        bytes
+    };
+    let section = |bytes: &[u8], tag: u32| {
+        *frame_sections(bytes)
+            .iter()
+            .find(|s| s.tag == tag)
+            .expect("seed carries the section")
+    };
+    let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    };
 
     // The richest seed: all five VFTSPANR sections present.
     let seed = spanner_seeds().swap_remove(0).bytes;
     let sections = frame_sections(&seed);
-    let tag_of = |s: &crate::mutate::FrameSection| s.tag;
     let mut probes = Vec::new();
 
     // Raw truncation: too short to even carry a header.
@@ -207,53 +156,47 @@ pub fn directed_probes() -> Vec<Probe> {
     // Unsealed corruption: one flipped payload bit, checksum left
     // stale — the integrity gate itself.
     let mut unsealed = seed.clone();
-    unsealed[16] ^= 0x01;
+    unsealed[sections[0].payload] ^= 0x01;
     probes.push(Probe {
         class: "bit-flip",
         bytes: unsealed,
     });
 
-    // Wrong magic, resealed so only the magic is at fault.
+    // Wrong magic.
     let mut magic = seed.clone();
     magic[0] ^= 0xFF;
-    fix_checksum(&mut magic);
     probes.push(Probe {
         class: "bit-flip",
-        bytes: magic,
+        bytes: reseal(magic),
     });
 
-    // Unsupported version, resealed.
+    // A retired format version, resealed so only the version is at
+    // fault.
     let mut version = seed.clone();
-    version[8..12].copy_from_slice(&99u32.to_le_bytes());
-    fix_checksum(&mut version);
+    version[8..12].copy_from_slice(&2u32.to_le_bytes());
     probes.push(Probe {
         class: "bit-flip",
-        bytes: version,
+        bytes: reseal(version),
     });
 
-    // Unknown section tag, resealed.
+    // Unknown section tag in the first table entry.
     let mut unknown = seed.clone();
-    unknown[12..16].copy_from_slice(&0xBEEFu32.to_le_bytes());
-    fix_checksum(&mut unknown);
+    put_u32(&mut unknown, HEADER_LEN, 0xBEEF);
     probes.push(Probe {
         class: "bit-flip",
-        bytes: unknown,
+        bytes: reseal(unknown),
     });
 
-    // A required section dropped: rebuild the container without the
+    // A required section dropped: re-lay the container without the
     // spanner adjacency (tag 2), every remaining length still honest.
-    let mut dropped = seed[..12].to_vec();
-    for s in &sections {
-        if tag_of(s) == 2 {
-            continue;
-        }
-        dropped.extend_from_slice(&seed[s.start..s.end()]);
-    }
-    dropped.extend_from_slice(&[0u8; 8]);
-    fix_checksum(&mut dropped);
+    let dropped = sections
+        .iter()
+        .filter(|s| s.tag != 2)
+        .map(|s| (s.tag, seed[s.payload..s.end()].to_vec()))
+        .collect();
     probes.push(Probe {
         class: "section-splice",
-        bytes: dropped,
+        bytes: rebuild(&seed, dropped),
     });
 
     // Simple-graph violation: duplicate an edge in the parent graph.
@@ -263,35 +206,29 @@ pub fn directed_probes() -> Vec<Probe> {
     // `artifact/graph-invariant`.) Payload layout per §2: node_count
     // u64, edge_count u64, then 16-byte (u: u32, v: u32, w: u64)
     // records.
-    if let Some(parent) = sections.iter().find(|s| tag_of(s) == 5) {
-        if parent.len >= 16 + 32 {
-            let mut duplicated = seed.clone();
-            let edges = parent.payload + 16;
-            let first: [u8; 16] = duplicated[edges..edges + 16].try_into().unwrap();
-            duplicated[edges + 16..edges + 32].copy_from_slice(&first);
-            fix_checksum(&mut duplicated);
-            probes.push(Probe {
-                class: "cross-section",
-                bytes: duplicated,
-            });
-        }
+    let parent = section(&seed, 5);
+    if parent.len >= 16 + 32 {
+        let mut duplicated = seed.clone();
+        let edges = parent.payload + 16;
+        let first: [u8; 16] = duplicated[edges..edges + 16].try_into().unwrap();
+        duplicated[edges + 16..edges + 32].copy_from_slice(&first);
+        probes.push(Probe {
+            class: "cross-section",
+            bytes: reseal(duplicated),
+        });
     }
 
-    // v2 misaligned payload: nudge one section offset off the 8-byte
-    // grid in the richest seed's v2 re-encoding, resealed (word-wise,
-    // via the version-aware `fix_checksum`) so the alignment gate —
-    // checked before the canonical-position gate — is what trips:
+    // Misaligned payload: nudge one section offset off the 8-byte grid,
+    // resealed so the alignment gate — checked before the
+    // canonical-position gate — is what trips:
     // `artifact/misaligned-section`.
-    let v2 = v2_seeds().swap_remove(0).bytes;
-    let v2_sections = frame_sections(&v2);
-    let off_at = v2_sections[1].start + 8;
-    let mut misaligned = v2.clone();
+    let off_at = sections[1].start + 8;
+    let mut misaligned = seed.clone();
     let old = u64::from_le_bytes(misaligned[off_at..off_at + 8].try_into().unwrap());
     misaligned[off_at..off_at + 8].copy_from_slice(&(old + 1).to_le_bytes());
-    fix_checksum(&mut misaligned);
     probes.push(Probe {
         class: "bit-flip",
-        bytes: misaligned,
+        bytes: reseal(misaligned),
     });
 
     // Routing-only artifact: legitimately built with the witness
@@ -309,71 +246,49 @@ pub fn directed_probes() -> Vec<Probe> {
         bytes: detached,
     });
 
-    // Sharded witness-index probes: the offset index (tag 6) is pure
-    // derived metadata, so every gate below is an index/payload
-    // disagreement the random sampler would need a lucky resealed hit
-    // to reach — and `artifact/witness-index` coverage must not depend
-    // on luck.
-    let sharded = spanner_core::FrozenSpanner::decode(&seed)
-        .expect("own seed bytes decode")
-        .to_v2_sharded()
-        .encode();
-    let s_sections = frame_sections(&sharded);
-    let idx = s_sections
-        .iter()
-        .find(|s| tag_of(s) == 6)
-        .expect("sharded seed carries the witness index");
-    let wmap = s_sections
-        .iter()
-        .find(|s| tag_of(s) == 4)
-        .expect("sharded seed carries the witness map");
-    let reseal = |mut bytes: Vec<u8>| {
-        fix_checksum(&mut bytes);
-        bytes
+    // Fixed-stride witness probes on the f = 2 edge-model seed (12-byte
+    // records: a u32 length, then two u32 id slots). The budget comes
+    // from META and every record is checked on read, so each gate below
+    // needs exact surgery a random resealed hit would rarely produce.
+    let f2 = spanner_seeds().swap_remove(2).bytes;
+    let meta = section(&f2, 1).payload;
+    let w = section(&f2, 4).payload;
+    let edge_count = u64::from_le_bytes(f2[meta + 26..meta + 34].try_into().unwrap());
+    let record = |len: u32, ids: [u32; 2]| {
+        let mut bytes = f2.clone();
+        let at = w + 8 + 12;
+        put_u32(&mut bytes, at, len);
+        put_u32(&mut bytes, at + 4, ids[0]);
+        put_u32(&mut bytes, at + 8, ids[1]);
+        reseal(bytes)
     };
-    let bump_u64 = |bytes: &mut [u8], at: usize, delta: u64| {
-        let old = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        bytes[at..at + 8].copy_from_slice(&(old.wrapping_add(delta)).to_le_bytes());
-    };
-
-    // A record offset nudged off the 8-byte grid (also breaks
-    // monotonicity's neighbor — alignment is checked first).
-    let mut nudged = sharded.clone();
-    bump_u64(&mut nudged, idx.payload + 16, 1);
+    // META's budget at 2^62 overflows the stride arithmetic.
+    let mut budget = f2.clone();
+    budget[meta + 10..meta + 18].copy_from_slice(&(1u64 << 62).to_le_bytes());
     probes.push(Probe {
         class: "cross-section",
-        bytes: reseal(nudged),
+        bytes: reseal(budget),
     });
-
-    // The final offset overshoots the witness payload it must close.
-    let count =
-        u64::from_le_bytes(sharded[idx.payload..idx.payload + 8].try_into().unwrap()) as usize;
-    let mut overshoot = sharded.clone();
-    bump_u64(&mut overshoot, idx.payload + 8 + 8 * count, 8);
+    // A record count that is neither 0 nor the edge count.
+    let mut count = f2.clone();
+    count[w..w + 8].copy_from_slice(&(edge_count + 1).to_le_bytes());
     probes.push(Probe {
         class: "cross-section",
-        bytes: reseal(overshoot),
+        bytes: reseal(count),
     });
-
-    // Index section present with the sharded header flag cleared — the
-    // section/flag bijection, from the section side.
-    let mut unflagged = sharded.clone();
-    unflagged[12..16].copy_from_slice(&0u32.to_le_bytes());
-    probes.push(Probe {
-        class: "section-splice",
-        bytes: reseal(unflagged),
-    });
-
-    // Record 0's length claim inflated past its indexed extent
-    // (record layout: model u8 at +8, len u64 at +9, after the count
-    // header) — the per-record id list now runs off the slice the
-    // index brackets.
-    let mut inflated = sharded.clone();
-    bump_u64(&mut inflated, wmap.payload + 9, 2);
-    probes.push(Probe {
-        class: "length-inflation",
-        bytes: reseal(inflated),
-    });
+    for (class, bytes) in [
+        // A length field above f.
+        ("length-inflation", record(3, [0, 1])),
+        // A nonzero unused slot.
+        ("bit-flip", record(1, [0, 5])),
+        // Unsorted, then duplicate ids.
+        ("bit-flip", record(2, [3, 1])),
+        ("bit-flip", record(2, [2, 2])),
+        // An id outside the edge-id space.
+        ("cross-section", record(1, [edge_count as u32, 0])),
+    ] {
+        probes.push(Probe { class, bytes });
+    }
     probes
 }
 
@@ -386,8 +301,8 @@ mod tests {
     fn every_seed_decodes_cleanly_and_deterministically() {
         let seeds = all_seeds();
         assert!(
-            seeds.len() >= 13,
-            "v1, graph, v2, and sharded seeds must all be present"
+            seeds.len() >= 9,
+            "spanner and graph seeds must all be present"
         );
         for seed in &seeds {
             let outcome = decode_outcome(&seed.bytes)

@@ -9,7 +9,7 @@
 //! `fuzz/crashes/` stays empty-or-clean (a committed crash input that
 //! regresses again fails here before CI's fuzz-smoke job even runs).
 
-use spanner_harness::corpus::{replay_dir, OK_LABEL};
+use spanner_harness::corpus::{decode_outcome_labels, replay_dir};
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -33,10 +33,7 @@ fn committed_corpus_replays_clean_and_covers_the_taxonomy() {
 
     // The corpus is a regression gate on the whole decode taxonomy:
     // every decode-path code must be exercised, plus accepted inputs.
-    let mut want: Vec<&str> = spanner_graph::io::binary::BINARY_ERROR_CODES.to_vec();
-    want.extend_from_slice(spanner_core::frozen::ARTIFACT_ERROR_CODES);
-    want.push(OK_LABEL);
-    for code in want {
+    for code in decode_outcome_labels() {
         assert!(
             report.by_code.get(code).is_some_and(|&n| n > 0),
             "no corpus entry exercises {code}; regenerate with `spanner-fuzz corpus`"

@@ -1,7 +1,7 @@
 //! Shared, alignment-aware byte buffers — the backing store for in-place
 //! (zero-copy) artifact views.
 //!
-//! The v2 artifact layout (`docs/ARTIFACT_FORMAT.md`) lays every section
+//! The artifact layout (`docs/ARTIFACT_FORMAT.md`) lays every section
 //! out at an 8-byte-aligned offset so the packed CSR tables can be read
 //! directly from the file bytes. A [`SharedBytes`] is the cheaply
 //! clonable handle those views hold: an `Arc` over any byte provider —

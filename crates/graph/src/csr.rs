@@ -468,15 +468,15 @@ struct PackedAdj {
     weight: Weight,
 }
 
-/// Byte width of the v2 CSR payload header (`node_count u64,
+/// Byte width of the in-place CSR payload header (`node_count u64,
 /// edge_count u64`).
 pub const CSR_PAYLOAD_HEADER_LEN: usize = 16;
 
-/// Byte width of one packed adjacency record in the v2 CSR payload
+/// Byte width of one packed adjacency record in the in-place CSR payload
 /// (`to u32, via u32, weight u64`).
 pub const CSR_ADJ_RECORD_LEN: usize = 16;
 
-/// Byte width of one edge record in the v2 CSR payload
+/// Byte width of one edge record in the in-place CSR payload
 /// (`u u32, v u32, weight u64`).
 pub const CSR_EDGE_RECORD_LEN: usize = 16;
 
@@ -518,7 +518,7 @@ pub struct OwnedCsr {
     edge_w: Vec<Weight>,
 }
 
-/// A validated in-place view over a v2 CSR payload inside a shared
+/// A validated in-place view over an in-place CSR payload inside a shared
 /// byte buffer. Holding a clone of the buffer keeps the bytes alive;
 /// all reads decode fixed-width little-endian fields at offsets the
 /// validator proved in bounds.
@@ -552,13 +552,13 @@ impl ByteCsr {
         read_u32_at(data, self.offsets_at + 4 * i) as usize
     }
 
-    /// Validates a v2 CSR payload at `bytes[start..start + len]` and
+    /// Validates an in-place CSR payload at `bytes[start..start + len]` and
     /// returns an in-place view over it.
     ///
     /// The checks, in order: 8-byte alignment of the payload's actual
     /// address ([`BinaryError::MisalignedSection`]), header presence,
     /// node/edge counts bounded by the bytes present (the same
-    /// proportionality guard as the v1 decoder, so a hostile header
+    /// proportionality guard as the graph-payload reader, so a hostile header
     /// cannot size an allocation), exact payload length for the claimed
     /// counts, zero padding, offset monotonicity, per-slot agreement of
     /// the adjacency table with its canonical derivation from the edge
@@ -748,9 +748,8 @@ impl ByteCsr {
 /// `Arc` — this is what the freeze-and-serve read path
 /// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its workers.
 ///
-/// Since the v2 artifact layout, the arrays behind a `FrozenCsr` live in
-/// a [`CsrStorage`]: either owned `Vec`s, or borrowed slices of a shared
-/// aligned buffer ([`FrozenCsr::from_bytes`]) so a replica can serve
+/// The arrays behind a `FrozenCsr` live in a [`CsrStorage`]: either
+/// owned `Vec`s, or borrowed slices of a shared aligned buffer ([`FrozenCsr::from_bytes`]) so a replica can serve
 /// straight off an mmap'd artifact without rebuilding anything.
 ///
 /// # Examples
@@ -812,7 +811,7 @@ impl FrozenCsr {
         }
     }
 
-    /// Opens a v2 CSR payload **in place**: validates the section at
+    /// Opens an in-place CSR payload **in place**: validates the section at
     /// `bytes[start..start + len]` (alignment, counts, ranges,
     /// adjacency/edge-list agreement — see the checked validator's
     /// docs) and returns a `FrozenCsr` whose storage borrows the buffer
@@ -886,8 +885,8 @@ impl FrozenCsr {
         }
     }
 
-    /// Exact byte length of this snapshot's v2 CSR payload.
-    pub fn payload_v2_len(&self) -> usize {
+    /// Exact byte length of this snapshot's in-place CSR payload.
+    pub fn payload_len(&self) -> usize {
         match &self.storage {
             CsrStorage::Owned(o) => {
                 CSR_PAYLOAD_HEADER_LEN
@@ -899,13 +898,13 @@ impl FrozenCsr {
         }
     }
 
-    /// Serializes this snapshot as the v2 CSR payload: `node_count u64,
+    /// Serializes this snapshot as the in-place CSR payload: `node_count u64,
     /// edge_count u64`, the `(n + 1) × u32` offset table zero-padded to
     /// an 8-byte boundary, the `2m` packed adjacency records, then the
     /// `m` edge records — all fixed-width little-endian, readable back
     /// in place by [`FrozenCsr::from_bytes`]. Canonical: one snapshot,
     /// one byte string.
-    pub fn write_payload_v2(&self, out: &mut Vec<u8>) {
+    pub fn write_payload(&self, out: &mut Vec<u8>) {
         if let CsrStorage::Borrowed(b) = &self.storage {
             // Validated borrowed bytes are already canonical.
             out.extend_from_slice(b.section());
@@ -938,7 +937,7 @@ impl FrozenCsr {
             }
             CsrStorage::Borrowed(_) => unreachable!("handled above"),
         }
-        debug_assert_eq!(out.len() - base, self.payload_v2_len());
+        debug_assert_eq!(out.len() - base, self.payload_len());
     }
 
     /// Degree of `node`.
@@ -1357,16 +1356,16 @@ mod tests {
         assert_eq!(view.pending_len(), 0, "sync must freeze everything");
     }
 
-    // ── CsrStorage / in-place (v2 payload) coverage ────────────────────
+    // ── CsrStorage / in-place payload) coverage ────────────────────
 
     use crate::bytes::SharedBytes;
     use crate::io::binary::BinaryError;
 
-    fn v2_payload_of(g: &Graph) -> (FrozenCsr, Vec<u8>) {
+    fn payload_of(g: &Graph) -> (FrozenCsr, Vec<u8>) {
         let frozen = FrozenCsr::from_view(g);
         let mut out = Vec::new();
-        frozen.write_payload_v2(&mut out);
-        assert_eq!(out.len(), frozen.payload_v2_len());
+        frozen.write_payload(&mut out);
+        assert_eq!(out.len(), frozen.payload_len());
         (frozen, out)
     }
 
@@ -1385,7 +1384,7 @@ mod tests {
             Graph::new(3), // nodes but no edges
             Graph::new(0),
         ] {
-            let (owned, payload) = v2_payload_of(&g);
+            let (owned, payload) = payload_of(&g);
             let mapped = open_in_place(&payload);
             assert!(mapped.is_in_place());
             assert!(!owned.is_in_place());
@@ -1420,12 +1419,12 @@ mod tests {
             // Re-encoding the borrowed view is byte-canonical, and
             // materializing it re-owns the same structure.
             let mut re = Vec::new();
-            mapped.write_payload_v2(&mut re);
+            mapped.write_payload(&mut re);
             assert_eq!(re, payload, "borrowed re-encode must be byte-identical");
             let mat = mapped.materialize();
             assert!(!mat.is_in_place());
             let mut mat_bytes = Vec::new();
-            mat.write_payload_v2(&mut mat_bytes);
+            mat.write_payload(&mut mat_bytes);
             assert_eq!(mat_bytes, payload);
         }
     }
@@ -1433,7 +1432,7 @@ mod tests {
     #[test]
     fn byte_csr_dijkstra_matches_owned() {
         let g = generators::grid(5, 6);
-        let (owned, payload) = v2_payload_of(&g);
+        let (owned, payload) = payload_of(&g);
         let mapped = open_in_place(&payload);
         let mut mask = FaultMask::with_capacity(g.node_count(), g.edge_count());
         mask.fault_edge(EdgeId::new(3));
@@ -1460,7 +1459,7 @@ mod tests {
 
     #[test]
     fn byte_csr_rejects_misaligned_start() {
-        let (_, payload) = v2_payload_of(&generators::complete(5));
+        let (_, payload) = payload_of(&generators::complete(5));
         // Prepend one byte so the payload starts at an odd offset inside
         // an aligned buffer: typed rejection, no panic, no UB.
         let mut shifted = vec![0u8; 1];
@@ -1476,7 +1475,7 @@ mod tests {
 
     #[test]
     fn byte_csr_every_truncation_and_flip_is_typed() {
-        let (_, payload) = v2_payload_of(&generators::complete(4));
+        let (_, payload) = payload_of(&generators::complete(4));
         for cut in 0..payload.len() {
             let shared = SharedBytes::copy_aligned(&payload[..cut]);
             assert!(
@@ -1510,7 +1509,7 @@ mod tests {
 
     #[test]
     fn byte_csr_rejects_hostile_headers_without_big_allocs() {
-        let (_, payload) = v2_payload_of(&generators::complete(4));
+        let (_, payload) = payload_of(&generators::complete(4));
         // Claim an absurd node count: bounded rejection.
         let mut huge = payload.clone();
         huge[0..8].copy_from_slice(&(u64::MAX).to_le_bytes());

@@ -1,38 +1,41 @@
-//! Versioned binary containers — the persistence substrate for frozen
+//! The binary container — the persistence substrate for frozen
 //! artifacts.
 //!
 //! The text edge list ([`io::to_edge_list`](crate::io::to_edge_list)) is
 //! for humans and fixtures; serving replicas ship *binary* artifacts.
-//! This module defines the container layout every `vft-spanner` binary
-//! artifact uses (byte-level spec in `docs/ARTIFACT_FORMAT.md`):
+//! This module defines the one container envelope every `vft-spanner`
+//! binary artifact uses (byte-level spec in `docs/ARTIFACT_FORMAT.md`):
 //!
 //! ```text
 //! magic: [u8; 8]                      file-type tag, e.g. b"VFTGRAPH"
-//! version: u32 LE                     format version (exact match required)
-//! sections: repeated
-//!     tag: u32 LE                     section identifier
-//!     len: u64 LE                     payload length in bytes
-//!     payload: [u8; len]
-//! checksum: u64 LE                    FNV-1a 64 over all preceding bytes
+//! version: u32 LE                     FORMAT_VERSION (exact match required)
+//! flags: u32 LE                       file-type bit set (unknown bits rejected)
+//! section_count: u64 LE
+//! table: section_count entries of
+//!     tag u32, reserved u32, offset u64, len u64
+//! payloads                            each 8-byte aligned, zero padding between
+//! checksum: u64 LE                    word-wise FNV-1a 64 over all preceding bytes
 //! ```
 //!
 //! Three properties the serving story depends on:
 //!
 //! * **Decoding never panics.** Every read is bounds-checked through
-//!   [`ByteReader`]; truncated, corrupt, or crafted input surfaces as a
-//!   typed [`BinaryError`] (the binary sibling of
+//!   [`ByteReader`] or validated up front by [`parse_container`];
+//!   truncated, corrupt, or crafted input surfaces as a typed
+//!   [`BinaryError`] (the binary sibling of
 //!   [`ParseGraphError`](crate::io::ParseGraphError)), never a panic or
 //!   an abort — and claimed lengths are validated against the bytes
 //!   actually present *before* any allocation is sized from them.
 //! * **Version compatibility is explicit.** A decoder accepts exactly
-//!   the versions it knows ([`BinaryError::UnsupportedVersion`]
-//!   otherwise) and rejects section tags it does not recognize: a v1
-//!   reader refuses v2 files with a typed error instead of
-//!   misinterpreting them.
+//!   [`FORMAT_VERSION`] ([`BinaryError::UnsupportedVersion`] otherwise)
+//!   and rejects section tags it does not recognize, so an artifact of
+//!   another version is refused instead of misread. Artifacts are
+//!   rebuilt from their parents rather than migrated.
 //! * **Encoding is canonical.** The same value always encodes to the
-//!   same bytes (sections in fixed order, adjacency derived from the
-//!   edge list), so `encode ∘ decode ∘ encode` is byte-identical and
-//!   artifacts can be compared or content-addressed by hash.
+//!   same bytes (sections in fixed order, forced offsets, zero padding,
+//!   adjacency derived from the edge list), so `encode ∘ decode ∘
+//!   encode` is byte-identical and artifacts can be compared or
+//!   content-addressed by hash.
 //!
 //! On top of the container sit the graph payload codecs:
 //! [`write_view_payload`] serializes any [`GraphView`] as `node_count,
@@ -43,8 +46,8 @@
 //! original); [`read_graph_payload`] rebuilds a [`Graph`] enforcing the
 //! simple-graph invariants. [`encode_frozen_csr`] / [`decode_frozen_csr`]
 //! wrap the payload in a standalone `VFTGRAPH` container;
-//! `spanner_core`'s `FrozenSpanner::encode`/`decode` embed the same
-//! payloads as sections of the richer `VFTSPANR` artifact.
+//! `spanner_core`'s `FrozenSpanner::encode`/`decode` embed graph and
+//! in-place CSR payloads as sections of the richer `VFTSPANR` artifact.
 //!
 //! # Examples
 //!
@@ -72,16 +75,14 @@ use std::fmt;
 /// ([`encode_frozen_csr`]).
 pub const FROZEN_CSR_MAGIC: [u8; 8] = *b"VFTGRAPH";
 
-/// Current version of the binary container format this module reads and
-/// writes. Decoders require an exact match; see the compatibility policy
-/// in `docs/ARTIFACT_FORMAT.md`.
-pub const FORMAT_VERSION: u32 = 1;
+/// The one version of the container format this module reads and
+/// writes, for every file type. Decoders require an exact match; older
+/// artifacts are refused and rebuilt from their parents (see the
+/// compatibility policy in `docs/ARTIFACT_FORMAT.md`).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tag of the adjacency payload in a [`FROZEN_CSR_MAGIC`] file.
 const SECTION_ADJACENCY: u32 = 1;
-
-/// Byte width of the container's header (magic + version).
-const HEADER_LEN: usize = 8 + 4;
 
 /// Byte width of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
@@ -89,8 +90,8 @@ const CHECKSUM_LEN: usize = 8;
 /// Errors from decoding a binary container. Every malformed input maps
 /// to one of these — decoding never panics.
 ///
-/// The enum is `Clone` so layers that decode lazily (the v2 in-place
-/// open path) can memoize a failure once and hand it back verbatim on
+/// The enum is `Clone` so layers that decode lazily (the in-place open
+/// path) can memoize a failure once and hand it back verbatim on
 /// every subsequent access.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
@@ -131,8 +132,8 @@ pub enum BinaryError {
         /// The offending tag.
         tag: u32,
     },
-    /// A v2 section (or the buffer backing it) missed the 8-byte
-    /// alignment the in-place layout requires.
+    /// A section (or the buffer backing it) missed the 8-byte alignment
+    /// the in-place layout requires.
     MisalignedSection {
         /// What was misaligned (a table entry, a payload, a buffer base).
         context: &'static str,
@@ -154,16 +155,6 @@ pub enum BinaryError {
     /// The decoded edge list violated graph invariants
     /// (range/loops/duplicates), reported by the graph layer.
     Graph(GraphError),
-    /// A per-record offset index (the sharded witness map) is
-    /// structurally invalid or disagrees with the payload it indexes —
-    /// offsets out of range, non-monotone, misaligned, or a record that
-    /// does not fill its indexed extent.
-    WitnessIndex {
-        /// What was being validated.
-        context: &'static str,
-        /// What was wrong with it.
-        detail: String,
-    },
 }
 
 /// Every stable error code a [`BinaryError`] can carry, one per variant.
@@ -182,7 +173,6 @@ pub const BINARY_ERROR_CODES: &[&str] = &[
     "artifact/missing-section",
     "artifact/malformed",
     "artifact/graph-invariant",
-    "artifact/witness-index",
 ];
 
 impl BinaryError {
@@ -209,7 +199,6 @@ impl BinaryError {
             BinaryError::MissingSection { .. } => "artifact/missing-section",
             BinaryError::Malformed { .. } => "artifact/malformed",
             BinaryError::Graph(_) => "artifact/graph-invariant",
-            BinaryError::WitnessIndex { .. } => "artifact/witness-index",
         }
     }
 
@@ -229,16 +218,16 @@ pub fn remediation_for_code(code: &str) -> &'static str {
     match code {
         "artifact/truncation" => "re-transfer the artifact; the byte stream ended early",
         "artifact/bad-magic" => "check the file type; this is not the expected container",
-        "artifact/bad-version" => "re-encode with this decoder's format version or upgrade the decoder",
+        "artifact/bad-version" => "rebuild from the parent graph with `spanner-artifact build`",
         "artifact/bit-flip" => "re-transfer or rebuild the artifact from a trusted source; content does not match its checksum",
         "artifact/unknown-section" => "upgrade the decoder or re-encode without the unrecognized section",
         "artifact/section-replay" => "rebuild the artifact from a trusted source; a section tag appears more than once",
-        "artifact/misaligned-section" => "rebuild or re-migrate the artifact; a v2 section or buffer misses the 8-byte alignment the in-place layout requires",
+        "artifact/misaligned-section" => "rebuild the artifact, or load it into an 8-aligned buffer; a section or buffer misses the 8-byte alignment the in-place layout requires",
         "artifact/witnesses-detached" => "this artifact was built routing-only; rebuild without --detach-witnesses to serve witness queries",
         "artifact/missing-section" => "rebuild the artifact from a trusted source; a required section is absent",
         "artifact/malformed" => "rebuild the artifact from a trusted source; a field violates the format invariants",
         "artifact/graph-invariant" => "rebuild the artifact from a trusted source; the graph payload violates simple-graph invariants",
-        "artifact/witness-index" => "rebuild or re-migrate the artifact with --shard-witnesses; the witness index disagrees with the witness payload it points into",
+        "artifact/invalid-edge" => "query a spanner edge id below the artifact's edge count",
         "artifact/cross-section" => "rebuild the artifact from a trusted source; its sections contradict each other",
         _ => "rebuild the artifact from a trusted source",
     }
@@ -274,9 +263,6 @@ impl fmt::Display for BinaryError {
                 write!(f, "malformed {context}: {detail}")
             }
             BinaryError::Graph(e) => write!(f, "invalid graph payload: {e}"),
-            BinaryError::WitnessIndex { context, detail } => {
-                write!(f, "invalid {context}: {detail}")
-            }
         }
     }
 }
@@ -296,27 +282,15 @@ impl From<GraphError> for BinaryError {
     }
 }
 
-/// FNV-1a 64-bit hash — the container's integrity checksum. Not
-/// cryptographic; it detects truncation and accidental corruption, which
-/// is the contract (artifacts are trusted content once verified).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a 64-bit folded 8 little-endian bytes per round — the **v2**
-/// container's integrity checksum. Same error-detection contract as
-/// [`fnv1a64`] (non-cryptographic; every input byte perturbs the
-/// state, so truncation and accidental corruption are caught) at ~8x
-/// the scan speed — the byte-wise v1 checksum alone would dominate the
-/// zero-copy `open` path, whose whole point is that validating the
-/// envelope costs far less than materializing it. The trailing partial
-/// word is zero-padded and the total length is folded in last, so
-/// buffers differing only in trailing zero bytes still hash apart.
+/// FNV-1a 64-bit folded 8 little-endian bytes per round — the
+/// container's integrity checksum. Not cryptographic: it detects
+/// truncation and accidental corruption (every input byte perturbs the
+/// state), which is the contract — artifacts are trusted content once
+/// verified. The word-wise fold keeps the scan cheap enough that
+/// validating the envelope costs far less than materializing it on the
+/// zero-copy `open` path. The trailing partial word is zero-padded and
+/// the total length is folded in last, so buffers differing only in
+/// trailing zero bytes still hash apart.
 pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -443,146 +417,27 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Builds a container: magic + version, then sections in call order,
-/// sealed by [`ContainerWriter::finish`] with the trailing checksum.
-#[derive(Debug)]
-pub struct ContainerWriter {
-    buf: Vec<u8>,
-}
-
-impl ContainerWriter {
-    /// Starts a container with the given magic and version.
-    pub fn new(magic: [u8; 8], version: u32) -> Self {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&magic);
-        put_u32(&mut buf, version);
-        ContainerWriter { buf }
-    }
-
-    /// Appends one length-prefixed section.
-    pub fn section(&mut self, tag: u32, payload: &[u8]) -> &mut Self {
-        put_u32(&mut self.buf, tag);
-        put_u64(&mut self.buf, payload.len() as u64);
-        self.buf.extend_from_slice(payload);
-        self
-    }
-
-    /// Seals the container: computes the checksum over everything
-    /// written so far and appends it.
-    pub fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a64(&self.buf);
-        put_u64(&mut self.buf, checksum);
-        self.buf
-    }
-}
-
-/// One decoded (but not yet interpreted) section of a container.
-#[derive(Debug)]
-pub struct Section<'a> {
-    /// The section's tag.
-    pub tag: u32,
-    /// The section's raw payload bytes.
-    pub payload: &'a [u8],
-}
-
-/// A structurally valid container: magic matched, checksum verified,
-/// version accepted, sections split. Interpreting the payloads is the
-/// caller's job.
-#[derive(Debug)]
-pub struct Container<'a> {
-    /// The format version the file declares.
-    pub version: u32,
-    /// The sections in file order (tags verified unique).
-    pub sections: Vec<Section<'a>>,
-}
-
-impl<'a> Container<'a> {
-    /// The payload of the section with `tag`, if present.
-    pub fn section(&self, tag: u32) -> Option<&'a [u8]> {
-        self.sections
-            .iter()
-            .find(|s| s.tag == tag)
-            .map(|s| s.payload)
-    }
-}
-
-/// Parses and verifies a container envelope: magic, version (exact
-/// match), trailing checksum (verified *before* any section is
-/// interpreted, so corruption is reported as corruption rather than as
-/// whatever field it happened to land in), and the section framing.
-///
-/// # Errors
-///
-/// Any structural defect maps to the matching [`BinaryError`] variant;
-/// no input can cause a panic.
-pub fn parse_container<'a>(
-    bytes: &'a [u8],
-    magic: [u8; 8],
-    supported_version: u32,
-) -> Result<Container<'a>, BinaryError> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(BinaryError::Truncated {
-            context: "container header",
-        });
-    }
-    let body = &bytes[..bytes.len() - CHECKSUM_LEN];
-    let mut tail = ByteReader::new(&bytes[bytes.len() - CHECKSUM_LEN..]);
-    let stored = tail.u64("checksum")?;
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(BinaryError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = ByteReader::new(body);
-    let found = r.take(8, "magic")?;
-    if found != magic {
-        let mut found_arr = [0u8; 8];
-        found_arr.copy_from_slice(found);
-        return Err(BinaryError::BadMagic {
-            found: found_arr,
-            expected: magic,
-        });
-    }
-    let version = r.u32("version")?;
-    if version != supported_version {
-        return Err(BinaryError::UnsupportedVersion {
-            found: version,
-            supported: supported_version,
-        });
-    }
-    let mut sections = Vec::new();
-    while !r.is_empty() {
-        let tag = r.u32("section tag")?;
-        let len = r.count(1, "section length")?;
-        let payload = r.take(len, "section payload")?;
-        if sections.iter().any(|s: &Section<'_>| s.tag == tag) {
-            return Err(BinaryError::DuplicateSection { tag });
-        }
-        sections.push(Section { tag, payload });
-    }
-    Ok(Container { version, sections })
-}
-
-/// Byte width of the v2 container header (magic + version + flags +
+/// Byte width of the container header (magic + version + flags +
 /// section count).
-pub const V2_HEADER_LEN: usize = 8 + 4 + 4 + 8;
+pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 
-/// Byte width of one v2 section-table entry
+/// Byte width of one section-table entry
 /// (`tag u32, reserved u32, offset u64, len u64`).
-pub const V2_SECTION_ENTRY_LEN: usize = 24;
+pub const SECTION_ENTRY_LEN: usize = 24;
 
-/// Alignment every v2 section payload offset must satisfy, so packed
+/// Alignment every section payload offset must satisfy, so packed
 /// tables inside the payloads can be read in place.
-pub const V2_SECTION_ALIGN: usize = 8;
+pub const SECTION_ALIGN: usize = 8;
 
-/// Rounds `len` up to the next [`V2_SECTION_ALIGN`] boundary.
+/// Rounds `len` up to the next [`SECTION_ALIGN`] boundary.
 pub const fn align8(len: usize) -> usize {
-    (len + (V2_SECTION_ALIGN - 1)) & !(V2_SECTION_ALIGN - 1)
+    (len + (SECTION_ALIGN - 1)) & !(SECTION_ALIGN - 1)
 }
 
-/// One entry of a parsed v2 section table: where the payload lives
-/// inside the container bytes.
+/// One entry of a parsed section table: where the payload lives inside
+/// the container bytes.
 #[derive(Clone, Copy, Debug)]
-pub struct SectionV2 {
+pub struct Section {
     /// The section's tag.
     pub tag: u32,
     /// Absolute byte offset of the payload inside the container.
@@ -591,54 +446,48 @@ pub struct SectionV2 {
     pub len: usize,
 }
 
-/// A structurally valid v2 container: checksum verified, magic and
-/// version matched, flags known, section table parsed and proven
-/// aligned, ordered, in-bounds, and zero-padded. Payload interpretation
-/// is the caller's job — crucially, payloads can now be interpreted *in
-/// place*, because every offset here has already been validated.
+/// A structurally valid container: checksum verified, magic and version
+/// matched, flags known, section table parsed and proven aligned,
+/// ordered, in-bounds, and zero-padded. Payload interpretation is the
+/// caller's job — crucially, payloads can be interpreted *in place*,
+/// because every offset here has already been validated.
 #[derive(Debug)]
-pub struct ContainerV2 {
-    /// The format version the file declares.
-    pub version: u32,
+pub struct Container {
     /// The header flag bits (all within the caller's known mask).
     pub flags: u32,
     /// The sections in file order (tags verified unique).
-    pub sections: Vec<SectionV2>,
+    pub sections: Vec<Section>,
 }
 
-impl ContainerV2 {
+impl Container {
     /// The location of the section with `tag`, if present.
-    pub fn section(&self, tag: u32) -> Option<SectionV2> {
+    pub fn section(&self, tag: u32) -> Option<Section> {
         self.sections.iter().find(|s| s.tag == tag).copied()
     }
 }
 
-/// Builds a v2 container: a fixed header (`magic, version u32, flags
-/// u32, section_count u64`), a 24-byte-per-entry section table, then
-/// the payloads — each starting on an 8-byte boundary with zero padding
-/// between them and none after the last — sealed by a trailing
-/// word-wise FNV-1a-64 checksum ([`fnv1a64_words`]; v1 keeps the
-/// byte-wise [`fnv1a64`]).
+/// Builds a container at [`FORMAT_VERSION`]: a fixed header (`magic,
+/// version u32, flags u32, section_count u64`), a 24-byte-per-entry
+/// section table, then the payloads — each starting on an 8-byte
+/// boundary with zero padding between them and none after the last —
+/// sealed by a trailing [`fnv1a64_words`] checksum.
 ///
 /// The layout is canonical: given the same `(tag, payload)` sequence
-/// the writer produces exactly one byte string, and
-/// [`parse_container_v2`] accepts no other encoding of it (padding must
-/// be zero, offsets are forced, trailing bytes are rejected).
+/// the writer produces exactly one byte string, and [`parse_container`]
+/// accepts no other encoding of it (padding must be zero, offsets are
+/// forced, trailing bytes are rejected).
 #[derive(Debug)]
-pub struct ContainerWriterV2 {
+pub struct ContainerWriter {
     magic: [u8; 8],
-    version: u32,
     flags: u32,
     sections: Vec<(u32, Vec<u8>)>,
 }
 
-impl ContainerWriterV2 {
-    /// Starts a v2 container with the given magic, version, and header
-    /// flags.
-    pub fn new(magic: [u8; 8], version: u32, flags: u32) -> Self {
-        ContainerWriterV2 {
+impl ContainerWriter {
+    /// Starts a container with the given magic and header flags.
+    pub fn new(magic: [u8; 8], flags: u32) -> Self {
+        ContainerWriter {
             magic,
-            version,
             flags,
             sections: Vec::new(),
         }
@@ -646,7 +495,7 @@ impl ContainerWriterV2 {
 
     /// Appends one section in file order. Duplicate tags are not
     /// rejected here (the fuzzer uses this writer to build hostile
-    /// replays); [`parse_container_v2`] rejects them.
+    /// replays); [`parse_container`] rejects them.
     pub fn section(&mut self, tag: u32, payload: Vec<u8>) -> &mut Self {
         self.sections.push((tag, payload));
         self
@@ -655,9 +504,9 @@ impl ContainerWriterV2 {
     /// Seals the container: lays out the table and padded payloads,
     /// computes the checksum, and returns the bytes.
     pub fn finish(self) -> Vec<u8> {
-        let table_len = self.sections.len() * V2_SECTION_ENTRY_LEN;
+        let table_len = self.sections.len() * SECTION_ENTRY_LEN;
         let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut cursor = V2_HEADER_LEN + table_len;
+        let mut cursor = HEADER_LEN + table_len;
         for (i, (_, payload)) in self.sections.iter().enumerate() {
             offsets.push(cursor);
             cursor += payload.len();
@@ -667,7 +516,7 @@ impl ContainerWriterV2 {
         }
         let mut buf = Vec::with_capacity(cursor + CHECKSUM_LEN);
         buf.extend_from_slice(&self.magic);
-        put_u32(&mut buf, self.version);
+        put_u32(&mut buf, FORMAT_VERSION);
         put_u32(&mut buf, self.flags);
         put_u64(&mut buf, self.sections.len() as u64);
         for ((tag, payload), offset) in self.sections.iter().zip(&offsets) {
@@ -689,29 +538,52 @@ impl ContainerWriterV2 {
     }
 }
 
-/// Parses and verifies a v2 container envelope.
+/// Parses and verifies a container envelope.
 ///
-/// Validation order (each gate fully decided before the next): overall
-/// length, trailing checksum, magic, version (exact match), header
-/// flags (`flags & !known_flags` must be zero), section count (bounded
-/// by the bytes present before any allocation), then each table entry
-/// in order — reserved field zero, payload offset 8-byte aligned
-/// ([`BinaryError::MisalignedSection`]), strictly increasing and
-/// non-overlapping, in bounds, tag unique, and every padding byte
-/// between payloads zero. Trailing bytes after the last payload are
-/// rejected, which makes the encoding canonical.
+/// Validation order (each gate fully decided before the next): magic,
+/// version (exactly [`FORMAT_VERSION`] — the version defines the rest of
+/// the layout, checksum included, so an artifact of another version is
+/// refused as such rather than as corrupt), overall length, trailing
+/// checksum (verified *before* any other field is interpreted, so
+/// corruption is reported as corruption rather than as whatever field
+/// it happened to land in), header flags (`flags & !known_flags` must be
+/// zero), section count (bounded by the bytes present before any
+/// allocation), then each table entry in order — reserved field zero,
+/// payload offset 8-byte aligned ([`BinaryError::MisalignedSection`]),
+/// in bounds, at its canonical position, tag unique, and every padding
+/// byte between payloads zero. Trailing bytes after the last payload
+/// are rejected, which makes the encoding canonical.
 ///
 /// # Errors
 ///
 /// Any structural defect maps to the matching [`BinaryError`] variant;
 /// no input can cause a panic.
-pub fn parse_container_v2(
+pub fn parse_container(
     bytes: &[u8],
     magic: [u8; 8],
-    supported_version: u32,
     known_flags: u32,
-) -> Result<ContainerV2, BinaryError> {
-    if bytes.len() < V2_HEADER_LEN + CHECKSUM_LEN {
+) -> Result<Container, BinaryError> {
+    if bytes.len() < 12 {
+        return Err(BinaryError::Truncated {
+            context: "container header",
+        });
+    }
+    if bytes[..8] != magic {
+        let mut found = [0u8; 8];
+        found.copy_from_slice(&bytes[..8]);
+        return Err(BinaryError::BadMagic {
+            found,
+            expected: magic,
+        });
+    }
+    let version = crate::bytes::read_u32_at(bytes, 8);
+    if version != FORMAT_VERSION {
+        return Err(BinaryError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(BinaryError::Truncated {
             context: "container header",
         });
@@ -723,21 +595,6 @@ pub fn parse_container_v2(
     if stored != computed {
         return Err(BinaryError::ChecksumMismatch { stored, computed });
     }
-    if bytes[..8] != magic {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
-        return Err(BinaryError::BadMagic {
-            found,
-            expected: magic,
-        });
-    }
-    let version = crate::bytes::read_u32_at(bytes, 8);
-    if version != supported_version {
-        return Err(BinaryError::UnsupportedVersion {
-            found: version,
-            supported: supported_version,
-        });
-    }
     let flags = crate::bytes::read_u32_at(bytes, 12);
     if flags & !known_flags != 0 {
         return Err(BinaryError::Malformed {
@@ -746,20 +603,20 @@ pub fn parse_container_v2(
         });
     }
     let count_raw = crate::bytes::read_u64_at(bytes, 16);
-    let table_avail = body_end - V2_HEADER_LEN;
+    let table_avail = body_end - HEADER_LEN;
     let count = usize::try_from(count_raw)
         .ok()
-        .filter(|c| c.checked_mul(V2_SECTION_ENTRY_LEN).is_some_and(|t| t <= table_avail))
+        .filter(|c| c.checked_mul(SECTION_ENTRY_LEN).is_some_and(|t| t <= table_avail))
         .ok_or_else(|| BinaryError::Malformed {
             context: "section table",
             detail: format!(
-                "claimed count {count_raw} x {V2_SECTION_ENTRY_LEN} bytes exceeds the {table_avail} bytes present"
+                "claimed count {count_raw} x {SECTION_ENTRY_LEN} bytes exceeds the {table_avail} bytes present"
             ),
         })?;
-    let mut sections: Vec<SectionV2> = Vec::with_capacity(count);
-    let mut cursor = V2_HEADER_LEN + count * V2_SECTION_ENTRY_LEN;
+    let mut sections: Vec<Section> = Vec::with_capacity(count);
+    let mut cursor = HEADER_LEN + count * SECTION_ENTRY_LEN;
     for i in 0..count {
-        let at = V2_HEADER_LEN + i * V2_SECTION_ENTRY_LEN;
+        let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
         let tag = crate::bytes::read_u32_at(bytes, at);
         let reserved = crate::bytes::read_u32_at(bytes, at + 4);
         let offset_raw = crate::bytes::read_u64_at(bytes, at + 8);
@@ -770,7 +627,7 @@ pub fn parse_container_v2(
                 detail: format!("entry {i}: reserved field is {reserved:#x}, expected zero"),
             });
         }
-        if offset_raw % V2_SECTION_ALIGN as u64 != 0 {
+        if offset_raw % SECTION_ALIGN as u64 != 0 {
             return Err(BinaryError::MisalignedSection {
                 context: "section payload",
                 offset: offset_raw,
@@ -804,7 +661,7 @@ pub fn parse_container_v2(
         if sections.iter().any(|s| s.tag == tag) {
             return Err(BinaryError::DuplicateSection { tag });
         }
-        sections.push(SectionV2 { tag, offset, len });
+        sections.push(Section { tag, offset, len });
         cursor = offset + len;
     }
     if cursor != body_end {
@@ -816,104 +673,7 @@ pub fn parse_container_v2(
             ),
         });
     }
-    Ok(ContainerV2 {
-        version,
-        flags,
-        sections,
-    })
-}
-
-/// Serializes a per-record offset index: `count u64`, then the
-/// `count + 1` record-boundary offsets (`offsets[i]` is where record `i`
-/// starts inside the indexed payload; the final entry is the payload
-/// length). This is the sharded witness map's `WITNESS_INDEX` section
-/// payload; the layout is canonical by construction.
-pub fn write_offset_index(offsets: &[u64]) -> Vec<u8> {
-    debug_assert!(!offsets.is_empty(), "an index carries count + 1 offsets");
-    let mut out = Vec::with_capacity(8 * (offsets.len() + 1));
-    put_u64(&mut out, (offsets.len() - 1) as u64);
-    for &o in offsets {
-        put_u64(&mut out, o);
-    }
-    out
-}
-
-/// Parses and validates a per-record offset index against the payload it
-/// points into, returning the record count. Every gate fails closed with
-/// a typed [`BinaryError::WitnessIndex`]:
-///
-/// * the payload is exactly `8 × (count + 2)` bytes (header + the
-///   `count + 1` offsets — validated against the bytes present before
-///   anything is sized from the count);
-/// * `offsets[0] == first_offset` (the indexed payload's header width);
-/// * offsets are strictly increasing and each [`V2_SECTION_ALIGN`]-byte
-///   aligned, so every record starts on the in-place read grid;
-/// * `offsets[count] == end_offset` (the indexed payload's length), so
-///   the index spans the payload with no slack on either side.
-///
-/// Record *content* agreement (each record actually filling its indexed
-/// extent) is the indexed payload's own validation, performed per record
-/// by the consumer.
-///
-/// # Errors
-///
-/// [`BinaryError::WitnessIndex`] describing the first violation; no
-/// input can cause a panic or an unbounded allocation.
-pub fn parse_offset_index(
-    payload: &[u8],
-    first_offset: u64,
-    end_offset: u64,
-) -> Result<usize, BinaryError> {
-    let bad = |detail: String| BinaryError::WitnessIndex {
-        context: "witness index",
-        detail,
-    };
-    if payload.len() < 16 {
-        return Err(bad(format!(
-            "{} payload bytes cannot hold a count and a final offset",
-            payload.len()
-        )));
-    }
-    let count_raw = crate::bytes::read_u64_at(payload, 0);
-    let expected_len = count_raw
-        .checked_add(2)
-        .and_then(|entries| entries.checked_mul(8));
-    if expected_len != Some(payload.len() as u64) {
-        return Err(bad(format!(
-            "claimed {count_raw} records need {} bytes, payload holds {}",
-            expected_len.map_or("overflowing".to_string(), |l| l.to_string()),
-            payload.len()
-        )));
-    }
-    let count = count_raw as usize;
-    let offset_at = |i: usize| crate::bytes::read_u64_at(payload, 8 + 8 * i);
-    if offset_at(0) != first_offset {
-        return Err(bad(format!(
-            "first record offset {} is not the payload header width {first_offset}",
-            offset_at(0)
-        )));
-    }
-    for i in 0..=count {
-        let o = offset_at(i);
-        if o % V2_SECTION_ALIGN as u64 != 0 {
-            return Err(bad(format!(
-                "record offset {o} (entry {i}) is not 8-byte aligned"
-            )));
-        }
-        if i < count && offset_at(i + 1) <= o {
-            return Err(bad(format!(
-                "record offsets are not strictly increasing at entry {i} ({o} then {})",
-                offset_at(i + 1)
-            )));
-        }
-    }
-    if offset_at(count) != end_offset {
-        return Err(bad(format!(
-            "final offset {} does not close the {end_offset}-byte payload",
-            offset_at(count)
-        )));
-    }
-    Ok(count)
+    Ok(Container { flags, sections })
 }
 
 /// Serializes any graph view as the canonical edge-list payload:
@@ -939,7 +699,7 @@ const EDGE_RECORD_LEN: usize = 4 + 4 + 8;
 
 /// Node counts a decoder accepts unconditionally, regardless of payload
 /// size (the allocation guard in the graph-payload header read). Public
-/// because the v2 in-place CSR validator applies the identical
+/// because the in-place CSR validator applies the identical
 /// proportionality guard.
 pub const NODE_COUNT_FLOOR: usize = 1 << 16;
 
@@ -1049,8 +809,8 @@ pub fn read_graph_payload(r: &mut ByteReader<'_>) -> Result<Graph, BinaryError> 
 pub fn encode_frozen_csr(csr: &FrozenCsr) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16 + EDGE_RECORD_LEN * csr.edge_count());
     write_view_payload(csr, &mut payload);
-    let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-    w.section(SECTION_ADJACENCY, &payload);
+    let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+    w.section(SECTION_ADJACENCY, payload);
     w.finish()
 }
 
@@ -1062,16 +822,16 @@ pub fn encode_frozen_csr(csr: &FrozenCsr) -> Vec<u8> {
 /// [`BinaryError`] on any structural or payload defect; hostile input
 /// cannot cause a panic.
 pub fn decode_frozen_csr(bytes: &[u8]) -> Result<FrozenCsr, BinaryError> {
-    let container = parse_container(bytes, FROZEN_CSR_MAGIC, FORMAT_VERSION)?;
+    let container = parse_container(bytes, FROZEN_CSR_MAGIC, 0)?;
     for section in &container.sections {
         if section.tag != SECTION_ADJACENCY {
             return Err(BinaryError::UnknownSection { tag: section.tag });
         }
     }
-    let payload = container
+    let s = container
         .section(SECTION_ADJACENCY)
         .ok_or(BinaryError::MissingSection { name: "adjacency" })?;
-    let mut r = ByteReader::new(payload);
+    let mut r = ByteReader::new(&bytes[s.offset..s.offset + s.len]);
     let csr = read_frozen_csr_payload(&mut r)?;
     r.expect_drained("adjacency section")?;
     Ok(csr)
@@ -1179,26 +939,33 @@ mod tests {
         let bytes = encode_frozen_csr(&FrozenCsr::from_view(&g));
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        // Fix the checksum so the magic check itself is reached.
-        let len = wrong_magic.len();
-        let sum = fnv1a64(&wrong_magic[..len - 8]).to_le_bytes();
-        wrong_magic[len - 8..].copy_from_slice(&sum);
         assert!(matches!(
             decode_frozen_csr(&wrong_magic),
             Err(BinaryError::BadMagic { .. })
         ));
 
-        let mut future = bytes.clone();
-        future[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let sum = fnv1a64(&future[..len - 8]).to_le_bytes();
-        future[len - 8..].copy_from_slice(&sum);
-        assert!(matches!(
-            decode_frozen_csr(&future),
-            Err(BinaryError::UnsupportedVersion {
-                found: 2,
-                supported: FORMAT_VERSION
-            })
-        ));
+        // Older and newer versions alike are refused, never guessed —
+        // whether or not the checksum matches this version's algorithm,
+        // because the header is read before the checksum it defines.
+        for (version, sealed) in [(1u32, false), (1, true), (2, false), (2, true), (4, true)] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            if sealed {
+                reseal(&mut other);
+            }
+            let err = decode_frozen_csr(&other).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BinaryError::UnsupportedVersion {
+                        found,
+                        supported: FORMAT_VERSION
+                    } if found == version
+                ),
+                "version {version}: {err}"
+            );
+            assert_eq!(err.code(), "artifact/bad-version");
+        }
 
         let mut bad_sum = bytes.clone();
         let last = bad_sum.len() - 1;
@@ -1216,8 +983,8 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, 4);
         put_u64(&mut payload, u64::MAX);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-        w.section(SECTION_ADJACENCY, &payload);
+        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+        w.section(SECTION_ADJACENCY, payload);
         let bytes = w.finish();
         assert!(matches!(
             decode_frozen_csr(&bytes),
@@ -1229,8 +996,8 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, u32::MAX as u64);
         put_u64(&mut payload, 0);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-        w.section(SECTION_ADJACENCY, &payload);
+        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+        w.section(SECTION_ADJACENCY, payload);
         assert!(matches!(
             decode_frozen_csr(&w.finish()),
             Err(BinaryError::Malformed { .. })
@@ -1245,16 +1012,16 @@ mod tests {
     fn unknown_and_duplicate_sections_rejected() {
         let mut payload = Vec::new();
         write_view_payload(&generators::cycle(3), &mut payload);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-        w.section(SECTION_ADJACENCY, &payload);
-        w.section(99, &[]);
+        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+        w.section(SECTION_ADJACENCY, payload.clone());
+        w.section(99, Vec::new());
         assert!(matches!(
             decode_frozen_csr(&w.finish()),
             Err(BinaryError::UnknownSection { tag: 99 })
         ));
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-        w.section(SECTION_ADJACENCY, &payload);
-        w.section(SECTION_ADJACENCY, &payload);
+        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+        w.section(SECTION_ADJACENCY, payload.clone());
+        w.section(SECTION_ADJACENCY, payload);
         assert!(matches!(
             decode_frozen_csr(&w.finish()),
             Err(BinaryError::DuplicateSection { .. })
@@ -1264,7 +1031,7 @@ mod tests {
     const TEST_MAGIC: [u8; 8] = *b"VFTTESTC";
 
     fn v2_two_sections() -> Vec<u8> {
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
         w.section(1, vec![0xAA; 5]); // 5 bytes: forces 3 pad bytes
         w.section(2, vec![0xBB; 8]);
         w.finish()
@@ -1279,17 +1046,16 @@ mod tests {
     #[test]
     fn v2_envelope_round_trips_and_is_canonical() {
         let bytes = v2_two_sections();
-        let c = parse_container_v2(&bytes, TEST_MAGIC, 2, 0).unwrap();
-        assert_eq!(c.version, 2);
+        let c = parse_container(&bytes, TEST_MAGIC, 0).unwrap();
         assert_eq!(c.flags, 0);
         assert_eq!(c.sections.len(), 2);
         let s1 = c.section(1).unwrap();
         assert_eq!(&bytes[s1.offset..s1.offset + s1.len], &[0xAA; 5]);
         let s2 = c.section(2).unwrap();
-        assert_eq!(s2.offset % V2_SECTION_ALIGN, 0);
+        assert_eq!(s2.offset % SECTION_ALIGN, 0);
         assert_eq!(&bytes[s2.offset..s2.offset + s2.len], &[0xBB; 8]);
         // Re-emitting the same sections reproduces the bytes exactly.
-        let mut again = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
+        let mut again = ContainerWriter::new(TEST_MAGIC, 0);
         again.section(1, vec![0xAA; 5]);
         again.section(2, vec![0xBB; 8]);
         assert_eq!(again.finish(), bytes);
@@ -1300,7 +1066,7 @@ mod tests {
         let bytes = v2_two_sections();
         for len in 0..bytes.len() {
             assert!(
-                parse_container_v2(&bytes[..len], TEST_MAGIC, 2, 0).is_err(),
+                parse_container(&bytes[..len], TEST_MAGIC, 0).is_err(),
                 "truncation to {len} must fail"
             );
         }
@@ -1308,7 +1074,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x41;
             assert!(
-                parse_container_v2(&corrupt, TEST_MAGIC, 2, 0).is_err(),
+                parse_container(&corrupt, TEST_MAGIC, 0).is_err(),
                 "flipping byte {i} must be detected"
             );
         }
@@ -1318,12 +1084,12 @@ mod tests {
     fn v2_misaligned_offset_is_typed() {
         let mut bytes = v2_two_sections();
         // Bump section 0's table offset by one: no longer 8-byte aligned.
-        let entry = V2_HEADER_LEN + 8;
+        let entry = HEADER_LEN + 8;
         let offset = read_u64_at(&bytes, entry) + 1;
         bytes[entry..entry + 8].copy_from_slice(&offset.to_le_bytes());
         reseal(&mut bytes);
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 2, 0),
+            parse_container(&bytes, TEST_MAGIC, 0),
             Err(BinaryError::MisalignedSection { offset: o, .. }) if o == offset
         ));
     }
@@ -1332,12 +1098,12 @@ mod tests {
     fn v2_rejects_nonzero_padding_reserved_and_trailing() {
         // Nonzero pad byte between the sections.
         let mut bytes = v2_two_sections();
-        let c = parse_container_v2(&bytes, TEST_MAGIC, 2, 0).unwrap();
+        let c = parse_container(&bytes, TEST_MAGIC, 0).unwrap();
         let pad_at = c.section(1).unwrap().offset + 5; // first pad byte
         bytes[pad_at] = 1;
         reseal(&mut bytes);
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 2, 0),
+            parse_container(&bytes, TEST_MAGIC, 0),
             Err(BinaryError::Malformed {
                 context: "section padding",
                 ..
@@ -1345,23 +1111,23 @@ mod tests {
         ));
         // Nonzero reserved field in a table entry.
         let mut bytes = v2_two_sections();
-        bytes[V2_HEADER_LEN + 4] = 7;
+        bytes[HEADER_LEN + 4] = 7;
         reseal(&mut bytes);
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 2, 0),
+            parse_container(&bytes, TEST_MAGIC, 0),
             Err(BinaryError::Malformed {
                 context: "section table",
                 ..
             })
         ));
         // A non-canonical (over-padded) section offset.
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
         w.section(1, vec![0xAA; 5]);
         let mut bytes = w.finish();
         // Grow the file by 8 zero bytes before the checksum and shift the
         // (single) section 8 bytes right: still aligned, still zero
         // padding, but not the canonical position.
-        let entry = V2_HEADER_LEN + 8;
+        let entry = HEADER_LEN + 8;
         let old_offset = read_u64_at(&bytes, entry) as usize;
         let mut grown = bytes[..old_offset].to_vec();
         grown.extend_from_slice(&[0u8; 8]);
@@ -1370,7 +1136,7 @@ mod tests {
         grown[entry..entry + 8].copy_from_slice(&((old_offset + 8) as u64).to_le_bytes());
         reseal(&mut grown);
         assert!(matches!(
-            parse_container_v2(&grown, TEST_MAGIC, 2, 0),
+            parse_container(&grown, TEST_MAGIC, 0),
             Err(BinaryError::Malformed {
                 context: "section table",
                 ..
@@ -1382,7 +1148,7 @@ mod tests {
         let sum = fnv1a64_words(&bytes).to_le_bytes();
         bytes.extend_from_slice(&sum);
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 2, 0),
+            parse_container(&bytes, TEST_MAGIC, 0),
             Err(BinaryError::Malformed {
                 context: "container body",
                 ..
@@ -1392,25 +1158,28 @@ mod tests {
 
     #[test]
     fn v2_rejects_unknown_flags_version_and_oversized_count() {
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0b10);
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0b10);
         w.section(1, vec![1, 2, 3]);
         let bytes = w.finish();
         // Flag bit 1 is unknown to a decoder that only knows bit 0.
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 2, 0b1),
+            parse_container(&bytes, TEST_MAGIC, 0b1),
             Err(BinaryError::Malformed {
                 context: "container flags",
                 ..
             })
         ));
         // But fine for a decoder that knows it.
-        assert!(parse_container_v2(&bytes, TEST_MAGIC, 2, 0b11).is_ok());
-        // Wrong version is typed.
+        assert!(parse_container(&bytes, TEST_MAGIC, 0b11).is_ok());
+        // Any other version is typed.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        reseal(&mut old);
         assert!(matches!(
-            parse_container_v2(&bytes, TEST_MAGIC, 3, 0b11),
+            parse_container(&old, TEST_MAGIC, 0b11),
             Err(BinaryError::UnsupportedVersion {
                 found: 2,
-                supported: 3
+                supported: FORMAT_VERSION
             })
         ));
         // A section count that cannot fit in the file fails before any
@@ -1419,18 +1188,18 @@ mod tests {
         huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal(&mut huge);
         assert!(matches!(
-            parse_container_v2(&huge, TEST_MAGIC, 2, 0),
+            parse_container(&huge, TEST_MAGIC, 0),
             Err(BinaryError::Malformed {
                 context: "section table",
                 ..
             })
         ));
-        // Duplicate tags are replay, like v1.
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
+        // Duplicate tags are a replay.
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
         w.section(1, vec![1]);
         w.section(1, vec![2]);
         assert!(matches!(
-            parse_container_v2(&w.finish(), TEST_MAGIC, 2, 0),
+            parse_container(&w.finish(), TEST_MAGIC, 0),
             Err(BinaryError::DuplicateSection { tag: 1 })
         ));
     }
@@ -1450,8 +1219,8 @@ mod tests {
             put_u32(&mut payload, u);
             put_u32(&mut payload, v);
             put_u64(&mut payload, w);
-            let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, FORMAT_VERSION);
-            w.section(SECTION_ADJACENCY, &payload);
+            let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
+            w.section(SECTION_ADJACENCY, payload);
             assert!(
                 matches!(
                     decode_frozen_csr(&w.finish()),
@@ -1492,10 +1261,6 @@ mod tests {
             BinaryError::Graph(GraphError::SelfLoop {
                 node: NodeId::new(0),
             }),
-            BinaryError::WitnessIndex {
-                context: "witness index",
-                detail: String::new(),
-            },
         ];
         let codes: Vec<&str> = variants.iter().map(BinaryError::code).collect();
         assert_eq!(codes, BINARY_ERROR_CODES, "taxonomy snapshot drifted");
@@ -1508,50 +1273,6 @@ mod tests {
         }
         // Unknown codes degrade to the generic hint, never panic.
         assert!(!remediation_for_code("artifact/not-a-code").is_empty());
-    }
-
-    #[test]
-    fn offset_index_round_trips_and_fails_closed() {
-        // Three records starting at 8, 24, 40, payload ends at 64.
-        let offsets = [8u64, 24, 40, 64];
-        let payload = write_offset_index(&offsets);
-        assert_eq!(payload.len(), 8 * 5);
-        assert_eq!(parse_offset_index(&payload, 8, 64).unwrap(), 3);
-        // Empty index: zero records, the single offset closes the
-        // 8-byte header-only payload.
-        let empty = write_offset_index(&[8]);
-        assert_eq!(parse_offset_index(&empty, 8, 8).unwrap(), 0);
-
-        let expect_index_err = |bytes: &[u8], first: u64, end: u64, what: &str| {
-            let err = parse_offset_index(bytes, first, end).unwrap_err();
-            assert!(
-                matches!(err, BinaryError::WitnessIndex { .. }),
-                "{what}: want WitnessIndex, got {err}"
-            );
-            assert_eq!(err.code(), "artifact/witness-index");
-        };
-        // Too short to carry a count and one offset.
-        expect_index_err(&payload[..8], 8, 64, "short payload");
-        // Count disagrees with the bytes present.
-        let mut wrong_count = payload.clone();
-        wrong_count[..8].copy_from_slice(&9u64.to_le_bytes());
-        expect_index_err(&wrong_count, 8, 64, "wrong count");
-        // Overflowing count cannot wrap into a passing length check.
-        let mut huge = payload.clone();
-        huge[..8].copy_from_slice(&u64::MAX.to_le_bytes());
-        expect_index_err(&huge, 8, 64, "overflowing count");
-        // First offset must be the payload header width.
-        expect_index_err(&payload, 16, 64, "wrong first offset");
-        // Non-monotone offsets.
-        let mut swapped = write_offset_index(&[8, 40, 24, 64]);
-        expect_index_err(&swapped, 8, 64, "non-monotone");
-        swapped = write_offset_index(&[8, 24, 24, 64]);
-        expect_index_err(&swapped, 8, 64, "repeated offset");
-        // Misaligned offset.
-        let nudged = write_offset_index(&[8, 25, 40, 64]);
-        expect_index_err(&nudged, 8, 64, "misaligned offset");
-        // Final offset must close the payload exactly.
-        expect_index_err(&payload, 8, 72, "open tail");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! spanner-artifact build [--family geometric|complete|grid|erdos-renyi]
 //!                        [--n N] [--radius R] [--p P] [--rows R --cols C]
 //!                        [--edges PATH] [--seed S] [--stretch K] [--f F]
-//!                        [--model vertex|edge] [--v2] [--detach-witnesses]
-//!                        [--shard-witnesses] [--out PATH]
+//!                        [--model vertex|edge] [--detach-witnesses]
+//!                        [--out PATH]
 //! spanner-artifact inspect PATH
-//! spanner-artifact migrate PATH [--out PATH] [--shard|--unshard]
 //! spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B]
 //!                        [--threads T] [--seed S]
 //! ```
@@ -19,35 +18,23 @@
 //!
 //! * `build` constructs an FT spanner (FT-greedy over the chosen graph
 //!   family or a text edge-list file), freezes it with full metadata
-//!   (parent graph, budget, model, witnesses), and writes the versioned
-//!   `VFTSPANR` binary artifact (`docs/ARTIFACT_FORMAT.md`). `--v2`
-//!   emits the alignment-padded in-place layout; `--detach-witnesses`
-//!   (implies `--v2`) drops the witness section for a routing-only
-//!   replica artifact; `--shard-witnesses` (implies `--v2`, excludes
-//!   `--detach-witnesses`) adds the per-edge witness offset index so
-//!   zero-copy consumers resolve one edge's fault sets in O(|F_e|).
+//!   (parent graph, budget, model, witnesses), and writes the
+//!   `VFTSPANR` binary artifact (`docs/ARTIFACT_FORMAT.md`), which is
+//!   readable in place. `--detach-witnesses` drops the witness section
+//!   for a routing-only replica artifact.
 //! * `inspect` dumps the container header — version, flags, checksum,
-//!   section table (including witness-index stats for sharded
-//!   artifacts) — and the decoded artifact's stats, without serving
+//!   section table — and the decoded artifact's stats, without serving
 //!   anything.
-//! * `migrate` re-lays a v1 artifact out as v2, byte-canonically: the
-//!   output is exactly what `build --v2` of the same construction would
-//!   have written, and migrating an already-v2 artifact is a verified
-//!   no-op (idempotent, byte for byte). `--shard` / `--unshard` convert
-//!   between the monolithic and sharded witness layouts, both
-//!   byte-canonical; the round trip `--unshard` ∘ `--shard` is the
-//!   identity. Without either flag the witness layout is preserved.
 //! * `serve` is the roundtrip proof: it decodes the artifact in *this*
 //!   process (built, typically, by another), re-runs the construction
 //!   from the embedded parent graph, and drives an E15-style epoch/batch
 //!   query workload through both artifacts — sequential and pooled —
 //!   failing unless every answer is bit-identical and the rebuilt
-//!   artifact re-encodes to the exact bytes on disk. `--in-place` (v2
-//!   artifacts only) opens the file zero-copy — `mmap(2)` where the
-//!   platform has it, an aligned heap copy otherwise — and serves
-//!   straight out of the buffer through the same gates. CI runs
-//!   build → inspect → migrate → serve as separate processes on every
-//!   push.
+//!   artifact re-encodes to the exact bytes on disk. `--in-place` opens
+//!   the file zero-copy — `mmap(2)` where the platform has it, an
+//!   aligned heap copy otherwise — and serves straight out of the
+//!   buffer through the same gates. CI runs build → inspect → serve as
+//!   separate processes on every push.
 //! * `replay` re-decodes every entry of one or more fuzz-corpus
 //!   directories (`fuzz/corpus/`, `fuzz/crashes/`) under the decode
 //!   contract — fail-closed, deterministic, canonical — and verifies
@@ -59,19 +46,20 @@
 //! `docs/ARTIFACT_FORMAT.md` §8) plus a remediation hint on stderr and
 //! exits non-zero, byte-identically for the same input every time
 //! (the cross-process leg of the decode determinism contract,
-//! pinned by `tests/artifact_cli.rs`).
+//! pinned by `tests/artifact_cli.rs`). An artifact of an older format
+//! version is refused with `artifact/bad-version`; rebuild it from its
+//! parent graph with `build`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spanner_core::frozen::{
-    ARTIFACT_MAGIC, ARTIFACT_VERSION, ARTIFACT_VERSION_V2, FLAG_WITNESSES_DETACHED,
-    FLAG_WITNESSES_SHARDED, SECTION_META, SECTION_PARENT, SECTION_PARENT_EDGES, SECTION_SPANNER,
-    SECTION_WITNESSES, SECTION_WITNESS_INDEX,
+    ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED, SECTION_META, SECTION_PARENT, SECTION_PARENT_EDGES,
+    SECTION_SPANNER, SECTION_WITNESSES,
 };
 use spanner_core::routing::{Route, RouteError};
 use spanner_core::{EpochServer, FrozenSpanner, FtGreedy, FtSpanner, OracleKind};
 use spanner_faults::{FaultModel, FaultSet};
-use spanner_graph::io::binary::{fnv1a64, fnv1a64_words, parse_container, parse_container_v2};
+use spanner_graph::io::binary::{fnv1a64_words, parse_container, FORMAT_VERSION};
 use spanner_graph::{generators, io, Graph, NodeId, SharedBytes};
 use spanner_harness::cli::{self, Parsed};
 use spanner_harness::corpus;
@@ -82,10 +70,8 @@ use std::sync::Arc;
 const USAGE: &str = "usage: spanner-artifact build [--family geometric|complete|grid|erdos-renyi]
                               [--n N] [--radius R] [--p P] [--rows R --cols C]
                               [--edges PATH] [--seed S] [--stretch K] [--f F]
-                              [--model vertex|edge] [--v2] [--detach-witnesses]
-                              [--shard-witnesses] [--out PATH]
+                              [--model vertex|edge] [--detach-witnesses] [--out PATH]
        spanner-artifact inspect PATH
-       spanner-artifact migrate PATH [--out PATH] [--shard|--unshard]
        spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B] [--threads T] [--seed S]
        spanner-artifact replay DIR...";
 
@@ -103,9 +89,7 @@ struct BuildArgs {
     stretch: u64,
     faults: usize,
     model: FaultModel,
-    v2: bool,
     detach: bool,
-    shard: bool,
     out: PathBuf,
 }
 
@@ -118,17 +102,9 @@ struct ServeArgs {
     seed: u64,
 }
 
-struct MigrateArgs {
-    path: PathBuf,
-    out: Option<PathBuf>,
-    shard: bool,
-    unshard: bool,
-}
-
 enum Command {
     Build(BuildArgs),
     Inspect(PathBuf),
-    Migrate(MigrateArgs),
     Serve(ServeArgs),
     Replay(Vec<PathBuf>),
 }
@@ -159,7 +135,6 @@ fn parse_args() -> Result<Parsed<Command>, String> {
             reject_extra(&mut it)?;
             Ok(Parsed::Run(Command::Inspect(path)))
         }
-        "migrate" => parse_migrate(&mut it),
         "serve" => parse_serve(&mut it),
         "replay" => {
             let dirs: Vec<PathBuf> = it.by_ref().map(PathBuf::from).collect();
@@ -205,15 +180,11 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     let mut stretch = 3u64;
     let mut faults = 1usize;
     let mut model = FaultModel::Vertex;
-    let mut v2 = false;
     let mut detach = false;
-    let mut shard = false;
     let mut out = PathBuf::from("spanner.vfts");
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--v2" => v2 = true,
             "--detach-witnesses" => detach = true,
-            "--shard-witnesses" => shard = true,
             "--family" => family = cli::value_for(it, "--family")?,
             "--n" => n = cli::parsed_value(it, "--n")?,
             "--radius" => radius = cli::parsed_value(it, "--radius")?,
@@ -232,13 +203,6 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     }
     if stretch == 0 {
         return Err("--stretch must be positive".into());
-    }
-    if detach && shard {
-        return Err(
-            "--detach-witnesses and --shard-witnesses are mutually exclusive \
-             (there is no witness map left to index)"
-                .into(),
-        );
     }
     let spec = match edges {
         Some(path) => GraphSpec::EdgeList { path },
@@ -259,35 +223,8 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
         stretch,
         faults,
         model,
-        v2: v2 || detach || shard, // both are v2-only layout features
         detach,
-        shard,
         out,
-    })))
-}
-
-fn parse_migrate(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>, String> {
-    let path = positional_path(it, "migrate")?;
-    let mut out = None;
-    let mut shard = false;
-    let mut unshard = false;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(cli::value_for(it, "--out")?)),
-            "--shard" => shard = true,
-            "--unshard" => unshard = true,
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if shard && unshard {
-        return Err("--shard and --unshard are mutually exclusive".into());
-    }
-    Ok(Parsed::Run(Command::Migrate(MigrateArgs {
-        path,
-        out,
-        shard,
-        unshard,
     })))
 }
 
@@ -374,10 +311,6 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
     let mut frozen = construct(&g, args.stretch, args.faults, args.model).freeze(&g);
     if args.detach {
         frozen = frozen.detach_witnesses();
-    } else if args.shard {
-        frozen = frozen.to_v2_sharded();
-    } else if args.v2 {
-        frozen = frozen.to_v2();
     }
     let bytes = frozen.encode();
     // Sanity: our own encoding must decode before it ships.
@@ -386,9 +319,6 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
     std::fs::write(&args.out, &bytes)
         .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
     let witness_note = match frozen.witnesses() {
-        Ok(w) if frozen.witnesses_sharded() => {
-            format!("{} witness sets (sharded per-edge index)", w.len())
-        }
         Ok(w) => format!("{} witness sets", w.len()),
         Err(_) => "witnesses detached (routing-only)".to_string(),
     };
@@ -399,9 +329,8 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
         100.0 * frozen.edge_count() as f64 / g.edge_count().max(1) as f64,
     );
     println!(
-        "wrote {} (v{}, {} bytes)",
+        "wrote {} (v{FORMAT_VERSION}, {} bytes)",
         args.out.display(),
-        frozen.version(),
         bytes.len()
     );
     Ok(())
@@ -417,95 +346,38 @@ fn section_name(tag: u32) -> &'static str {
         SECTION_PARENT_EDGES => "parent-edge-table",
         SECTION_WITNESSES => "witness-map",
         SECTION_PARENT => "parent-graph",
-        SECTION_WITNESS_INDEX => "witness-index",
         _ => "unknown",
     }
 }
 
 fn run_inspect(path: PathBuf) -> Result<(), String> {
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    // Dispatch on the declared version, exactly like `FrozenSpanner::decode`;
-    // a lying version field fails closed inside the matching parser.
-    let is_v2 = bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes();
     println!("{}: {} bytes", path.display(), bytes.len());
-    if is_v2 {
-        let container = parse_container_v2(
-            &bytes,
-            ARTIFACT_MAGIC,
-            ARTIFACT_VERSION_V2,
-            FLAG_WITNESSES_DETACHED | FLAG_WITNESSES_SHARDED,
-        )
+    let container = parse_container(&bytes, ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED)
         .map_err(|e| hostile(&path, e.code(), &e))?;
-        let flag_note = if container.flags & FLAG_WITNESSES_DETACHED != 0 {
-            " (witnesses-detached)"
-        } else if container.flags & FLAG_WITNESSES_SHARDED != 0 {
-            " (witnesses-sharded)"
-        } else {
-            ""
-        };
-        println!(
-            "  magic    {:?}  version {}  flags {:#010x}{flag_note}",
-            String::from_utf8_lossy(&ARTIFACT_MAGIC),
-            container.version,
-            container.flags,
-        );
-        println!(
-            "  checksum {:#018x} (fnv1a-64 word-wise, verified)",
-            fnv1a64_words(&bytes[..bytes.len() - 8])
-        );
-        println!("  sections (in-place layout, 8-byte aligned):");
-        for section in &container.sections {
-            println!(
-                "    tag {}  {:<18} offset {:>9}  {:>9} bytes",
-                section.tag,
-                section_name(section.tag),
-                section.offset,
-                section.len
-            );
-        }
-        if let Some(idx) = container
-            .sections
-            .iter()
-            .find(|s| s.tag == SECTION_WITNESS_INDEX)
-        {
-            // Index payload is count + (count+1) offsets; the decode
-            // below fully validates it — this is a display of the
-            // declared shape.
-            let records = (idx.len / 8).saturating_sub(2);
-            let map = container
-                .sections
-                .iter()
-                .find(|s| s.tag == SECTION_WITNESSES)
-                .map(|s| s.len)
-                .unwrap_or(0);
-            println!(
-                "  witness index: {records} records indexed, {} bytes of offsets \
-                 over a {map}-byte sharded witness map ({:.1} bytes/record)",
-                idx.len,
-                map as f64 / (records.max(1)) as f64
-            );
-        }
+    let flag_note = if container.flags & FLAG_WITNESSES_DETACHED != 0 {
+        " (witnesses-detached)"
     } else {
-        let container = parse_container(&bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION)
-            .map_err(|e| hostile(&path, e.code(), &e))?;
+        ""
+    };
+    println!(
+        "  magic    {:?}  version {FORMAT_VERSION}  flags {:#010x}{flag_note}",
+        String::from_utf8_lossy(&ARTIFACT_MAGIC),
+        container.flags,
+    );
+    println!(
+        "  checksum {:#018x} (fnv1a-64 word-wise, verified)",
+        fnv1a64_words(&bytes[..bytes.len() - 8])
+    );
+    println!("  sections (in-place layout, 8-byte aligned):");
+    for section in &container.sections {
         println!(
-            "  magic    {:?}  version {}",
-            String::from_utf8_lossy(&ARTIFACT_MAGIC),
-            container.version
+            "    tag {}  {:<18} offset {:>9}  {:>9} bytes",
+            section.tag,
+            section_name(section.tag),
+            section.offset,
+            section.len
         );
-        println!(
-            "  checksum {:#018x} (fnv1a-64, verified)",
-            fnv1a64(&bytes[..bytes.len() - 8])
-        );
-        println!("  sections:");
-        for section in &container.sections {
-            println!(
-                "    tag {}  {:<18} {:>9} bytes",
-                section.tag,
-                section_name(section.tag),
-                section.payload.len()
-            );
-        }
     }
     let frozen = FrozenSpanner::decode(&bytes).map_err(|e| hostile(&path, e.code(), &e))?;
     println!("  artifact:");
@@ -531,82 +403,10 @@ fn run_inspect(path: PathBuf) -> Result<(), String> {
     match frozen.witnesses() {
         Ok(w) => {
             let nonempty = w.iter().filter(|s| !s.is_empty()).count();
-            println!(
-                "    witnesses  {} sets ({} nonempty{})",
-                w.len(),
-                nonempty,
-                if frozen.witnesses_sharded() {
-                    ", sharded per-edge index"
-                } else {
-                    ""
-                }
-            );
+            println!("    witnesses  {} sets ({} nonempty)", w.len(), nonempty);
         }
         Err(_) => println!("    witnesses  detached (routing-only artifact)"),
     }
-    Ok(())
-}
-
-fn run_migrate(args: MigrateArgs) -> Result<(), String> {
-    let bytes = std::fs::read(&args.path)
-        .map_err(|e| format!("cannot read {}: {e}", args.path.display()))?;
-    let decoded = FrozenSpanner::decode(&bytes).map_err(|e| hostile(&args.path, e.code(), &e))?;
-    let from_version = decoded.version();
-    let was_sharded = decoded.witnesses_sharded();
-    if args.shard && decoded.witnesses_detached() {
-        return Err(
-            "cannot --shard a witnesses-detached (routing-only) artifact: \
-             there is no witness map to index"
-                .into(),
-        );
-    }
-    // Without an explicit --shard/--unshard the witness layout is
-    // preserved, so plain `migrate` of any v2 artifact stays a no-op.
-    let to_sharded = if args.shard {
-        true
-    } else if args.unshard {
-        false
-    } else {
-        was_sharded
-    };
-    let migrated = if to_sharded {
-        decoded.to_v2_sharded().encode()
-    } else {
-        decoded.to_v2().encode()
-    };
-    if from_version == ARTIFACT_VERSION_V2 && to_sharded == was_sharded && migrated != bytes {
-        return Err(
-            "internal error: migrating a v2 artifact without a layout change \
-             altered its bytes — migration must be idempotent"
-                .into(),
-        );
-    }
-    // The migrated artifact must be canonical: decode and re-encode to
-    // the exact same bytes (the same gate `serve` applies to rebuilds).
-    let back = FrozenSpanner::decode(&migrated)
-        .map_err(|e| format!("internal error: migrated artifact does not decode: {e}"))?;
-    if back.encode() != migrated {
-        return Err("internal error: migrated artifact is not byte-canonical".into());
-    }
-    let out = args.out.unwrap_or_else(|| args.path.clone());
-    std::fs::write(&out, &migrated).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
-        "migrated {} (v{from_version}, {} bytes) -> {} (v2{}, {} bytes){}",
-        args.path.display(),
-        bytes.len(),
-        out.display(),
-        if to_sharded {
-            ", sharded witnesses"
-        } else {
-            ""
-        },
-        migrated.len(),
-        if from_version == ARTIFACT_VERSION_V2 && to_sharded == was_sharded {
-            " — already v2, byte-identical"
-        } else {
-            ""
-        }
-    );
     Ok(())
 }
 
@@ -715,16 +515,11 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
 
     // In-memory rebuild from the embedded parent: same construction, so
     // the artifact on disk must be its canonical encoding, byte for
-    // byte — after re-laying the rebuild out in the on-disk artifact's
-    // own version/witness layout.
+    // byte — routing-only when the artifact on disk is.
     let fresh = construct(parent.as_ref(), loaded.stretch(), budget, loaded.model())
         .freeze(parent.as_ref());
     let rebuilt = Arc::new(if loaded.witnesses_detached() {
         fresh.detach_witnesses()
-    } else if loaded.witnesses_sharded() {
-        fresh.to_v2_sharded()
-    } else if loaded.version() == ARTIFACT_VERSION_V2 {
-        fresh.to_v2()
     } else {
         fresh
     });
@@ -803,7 +598,6 @@ fn main() -> ExitCode {
         |command| match command {
             Command::Build(args) => run_build(args),
             Command::Inspect(path) => run_inspect(path),
-            Command::Migrate(args) => run_migrate(args),
             Command::Serve(args) => run_serve(args),
             Command::Replay(dirs) => run_replay(dirs),
         },

@@ -1,7 +1,7 @@
 //! The fuzz regression corpus: file conventions and deterministic replay.
 //!
 //! The decode path (`parse_container`, `decode_frozen_csr`,
-//! `FrozenSpanner::decode`) is a trust boundary — replicas ingest
+//! `FrozenSpanner::decode` / `open`) is a trust boundary — replicas ingest
 //! artifact bytes they did not produce. The offline fuzzer
 //! (`spanner-fuzz`, `crates/fuzz`) hunts that boundary and commits what
 //! it finds under `fuzz/corpus/` (labeled hostile mutants plus
@@ -25,12 +25,13 @@
 //! `<class>__<code-slug>__<fnv64-hex>.bin`, where `<class>` is the
 //! attack class that produced the input, `<code-slug>` is the expected
 //! stable error code with `/` written as `.` (or `ok` for inputs that
-//! must decode), and the hash is FNV-1a 64 of the bytes. Replay
-//! verifies the detected outcome against the name, which is what turns
-//! the corpus into a regression gate on the error taxonomy itself.
+//! must decode), and the hash is the container checksum function
+//! (`fnv1a64_words`) of the bytes. Replay verifies the detected outcome
+//! against the name, which is what turns the corpus into a regression
+//! gate on the error taxonomy itself.
 
 use spanner_core::FrozenSpanner;
-use spanner_graph::io::binary::{self, fnv1a64};
+use spanner_graph::io::binary::{self, fnv1a64_words};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -41,6 +42,23 @@ pub const DETERMINISM_RUNS: usize = 3;
 
 /// File-name label for inputs that must decode successfully.
 pub const OK_LABEL: &str = "ok";
+
+/// Every outcome a corpus entry can be labeled with: [`OK_LABEL`] plus
+/// each stable decode-path error code. `artifact/invalid-edge` is left
+/// out: it refuses a witness query for an edge id the caller chose, and
+/// no byte string decodes into it. The committed corpus must exercise
+/// every label here (`spanner-fuzz corpus` refuses to write one that
+/// does not).
+pub fn decode_outcome_labels() -> Vec<&'static str> {
+    let mut labels = vec![OK_LABEL];
+    labels.extend(
+        binary::BINARY_ERROR_CODES
+            .iter()
+            .chain(spanner_core::frozen::ARTIFACT_ERROR_CODES)
+            .filter(|&&code| code != "artifact/invalid-edge"),
+    );
+    labels
+}
 
 /// Extensions replay considers corpus entries (everything else in a
 /// corpus directory — READMEs, manifests — is ignored).
@@ -64,7 +82,7 @@ pub fn corpus_file_name(class: &str, expected_code: Option<&str>, bytes: &[u8]) 
         None => OK_LABEL.to_string(),
         Some(code) => code_to_slug(code),
     };
-    format!("{class}__{slug}__{:016x}.bin", fnv1a64(bytes))
+    format!("{class}__{slug}__{:016x}.bin", fnv1a64_words(bytes))
 }
 
 /// The outcome a corpus file's name promises: `None` = must decode

@@ -6,8 +6,8 @@
 //! multi-core box). Every envelope therefore records **where** it was
 //! measured: logical CPU count, the exact `rustc` that built the bench,
 //! and the OS/arch pair. The schema-bumped checkers
-//! (`bench-3` / `querybench-3` / `querybench-4` / `coldbench-2` /
-//! `frontier-1`) require the block; legacy tags stay checkable without
+//! (`bench-3` / `querybench-3` / `querybench-4` / `frontier-1`)
+//! require the block; legacy tags stay checkable without
 //! it so committed artifacts from earlier PRs keep validating.
 
 use crate::json::{num, obj, s, JsonValue};

@@ -43,24 +43,6 @@
 //! cargo run --release -p spanner-harness --bin querybench -- --check BENCH_4.json
 //! ```
 //!
-//! Track the cold-start trajectory (v2 in-place `open` vs v1 full
-//! `decode`, open-to-first-route, behind the committed `BENCH_8.json`)
-//! with the `coldbench` binary:
-//!
-//! ```text
-//! cargo run --release -p spanner-harness --bin coldbench -- --out BENCH_8.json
-//! cargo run --release -p spanner-harness --bin coldbench -- --check BENCH_8.json
-//! ```
-//!
-//! Track the per-edge witness access trajectory (sharded offset index
-//! vs monolithic witness map, bytes touched per lookup, behind the
-//! committed `BENCH_10.json`) with the `witnessbench` binary:
-//!
-//! ```text
-//! cargo run --release -p spanner-harness --bin witnessbench -- --out BENCH_10.json
-//! cargo run --release -p spanner-harness --bin witnessbench -- --check BENCH_10.json
-//! ```
-//!
 //! Persist, inspect, and serve frozen spanner artifacts (the binary
 //! documents specified in `docs/ARTIFACT_FORMAT.md`) with the
 //! `spanner-artifact` binary — build once, ship the file, serve without
@@ -84,14 +66,12 @@ mod sweep;
 mod table;
 
 pub mod cli;
-pub mod coldstart;
 pub mod corpus;
 pub mod experiments;
 pub mod frontier;
 pub mod host;
 pub mod json;
 pub mod plot;
-pub mod witness_access;
 
 pub use fit::{fit_power_law, mean, std_dev, PowerFit};
 pub use sweep::{cell_seed, parallel_map};

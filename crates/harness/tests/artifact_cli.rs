@@ -112,8 +112,8 @@ fn inspect_matches_in_process_codes_deterministically_for_every_corpus_entry() {
 }
 
 #[test]
-fn sharded_cli_surface_round_trips_and_fails_closed() {
-    let dir = std::env::temp_dir().join(format!("artifact-shard-{}", std::process::id()));
+fn build_is_reproducible_and_other_versions_fail_closed() {
+    let dir = std::env::temp_dir().join(format!("artifact-build-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let run = |args: &[&str]| -> Output {
         Command::new(bin())
@@ -122,124 +122,60 @@ fn sharded_cli_surface_round_trips_and_fails_closed() {
             .output()
             .expect("spanner-artifact must spawn")
     };
+    let build = |out: &str| {
+        let built = run(&[
+            "build", "--family", "complete", "--n", "7", "--f", "1", "--out", out,
+        ]);
+        assert!(
+            built.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&built.stderr)
+        );
+        std::fs::read(dir.join(out)).unwrap()
+    };
 
-    // build --shard-witnesses emits a decodable v2 artifact that
-    // inspect reports as sharded, with index stats.
-    let built = run(&[
-        "build",
-        "--family",
-        "complete",
-        "--n",
-        "7",
-        "--f",
-        "1",
-        "--shard-witnesses",
-        "--out",
-        "s.vfts",
+    // Two builds of one spec in separate processes write the same bytes.
+    let first = build("a.vfts");
+    assert_eq!(first, build("b.vfts"), "build must be reproducible");
+
+    // The in-place serve path passes its rebuild cross-check.
+    let served = run(&[
+        "serve",
+        "a.vfts",
+        "--in-place",
+        "--epochs",
+        "3",
+        "--batch",
+        "8",
     ]);
     assert!(
-        built.status.success(),
+        served.status.success(),
         "stderr: {}",
-        String::from_utf8_lossy(&built.stderr)
-    );
-    let inspected = run(&["inspect", "s.vfts"]);
-    assert!(inspected.status.success());
-    let report = String::from_utf8_lossy(&inspected.stdout).into_owned();
-    assert!(report.contains("(witnesses-sharded)"), "{report}");
-    assert!(report.contains("witness-index"), "{report}");
-    assert!(report.contains("witness index:"), "{report}");
-    assert!(report.contains("sharded per-edge index"), "{report}");
-
-    // migrate --unshard ∘ migrate --shard is the byte identity, and a
-    // plain migrate of a sharded artifact preserves the layout.
-    assert!(run(&["migrate", "s.vfts", "--out", "u.vfts", "--unshard"])
-        .status
-        .success());
-    assert!(run(&["migrate", "u.vfts", "--out", "s2.vfts", "--shard"])
-        .status
-        .success());
-    let original = std::fs::read(dir.join("s.vfts")).unwrap();
-    assert_eq!(
-        original,
-        std::fs::read(dir.join("s2.vfts")).unwrap(),
-        "unshard ∘ shard must be the identity"
-    );
-    assert!(run(&["migrate", "s.vfts", "--out", "s3.vfts"])
-        .status
-        .success());
-    assert_eq!(
-        original,
-        std::fs::read(dir.join("s3.vfts")).unwrap(),
-        "plain migrate must preserve the sharded layout byte for byte"
+        String::from_utf8_lossy(&served.stderr)
     );
 
-    // Both zero-copy and eager serve accept the sharded artifact.
-    for extra in [&[][..], &["--in-place"][..]] {
-        let mut args = vec!["serve", "s.vfts", "--epochs", "3", "--batch", "8"];
-        args.extend_from_slice(extra);
-        let served = run(&args);
-        assert!(
-            served.status.success(),
-            "serve {extra:?} stderr: {}",
-            String::from_utf8_lossy(&served.stderr)
+    // An artifact whose header names version 2 is refused with the
+    // stable code and the rebuild remediation, with or without a
+    // checksum that matches.
+    for reseal in [false, true] {
+        let mut stale = first.clone();
+        stale[8..12].copy_from_slice(&2u32.to_le_bytes());
+        if reseal {
+            let at = stale.len() - 8;
+            let seal = spanner_graph::io::binary::fnv1a64_words(&stale[..at]);
+            stale[at..].copy_from_slice(&seal.to_le_bytes());
+        }
+        std::fs::write(dir.join("v2.vfts"), &stale).unwrap();
+        let hostile = run(&["inspect", "v2.vfts"]);
+        assert!(!hostile.status.success());
+        assert_eq!(
+            code_from_stderr(&hostile.stderr).as_deref(),
+            Some("artifact/bad-version"),
+            "stderr: {}",
+            String::from_utf8_lossy(&hostile.stderr)
         );
+        assert!(String::from_utf8_lossy(&hostile.stderr).contains("spanner-artifact build"));
     }
-
-    // Conflicting flags are a usage error, not a panic or a silent pick.
-    let conflict = run(&[
-        "build",
-        "--detach-witnesses",
-        "--shard-witnesses",
-        "--out",
-        "x.vfts",
-    ]);
-    assert!(!conflict.status.success());
-    assert!(String::from_utf8_lossy(&conflict.stderr).contains("mutually exclusive"));
-    let both = run(&["migrate", "s.vfts", "--shard", "--unshard"]);
-    assert!(!both.status.success());
-    assert!(String::from_utf8_lossy(&both.stderr).contains("mutually exclusive"));
-
-    // Sharding a routing-only artifact is refused with a reason.
-    assert!(run(&[
-        "build",
-        "--family",
-        "complete",
-        "--n",
-        "7",
-        "--f",
-        "1",
-        "--detach-witnesses",
-        "--out",
-        "d.vfts",
-    ])
-    .status
-    .success());
-    let detached = run(&["migrate", "d.vfts", "--out", "ds.vfts", "--shard"]);
-    assert!(!detached.status.success());
-    assert!(String::from_utf8_lossy(&detached.stderr).contains("witnesses-detached"));
-
-    // A skewed witness index fails closed across the process boundary
-    // with the new stable code. The index is canonically the last
-    // section and the checksum the 8-byte trailer, so the file's
-    // second-to-last u64 is the final index offset: nudge it off the
-    // 8-byte grid and reseal the word-wise checksum so only the index
-    // is at fault.
-    let mut skewed = original.clone();
-    let hit = skewed.len() - 16;
-    let v = u64::from_le_bytes(skewed[hit..hit + 8].try_into().unwrap());
-    skewed[hit..hit + 8].copy_from_slice(&(v + 1).to_le_bytes());
-    let seal = spanner_graph::io::binary::fnv1a64_words(&skewed[..skewed.len() - 8]);
-    let at = skewed.len() - 8;
-    skewed[at..].copy_from_slice(&seal.to_le_bytes());
-    std::fs::write(dir.join("skewed.vfts"), &skewed).unwrap();
-    let hostile = run(&["inspect", "skewed.vfts"]);
-    assert!(!hostile.status.success());
-    assert_eq!(
-        code_from_stderr(&hostile.stderr).as_deref(),
-        Some("artifact/witness-index"),
-        "stderr: {}",
-        String::from_utf8_lossy(&hostile.stderr)
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,14 +15,12 @@ use std::process::{Command, Output};
 /// cargo build each one before the test runs — a binary missing from
 /// this list compiles out of the contract, so add new binaries here.
 const BINS: &[(&str, &str)] = &[
-    ("coldbench", env!("CARGO_BIN_EXE_coldbench")),
     ("frontierbench", env!("CARGO_BIN_EXE_frontierbench")),
     ("perfbench", env!("CARGO_BIN_EXE_perfbench")),
     ("querybench", env!("CARGO_BIN_EXE_querybench")),
     ("repro", env!("CARGO_BIN_EXE_repro")),
     ("scenarios", env!("CARGO_BIN_EXE_scenarios")),
     ("spanner-artifact", env!("CARGO_BIN_EXE_spanner-artifact")),
-    ("witnessbench", env!("CARGO_BIN_EXE_witnessbench")),
 ];
 
 fn run(path: &str, args: &[&str]) -> Output {
@@ -94,13 +92,7 @@ fn every_binary_rejects_an_unknown_flag_on_stderr_without_panicking() {
 fn every_bench_binary_rejects_a_check_flag_without_a_value() {
     // The artifact-emitting binaries share `--check PATH`; a dangling
     // `--check` must produce the consistent "needs a value" message.
-    for name in [
-        "coldbench",
-        "perfbench",
-        "querybench",
-        "scenarios",
-        "witnessbench",
-    ] {
+    for name in ["perfbench", "querybench", "scenarios"] {
         let path = BINS
             .iter()
             .find(|(n, _)| *n == name)

@@ -118,11 +118,10 @@
 //! let mut there = EpochServer::new(loaded).epoch(&outage);
 //! assert_eq!(here.route_batch(&pairs), there.route_batch(&pairs));
 //!
-//! // Zero-copy replicas: re-lay the artifact out as v2 once, then
-//! // open it **in place** — the adjacency serves straight out of the
-//! // (mapped or aligned) buffer, nothing is decoded up front.
-//! let v2 = FrozenSpanner::decode(&bytes)?.to_v2().encode();
-//! let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))?;
+//! // Zero-copy replicas open the same bytes **in place** — the
+//! // adjacency serves straight out of the (mapped or aligned) buffer,
+//! // nothing is decoded up front.
+//! let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))?;
 //! let mut zero_copy = EpochServer::from_mapped(mapped).epoch(&outage);
 //! assert_eq!(zero_copy.route_batch(&pairs), here.route_batch(&pairs));
 //!
