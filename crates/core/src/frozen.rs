@@ -63,12 +63,11 @@
 //! (`build` / `inspect` / `serve`), and CI round-trips an artifact
 //! through a fresh process on every push.
 
-use crate::landmarks::Landmarks;
 use crate::Spanner;
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::bytes::{read_u32_at, read_u64_at, SharedBytes};
 use spanner_graph::io::binary::{self, put_u32, put_u64, BinaryError, ByteReader, ContainerWriter};
-use spanner_graph::{EdgeId, FaultMask, FrozenCsr, Graph, GraphView, NodeId};
+use spanner_graph::{EdgeId, FaultMask, FrozenCsr, Graph, GraphView, Landmarks, NodeId};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -436,8 +435,8 @@ impl FrozenSpanner {
     }
 
     /// The landmark table single-pair serving runs A* on (see
-    /// [`crate::landmarks`]). Built from the unfaulted adjacency on first
-    /// use, then memoized and shared by every clone; it is a pure
+    /// [`spanner_graph::landmarks`]). Built from the unfaulted adjacency
+    /// on first use, then memoized and shared by every clone; it is a pure
     /// function of the adjacency, so owned and in-place artifacts of the
     /// same bytes build identical tables. Never part of the encoding.
     pub fn landmarks(&self) -> &Landmarks {

@@ -16,13 +16,21 @@
 //!
 //! With `f = 0` this is precisely the classic greedy algorithm
 //! ([`crate::greedy_spanner`]); the equivalence is tested.
+//!
+//! The exact branching paths build one [`Landmarks`] table per run, on
+//! the graph whose edges they decide, and every oracle search of the run
+//! is bounded A* under it (the spanner only ever holds that graph's
+//! edges, so the table is a consistent potential for all of them; see
+//! `spanner_faults`' branching module docs). The output does not depend
+//! on the table: [`FtGreedy::run_with_oracle`] over an unguided
+//! [`BranchingOracle`] returns the same spanner and witnesses.
 
 use crate::Spanner;
 use spanner_faults::{
     BranchingConfig, BranchingOracle, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet,
     GreedyHeuristicOracle, HittingSetOracle, OracleQuery, OracleStats, ParallelBranchingOracle,
 };
-use spanner_graph::{EdgeId, Graph};
+use spanner_graph::{EdgeId, Graph, Landmarks};
 use std::collections::VecDeque;
 
 /// Which oracle implementation FT-greedy should use.
@@ -184,14 +192,17 @@ impl<'a> FtGreedy<'a> {
 
     /// The optimized sequential path: one [`BranchingOracle`] whose
     /// scratch lives for the whole construction, querying the spanner's
-    /// flat CSR view.
+    /// flat CSR view under the parent's landmark table.
     fn run_branching(&self, config: BranchingConfig) -> FtSpanner {
         let mut oracle = BranchingOracle::with_config(config);
+        let landmarks = Landmarks::build(self.graph);
         let mut spanner = Spanner::empty(self.graph, self.stretch);
         let mut witnesses = Vec::new();
         for parent_id in self.graph.edges_by_weight() {
             let query = self.query_for(parent_id);
-            if let Some(found) = oracle.find_blocking_faults_in(spanner.view(), query) {
+            if let Some(found) =
+                oracle.find_blocking_faults_in(spanner.view(), Some(&landmarks), query)
+            {
                 let e = self.graph.edge(parent_id);
                 spanner.push_edge(parent_id, e.u(), e.v(), e.weight());
                 witnesses.push(found);
@@ -214,13 +225,14 @@ impl<'a> FtGreedy<'a> {
     /// through a single oracle, and
     /// [`spanner_faults::OracleStats::pool_spawns`] proves it.
     ///
-    /// The shared view is reset to this run's graph; the oracle's
+    /// The shared view is reset to this run's graph, whose landmark
+    /// table the oracle builds for the run; the oracle's
     /// cumulative work counters keep accumulating across runs (reset
     /// them with [`spanner_faults::FaultOracle::reset_stats`] if
     /// per-run numbers are wanted). The returned
     /// [`FtSpanner::stats`] is the cumulative snapshot at finish.
     pub fn run_pooled_with(&self, oracle: &mut ParallelBranchingOracle) -> FtSpanner {
-        oracle.view_reset(self.graph.node_count());
+        oracle.view_reset(self.graph);
         // During the run the oracle's shared view *is* the growing
         // spanner; the `Spanner` (with its own CSR mirror) is assembled
         // once at the end rather than maintained redundantly per edge.
@@ -239,7 +251,8 @@ impl<'a> FtGreedy<'a> {
     /// Algorithm 1's keep loop over a pooled oracle: decides `candidates`
     /// (parent edge ids, in the order the greedy scans them) against the
     /// oracle's shared view, which must already hold the spanner built so
-    /// far. Every kept edge is pushed to the view and appended to `kept`
+    /// far, reset on this run's graph (whose landmark table guides every
+    /// query). Every kept edge is pushed to the view and appended to `kept`
     /// with its witness. The output is exactly the sequential loop's.
     ///
     /// Upcoming candidates are decided speculatively in *windows*, one

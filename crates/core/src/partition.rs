@@ -36,6 +36,13 @@
 //! width. Nearly all stitch candidates on dense inputs are drops, so the
 //! stitch is where the windows grow widest.
 //!
+//! Every construction starts with
+//! [`ParallelBranchingOracle::view_reset`] on the graph whose edges it
+//! decides, which builds that graph's landmark table: each shard build
+//! on the shard's induced subgraph (local ids), the stitch on `G`. The
+//! union is a subgraph of `G`, so `G`'s table guides every stitch
+//! search as bounded A*, with the same answers as unguided Dijkstra.
+//!
 //! # Why the union satisfies the `(2k−1)`-stretch `f`-fault contract
 //!
 //! Fix any fault set `F`, `|F| ≤ f`, and any parent edge `e = (u, v)`
@@ -231,7 +238,7 @@ impl<'a> PartitionedFtGreedy<'a> {
         // shortcut's unbounded packing probes are what partitioning is
         // escaping (exactness is unaffected; see the module docs).
         oracle.set_root_cut_shortcut(false);
-        oracle.view_reset(n);
+        oracle.view_reset(self.graph);
         for &id in &union_kept {
             let e = self.graph.edge(id);
             oracle.view_push_edge(e.u(), e.v(), e.weight());

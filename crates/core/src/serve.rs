@@ -53,8 +53,8 @@
 //! * single pairs ([`route_one`], [`EpochHandle::route`],
 //!   [`EpochHandle::route_cost`], and batch sources with few targets)
 //!   run exact A* under the artifact's landmark potential
-//!   ([`FrozenSpanner::landmarks`], [`crate::landmarks`]). The table is
-//!   built once on the unfaulted spanner; faults only lengthen
+//!   ([`FrozenSpanner::landmarks`], [`spanner_graph::landmarks`]). The
+//!   table is built once on the unfaulted spanner; faults only lengthen
 //!   distances, so its bounds hold in every epoch and no delta ever
 //!   invalidates it. At n = 10⁴ on a sparse geometric spanner A*
 //!   settles about 240 vertices where the early-stopped Dijkstra it

@@ -9,11 +9,17 @@
 //! [`ReferenceBranchingOracle`] — identical kept parent edges *and*
 //! identical per-edge witness fault sets — across random weighted graphs,
 //! stretches, fault budgets and both fault models.
+//!
+//! The optimized paths also run every oracle search as A* under the
+//! parent graph's landmark table. The engine's one tie rule is what keeps
+//! that invisible too: the tie-heavy families below (unit weights, many
+//! equal-length routes) pin the guided builds to an unguided
+//! [`BranchingOracle`] and to the reference.
 
 use proptest::prelude::*;
 use spanner_core::{FtGreedy, FtSpanner, OracleKind};
 use spanner_faults::reference::ReferenceBranchingOracle;
-use spanner_faults::FaultModel;
+use spanner_faults::{BranchingOracle, FaultModel};
 use spanner_graph::{Graph, NodeId, Weight};
 
 fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
@@ -162,5 +168,98 @@ fn wide_speculative_windows_match_reference() {
     assert!(
         rechecks.iter().all(|&r| r > 0),
         "some pool width never re-decided a window verdict: {rechecks:?}"
+    );
+}
+
+/// Internally disjoint unit-weight `0 → 1` routes, one per entry of
+/// `hops` (the route's edge count), plus a unit chord between the first
+/// interior vertices of consecutive routes: every pair of routes of equal
+/// length ties, and the chords add more tied detours.
+fn theta(hops: &[usize]) -> Graph {
+    let mut g = Graph::new(2);
+    let mut firsts = Vec::new();
+    for &h in hops {
+        let mut prev = NodeId::new(0);
+        for i in 1..h {
+            let mid = g.add_node();
+            if i == 1 {
+                firsts.push(mid);
+            }
+            g.add_edge(prev, mid, Weight::UNIT);
+            prev = mid;
+        }
+        g.add_edge(prev, NodeId::new(1), Weight::UNIT);
+    }
+    for pair in firsts.windows(2) {
+        g.add_edge(pair[0], pair[1], Weight::UNIT);
+    }
+    g
+}
+
+/// Every exact path agrees on graphs where nearly every shortest path
+/// ties: the guided builds (sequential and pooled at 1, 2 and 4 workers)
+/// must keep the same edges with the same witnesses as an unguided
+/// branching oracle and as the reference. A search whose path depended on
+/// the landmark potential would pick a different tied route here, and
+/// with it a different witness.
+#[test]
+fn guided_builds_match_unguided_and_reference_on_tie_heavy_families() {
+    use spanner_graph::generators::{complete, cycle, grid};
+    let mut families: Vec<(String, Graph)> = vec![("grid(4,5)".into(), grid(4, 5))];
+    families.extend((9..=12).map(|n| (format!("complete({n})"), complete(n))));
+    families.push(("cycle(8)".into(), cycle(8)));
+    for hops in [&[2, 2, 2, 2][..], &[3, 3, 3], &[2, 3, 3, 4, 4]] {
+        families.push((format!("theta{hops:?}"), theta(hops)));
+    }
+    for (name, g) in &families {
+        for f in 0..3 {
+            for model in [FaultModel::Vertex, FaultModel::Edge] {
+                let mut build = FtGreedy::new(g, 3);
+                build.faults(f).model(model);
+                let label = format!("{name} f={f} {model:?}");
+                let unguided = build.run_with_oracle(&mut BranchingOracle::new());
+                let reference = build.run_with_oracle(&mut ReferenceBranchingOracle::new());
+                assert_same_output(&format!("{label} unguided"), &reference, &unguided);
+                for kind in [
+                    OracleKind::Branching,
+                    OracleKind::Parallel(1),
+                    OracleKind::Parallel(2),
+                    OracleKind::Parallel(4),
+                ] {
+                    let guided = build.oracle(kind).run();
+                    assert_same_output(&format!("{label} {kind:?}"), &unguided, &guided);
+                }
+            }
+        }
+    }
+}
+
+/// The settled-vertex counter shows what the landmark table saves: on a
+/// dense geometric parent at f = 2 the guided build settles fewer
+/// vertices than the unguided one, for the same output.
+#[test]
+fn guided_build_settles_fewer_vertices_with_identical_output() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use spanner_graph::generators::random_geometric;
+    let g = random_geometric(120, 0.45, &mut StdRng::seed_from_u64(0xA17));
+    assert!(
+        g.edge_count() > 2000,
+        "parent not dense: {} edges",
+        g.edge_count()
+    );
+    let mut ft = FtGreedy::new(&g, 3);
+    ft.faults(2);
+    let unguided = ft.run_with_oracle(&mut BranchingOracle::new());
+    let guided = ft.run();
+    assert_same_output("guided vs unguided", &unguided, &guided);
+    let (plain, led) = (unguided.stats(), guided.stats());
+    assert_eq!(plain.nodes_explored, led.nodes_explored);
+    assert_eq!(plain.shortest_path_queries, led.shortest_path_queries);
+    assert!(
+        led.vertices_settled < plain.vertices_settled,
+        "guided settled {} vertices, unguided {}",
+        led.vertices_settled,
+        plain.vertices_settled
     );
 }

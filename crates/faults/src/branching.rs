@@ -25,6 +25,23 @@
 //! FT-greedy as an open problem, and experiment E9 measures exactly this
 //! growth.
 //!
+//! # Guided searches
+//!
+//! Every Dijkstra a query runs — each search node's bounded path, the
+//! seeded packing probes and the root Menger pre-filter — can run as A*
+//! towards `v` under a [`Landmarks`] table. FT-greedy builds the table
+//! once per run on the parent graph `G` whose edges it decides. The
+//! spanner `H` is a subgraph of `G` with `G`'s weights, so
+//! `d_G(x, v) ≤ d_{H∖F}(x, v)` for every fault set `F`: the table is a
+//! consistent potential for every search of the run, while `H` grows and
+//! under every mask, with no rebuild. The engine keeps the smallest-id
+//! tight predecessor in every search, so a guided search finds the very
+//! path the unguided one does; branching candidates, packing counts and
+//! witnesses are identical with or without the table (property-tested
+//! against [`crate::reference::ReferenceBranchingOracle`], which runs
+//! unguided). What the table saves shows in
+//! [`OracleStats::vertices_settled`].
+//!
 //! # Scratch-reuse contract
 //!
 //! One oracle instance is meant to serve a whole FT-greedy construction
@@ -54,7 +71,8 @@ use crate::packing::{disjoint_path_packing_counted, PackingScratch};
 use crate::{FaultModel, FaultOracle, FaultSet, OracleQuery, OracleStats};
 use spanner_graph::connectivity::CutScratch;
 use spanner_graph::{
-    DijkstraEngine, Dist, EdgeId, FaultMask, Graph, GraphView, NodeId, PathScratch,
+    DijkstraEngine, Dist, EdgeId, FaultMask, Graph, GraphView, Landmarks, NoPotential, NodeId,
+    PathScratch, Potential,
 };
 use std::collections::HashSet;
 
@@ -208,10 +226,11 @@ impl BranchingOracle {
         self.scratch.key.remove(component_hash(model, c));
     }
 
-    /// The bounded-search-tree DFS. On success (`true`) the blocking set
-    /// is left applied in `scratch.current`/`scratch.mask`; on failure all
-    /// faults pushed at this level are reverted.
-    fn search<V: GraphView>(&mut self, view: &V, q: &OracleQuery) -> bool {
+    /// The bounded-search-tree DFS, every Dijkstra guided by `h` (a
+    /// consistent potential towards `q.v`). On success (`true`) the
+    /// blocking set is left applied in `scratch.current`/`scratch.mask`;
+    /// on failure all faults pushed at this level are reverted.
+    fn search<V: GraphView, P: Potential>(&mut self, view: &V, h: &P, q: &OracleQuery) -> bool {
         self.stats.nodes_explored += 1;
         self.stats.shortest_path_queries += 1;
         if !self.engine.shortest_path_bounded_into(
@@ -220,6 +239,7 @@ impl BranchingOracle {
             q.v,
             q.bound,
             &self.scratch.mask,
+            h,
             &mut self.scratch.path,
         ) {
             return true; // dist already exceeds the bound
@@ -257,6 +277,7 @@ impl BranchingOracle {
                 q.model,
                 remaining + 1,
                 Some(&self.scratch.path),
+                h,
                 &mut self.scratch.packing,
             );
             self.stats.shortest_path_queries += probe.queries;
@@ -281,7 +302,7 @@ impl BranchingOracle {
             } else {
                 false
             };
-            if !skip && self.search(view, q) {
+            if !skip && self.search(view, h, q) {
                 found = true;
                 break;
             }
@@ -305,10 +326,30 @@ impl BranchingOracle {
 
     /// Like [`FaultOracle::find_blocking_faults`] but generic over the
     /// graph layout — FT-greedy points this at the spanner's incremental
-    /// CSR view so the whole oracle loop runs over flat memory.
+    /// CSR view so the whole oracle loop runs over flat memory — and
+    /// guided by `landmarks` when given (see the module docs).
+    ///
+    /// `landmarks` must be a table built on a supergraph of `view` with
+    /// `view`'s weights: the construction's parent graph, covering every
+    /// spanner the construction grows. The answer is the same with or
+    /// without it; only the work differs.
     pub fn find_blocking_faults_in<V: GraphView>(
         &mut self,
         view: &V,
+        landmarks: Option<&Landmarks>,
+        query: OracleQuery,
+    ) -> Option<FaultSet> {
+        match landmarks {
+            Some(table) => self.decide(view, &table.potential_to(query.v), query),
+            None => self.decide(view, &NoPotential, query),
+        }
+    }
+
+    /// One query under the potential `h` towards `query.v`.
+    fn decide<V: GraphView, P: Potential>(
+        &mut self,
+        view: &V,
+        h: &P,
         query: OracleQuery,
     ) -> Option<FaultSet> {
         self.begin_query(view);
@@ -316,6 +357,7 @@ impl BranchingOracle {
             match cut_shortcut_with_prefilter(
                 view,
                 &mut self.engine,
+                h,
                 &self.scratch.mask,
                 &mut self.scratch.packing,
                 &mut self.scratch.cuts,
@@ -328,7 +370,7 @@ impl BranchingOracle {
                 RootVerdict::Search => {}
             }
         }
-        if self.search(view, &query) {
+        if self.search(view, h, &query) {
             Some(self.collect_current(query.model))
         } else {
             None
@@ -368,11 +410,13 @@ enum RootVerdict {
 /// packing prune; a family with a path over the bound goes on to the
 /// search.
 ///
-/// `mask` must be the query's (empty) base mask.
+/// `mask` must be the query's (empty) base mask, and `h` a consistent
+/// potential towards `query.v` on `view`.
 #[allow(clippy::too_many_arguments)]
-fn cut_shortcut_with_prefilter<V: GraphView>(
+fn cut_shortcut_with_prefilter<V: GraphView, P: Potential>(
     view: &V,
     engine: &mut DijkstraEngine,
+    h: &P,
     mask: &FaultMask,
     packing: &mut PackingScratch,
     cuts: &mut CutScratch,
@@ -390,6 +434,7 @@ fn cut_shortcut_with_prefilter<V: GraphView>(
         query.model,
         query.budget + 1,
         None,
+        h,
         packing,
     );
     stats.shortest_path_queries += probe.queries;
@@ -432,16 +477,22 @@ fn cut_shortcut_with_prefilter<V: GraphView>(
 }
 
 impl FaultOracle for BranchingOracle {
+    /// One unguided query: an arbitrary graph comes with no landmark
+    /// table.
     fn find_blocking_faults(&mut self, graph: &Graph, query: OracleQuery) -> Option<FaultSet> {
-        self.find_blocking_faults_in(graph, query)
+        self.find_blocking_faults_in(graph, None, query)
     }
 
     fn stats(&self) -> OracleStats {
-        self.stats
+        OracleStats {
+            vertices_settled: self.engine.pop_count(),
+            ..self.stats
+        }
     }
 
     fn reset_stats(&mut self) {
         self.stats = OracleStats::default();
+        self.engine.reset_pop_count();
     }
 }
 

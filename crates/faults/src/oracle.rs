@@ -56,6 +56,13 @@ pub struct OracleStats {
     /// [`ParallelBranchingOracle`](crate::ParallelBranchingOracle)).
     /// Wasted work: zero for the sequential oracles.
     pub speculative_rechecks: u64,
+    /// Number of vertices the oracle's searches settled (heap pops of
+    /// its [`DijkstraEngine`](spanner_graph::DijkstraEngine)s). Counted
+    /// by [`BranchingOracle`](crate::BranchingOracle) and the pooled
+    /// oracle, zero for the others. This is the work a landmark
+    /// potential saves, where [`OracleStats::shortest_path_queries`]
+    /// stays the same.
+    pub vertices_settled: u64,
 }
 
 impl OracleStats {
@@ -69,6 +76,7 @@ impl OracleStats {
         self.scratch_rebuilds += other.scratch_rebuilds;
         self.pool_spawns += other.pool_spawns;
         self.speculative_rechecks += other.speculative_rechecks;
+        self.vertices_settled += other.vertices_settled;
     }
 }
 
@@ -76,7 +84,7 @@ impl fmt::Display for OracleStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "nodes={} sp-queries={} packing-prunes={} memo-hits={} cut-shortcuts={} scratch-rebuilds={} pool-spawns={} speculative-rechecks={}",
+            "nodes={} sp-queries={} packing-prunes={} memo-hits={} cut-shortcuts={} scratch-rebuilds={} pool-spawns={} speculative-rechecks={} settled={}",
             self.nodes_explored,
             self.shortest_path_queries,
             self.packing_prunes,
@@ -84,7 +92,8 @@ impl fmt::Display for OracleStats {
             self.cut_shortcuts,
             self.scratch_rebuilds,
             self.pool_spawns,
-            self.speculative_rechecks
+            self.speculative_rechecks,
+            self.vertices_settled
         )
     }
 }
@@ -120,6 +129,7 @@ mod tests {
             scratch_rebuilds: 6,
             pool_spawns: 7,
             speculative_rechecks: 8,
+            vertices_settled: 9,
         };
         a.absorb(OracleStats {
             nodes_explored: 10,
@@ -130,6 +140,7 @@ mod tests {
             scratch_rebuilds: 60,
             pool_spawns: 70,
             speculative_rechecks: 80,
+            vertices_settled: 90,
         });
         assert_eq!(a.nodes_explored, 11);
         assert_eq!(a.shortest_path_queries, 22);
@@ -139,6 +150,7 @@ mod tests {
         assert_eq!(a.scratch_rebuilds, 66);
         assert_eq!(a.pool_spawns, 77);
         assert_eq!(a.speculative_rechecks, 88);
+        assert_eq!(a.vertices_settled, 99);
     }
 
     #[test]
@@ -146,5 +158,6 @@ mod tests {
         let s = OracleStats::default();
         assert!(s.to_string().contains("nodes=0"));
         assert!(s.to_string().contains("speculative-rechecks=0"));
+        assert!(s.to_string().contains("settled=0"));
     }
 }

@@ -14,9 +14,18 @@
 //! own Dijkstra ran under the same mask and bound — passes it as the
 //! probe's *seed*, and the probe starts packing from it instead of
 //! repeating that Dijkstra.
+//!
+//! Each query is bounded A* towards `v` under the caller's potential.
+//! Faulting out a packed path only deletes vertices or edges, so a
+//! potential consistent on the searched graph stays consistent for every
+//! later query of the probe; the engine's tie rule makes every query
+//! find the path unguided Dijkstra would, so the packed count does not
+//! depend on the potential.
 
 use crate::FaultModel;
-use spanner_graph::{DijkstraEngine, Dist, FaultMask, Graph, GraphView, NodeId, PathScratch};
+use spanner_graph::{
+    DijkstraEngine, Dist, FaultMask, Graph, GraphView, NoPotential, NodeId, PathScratch, Potential,
+};
 
 /// The outcome of a packing probe: how many disjoint paths were packed,
 /// how many bounded Dijkstras that actually took, and the weight of the
@@ -64,6 +73,10 @@ impl PackingScratch {
 /// node has just extracted with the same engine, mask and bound. The
 /// probe packs it without re-running that Dijkstra, so the packed count
 /// is the unseeded one and the probe issues one query fewer.
+///
+/// `potential` must be consistent on `view` with estimate 0 at `v` (a
+/// [`Landmarks`](spanner_graph::Landmarks) table towards `v` built on
+/// any supergraph of `view` with its weights, or [`NoPotential`]).
 #[allow(clippy::too_many_arguments)]
 pub fn disjoint_path_packing_counted<V: GraphView>(
     view: &V,
@@ -75,6 +88,7 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
     model: FaultModel,
     cap: usize,
     mut seed: Option<&PathScratch>,
+    potential: &impl Potential,
     scratch: &mut PackingScratch,
 ) -> PackingProbe {
     let mut probe = PackingProbe {
@@ -97,6 +111,7 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
                     v,
                     bound,
                     &scratch.mask,
+                    potential,
                     &mut scratch.path,
                 ) {
                     break;
@@ -178,6 +193,7 @@ pub fn disjoint_path_packing(
         model,
         cap,
         None,
+        &NoPotential,
         &mut scratch,
     )
     .packed
@@ -329,6 +345,7 @@ mod tests {
             FaultModel::Vertex,
             10,
             None,
+            &NoPotential,
             &mut scratch,
         );
         assert_eq!(
@@ -350,6 +367,7 @@ mod tests {
             FaultModel::Vertex,
             2,
             None,
+            &NoPotential,
             &mut scratch,
         );
         assert_eq!(
@@ -373,6 +391,7 @@ mod tests {
             FaultModel::Vertex,
             7,
             None,
+            &NoPotential,
             &mut scratch,
         );
         assert_eq!(
@@ -391,7 +410,15 @@ mod tests {
             let base = FaultMask::for_graph(graph);
             let (u, v, bound) = (NodeId::new(0), NodeId::new(1), Dist::finite(bound));
             let mut seed = PathScratch::new();
-            assert!(engine.shortest_path_bounded_into(graph, u, v, bound, &base, &mut seed));
+            assert!(engine.shortest_path_bounded_into(
+                graph,
+                u,
+                v,
+                bound,
+                &base,
+                &NoPotential,
+                &mut seed
+            ));
             let probe = disjoint_path_packing_counted(
                 graph,
                 &mut engine,
@@ -402,6 +429,7 @@ mod tests {
                 FaultModel::Vertex,
                 cap,
                 Some(&seed),
+                &NoPotential,
                 &mut scratch,
             );
             assert_eq!(
@@ -415,6 +443,7 @@ mod tests {
         }
     }
 
+    /// Seeded and guided probes pack exactly what the plain probe packs.
     #[test]
     fn seeded_probe_matches_unseeded_on_random_graphs() {
         use rand::rngs::StdRng;
@@ -428,6 +457,7 @@ mod tests {
         for _ in 0..60 {
             let n = rng.gen_range(6..16);
             let g = with_uniform_weights(&erdos_renyi(n, 0.45, &mut rng), 1, 5, &mut rng);
+            let table = spanner_graph::Landmarks::build(&g);
             let (u, v) = (NodeId::new(0), NodeId::new(n - 1));
             let mut mask = FaultMask::for_graph(&g);
             for _ in 0..rng.gen_range(0..3) {
@@ -440,7 +470,15 @@ mod tests {
             let bound = Dist::finite(rng.gen_range(2..12));
             for model in [FaultModel::Vertex, FaultModel::Edge] {
                 for cap in 1..=4 {
-                    if !engine.shortest_path_bounded_into(&g, u, v, bound, &mask, &mut seed) {
+                    if !engine.shortest_path_bounded_into(
+                        &g,
+                        u,
+                        v,
+                        bound,
+                        &mask,
+                        &NoPotential,
+                        &mut seed,
+                    ) {
                         continue;
                     }
                     let seeded = disjoint_path_packing_counted(
@@ -453,6 +491,7 @@ mod tests {
                         model,
                         cap,
                         Some(&seed),
+                        &NoPotential,
                         &mut scratch,
                     );
                     let plain = disjoint_path_packing_counted(
@@ -465,9 +504,24 @@ mod tests {
                         model,
                         cap,
                         None,
+                        &NoPotential,
+                        &mut scratch,
+                    );
+                    let guided = disjoint_path_packing_counted(
+                        &g,
+                        &mut engine,
+                        &mask,
+                        u,
+                        v,
+                        bound,
+                        model,
+                        cap,
+                        None,
+                        &table.potential_to(v),
                         &mut scratch,
                     );
                     let label = format!("n={n} model={model:?} cap={cap}");
+                    assert_eq!(guided, plain, "{label}: guided");
                     assert_eq!(seeded.packed, plain.packed, "{label}");
                     assert_eq!(seeded.longest, plain.longest, "{label}");
                     assert_eq!(seeded.queries + 1, plain.queries, "{label}");

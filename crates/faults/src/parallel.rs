@@ -35,17 +35,25 @@
 //! # Sharing the view
 //!
 //! Workers outlive any one query, so they cannot borrow the caller's
-//! graph: they share an [`IncrementalCsr`] spanner view behind an
-//! `Arc<RwLock<…>>`. The caller grows it with
+//! graph: they share an [`IncrementalCsr`] spanner view, together with
+//! the [`Landmarks`] table of the construction's parent graph, behind an
+//! `Arc<RwLock<…>>`. A construction starts with
+//! [`ParallelBranchingOracle::view_reset`], which takes the parent, builds
+//! its table once and empties the view; the caller grows the view with
 //! [`ParallelBranchingOracle::view_push_edge`] between batches (never
-//! while one is in flight). Queries the driver decides on the calling
-//! thread go through [`ParallelBranchingOracle::find_blocking_faults_in_view`],
-//! a plain [`BranchingOracle`] on the same view; the [`FaultOracle`]
-//! entry point is that same single-query decision over an arbitrary
-//! graph.
+//! while one is in flight). Every query on the view, pooled or inline,
+//! is a guided [`BranchingOracle`] query (see the branching module
+//! docs): the view only ever holds parent edges, so the parent's table
+//! stays a consistent A* potential for the whole construction. Queries
+//! FT-greedy decides on the calling thread go through
+//! [`ParallelBranchingOracle::find_blocking_faults_in_view`]; the
+//! [`FaultOracle`] entry point is the same single-query decision over an
+//! arbitrary graph, unguided because that graph comes with no table.
 
 use crate::{BranchingConfig, BranchingOracle, FaultOracle, FaultSet, OracleQuery, OracleStats};
-use spanner_graph::{EdgeId, Graph, IncrementalCsr, NodeId, Weight};
+use spanner_graph::{
+    EdgeId, Graph, GraphView, IncrementalCsr, Landmarks, NodeId, Potential, Weight,
+};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -61,6 +69,20 @@ struct Job {
 
 /// A worker's answer for one job.
 type JobResult = (u64, usize, Option<FaultSet>, OracleStats);
+
+/// What every query of one construction runs against: the spanner grown
+/// so far and the landmark table of the parent graph it is a subgraph of.
+#[derive(Debug)]
+struct SharedView {
+    spanner: IncrementalCsr,
+    landmarks: Landmarks,
+}
+
+impl SharedView {
+    fn decide(&self, oracle: &mut BranchingOracle, query: OracleQuery) -> Option<FaultSet> {
+        oracle.find_blocking_faults_in(&self.spanner, Some(&self.landmarks), query)
+    }
+}
 
 /// The long-lived worker pool: a shared job queue, a result channel and
 /// the thread handles (joined on drop).
@@ -99,7 +121,7 @@ pub struct ParallelBranchingOracle {
     inline: BranchingOracle,
     /// Counters absorbed from the workers, plus the pool's own.
     stats: OracleStats,
-    view: Arc<RwLock<IncrementalCsr>>,
+    view: Arc<RwLock<SharedView>>,
     pool: Option<PoolHandle>,
     seq: u64,
 }
@@ -126,7 +148,10 @@ impl ParallelBranchingOracle {
             threads: threads.max(1),
             inline: BranchingOracle::new(),
             stats: OracleStats::default(),
-            view: Arc::new(RwLock::new(IncrementalCsr::new(0))),
+            view: Arc::new(RwLock::new(SharedView {
+                spanner: IncrementalCsr::new(0),
+                landmarks: Landmarks::default(),
+            })),
             pool: None,
             seq: 0,
         }
@@ -160,29 +185,38 @@ impl ParallelBranchingOracle {
         self.inline.set_config(config);
     }
 
-    /// Resets the shared spanner view to `node_count` isolated vertices
-    /// and makes sure the worker pool is up. FT-greedy calls this once
-    /// per construction, then grows the view with
+    /// Starts a construction over `parent`: builds `parent`'s landmark
+    /// table (the A* potential of every query until the next reset),
+    /// resets the shared spanner view to `parent`'s vertices with no
+    /// edges, and makes sure the worker pool is up. FT-greedy calls this
+    /// once per construction, then grows the view with
     /// [`ParallelBranchingOracle::view_push_edge`].
-    pub fn view_reset(&mut self, node_count: usize) {
+    pub fn view_reset<V: GraphView>(&mut self, parent: &V) {
         self.ensure_pool();
-        self.view.write().expect("view lock").reset(node_count);
+        let landmarks = Landmarks::build(parent);
+        let mut view = self.view.write().expect("view lock");
+        view.spanner.reset(parent.node_count());
+        view.landmarks = landmarks;
     }
 
     /// Appends a kept edge to the shared spanner view, returning its
-    /// dense id (which matches the spanner's own edge id).
+    /// dense id (which matches the spanner's own edge id). The edge must
+    /// be an edge of the parent given to the last
+    /// [`ParallelBranchingOracle::view_reset`], with its weight.
     pub fn view_push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        self.view
-            .write()
-            .expect("view lock")
-            .push_edge(u, v, weight)
+        let mut view = self.view.write().expect("view lock");
+        debug_assert!(
+            view.landmarks.potential_to(v).estimate(u) <= weight.get(),
+            "{u}-{v} (weight {weight}) is no edge of the parent the table was built on"
+        );
+        view.spanner.push_edge(u, v, weight)
     }
 
     /// Decides one query against the shared spanner view on the calling
     /// thread (no pool round trip).
     pub fn find_blocking_faults_in_view(&mut self, query: OracleQuery) -> Option<FaultSet> {
         let guard = self.view.read().expect("view lock");
-        self.inline.find_blocking_faults_in(&*guard, query)
+        guard.decide(&mut self.inline, query)
     }
 
     /// Decides every query of `queries` against the current shared view,
@@ -270,10 +304,10 @@ impl ParallelBranchingOracle {
                         }
                     };
                     oracle.set_config(job.config);
-                    let found = {
-                        let guard = view.read().expect("view lock");
-                        oracle.find_blocking_faults_in(&*guard, job.query)
-                    };
+                    let found = view
+                        .read()
+                        .expect("view lock")
+                        .decide(&mut oracle, job.query);
                     let stats = oracle.stats();
                     oracle.reset_stats();
                     if results.send((job.seq, job.index, found, stats)).is_err() {
@@ -303,9 +337,10 @@ impl Drop for ParallelBranchingOracle {
 }
 
 impl FaultOracle for ParallelBranchingOracle {
-    /// One query over an arbitrary graph, decided on the calling thread.
+    /// One unguided query over an arbitrary graph, decided on the
+    /// calling thread.
     fn find_blocking_faults(&mut self, graph: &Graph, query: OracleQuery) -> Option<FaultSet> {
-        self.inline.find_blocking_faults_in(graph, query)
+        self.inline.find_blocking_faults_in(graph, None, query)
     }
 
     fn stats(&self) -> OracleStats {
@@ -340,9 +375,9 @@ mod tests {
         Graph::from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap()
     }
 
-    /// Loads `g` into the oracle's shared view.
+    /// Loads `g` into the oracle's shared view, as its own parent.
     fn load_view(o: &mut ParallelBranchingOracle, g: &Graph) {
-        o.view_reset(g.node_count());
+        o.view_reset(g);
         for (_, e) in g.edges() {
             o.view_push_edge(e.u(), e.v(), e.weight());
         }
@@ -438,8 +473,8 @@ mod tests {
         // them (the pool is spawned once), and the shared view keeps up
         // with incremental growth.
         let mut o = ParallelBranchingOracle::new(2);
-        o.view_reset(4);
         let g = diamond();
+        o.view_reset(&g);
         let mut seq = BranchingOracle::new();
         let mut verdicts = Vec::new();
         let mut view_edges = 0usize;
@@ -464,15 +499,16 @@ mod tests {
 
     #[test]
     fn view_reset_starts_fresh_construction() {
+        let triangle = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
         let mut o = ParallelBranchingOracle::new(2);
-        o.view_reset(3);
+        o.view_reset(&triangle);
         o.view_push_edge(NodeId::new(0), NodeId::new(1), Weight::UNIT);
         o.view_push_edge(NodeId::new(1), NodeId::new(2), Weight::UNIT);
         // 0-2 runs through vertex 1 only: one fault blocks it.
         let found = o.find_blocking_faults_in_view(q(0, 2, 2, 1, FaultModel::Vertex));
         assert_eq!(found, Some(FaultSet::vertices([NodeId::new(1)])));
-        // Reset and rebuild a triangle: now 0-2 is direct, unblockable.
-        o.view_reset(3);
+        // Reset and rebuild the triangle: now 0-2 is direct, unblockable.
+        o.view_reset(&triangle);
         o.view_push_edge(NodeId::new(0), NodeId::new(1), Weight::UNIT);
         o.view_push_edge(NodeId::new(1), NodeId::new(2), Weight::UNIT);
         o.view_push_edge(NodeId::new(0), NodeId::new(2), Weight::UNIT);

@@ -30,30 +30,38 @@
 //!    [`DijkstraEngine::shortest_path_bounded`] is the allocating
 //!    convenience wrapper; loops should prefer the `_into` form.
 //!
-//! # The canonical route
+//! # One tie rule
 //!
-//! Serving needs one answer per pair that does not depend on which
-//! search produced it. The **canonical route** from `s` to `t` in
-//! `graph ∖ mask` is the shortest path in which every vertex's
-//! predecessor edge is its *smallest-id tight* predecessor edge (an edge
-//! `(u, v)` is tight when `d(s, u) + w(u, v) = d(s, v)`). The canonical
-//! searches — [`DijkstraEngine::astar`] (under any [`Potential`],
-//! including [`NoPotential`], which makes it plain Dijkstra) and
-//! [`DijkstraEngine::search_from`] — apply the rule at relax time: on
-//! `cand == dist[to]` they keep the smaller edge id. Weights are
+//! Every search returns one answer per pair that does not depend on
+//! which search produced it or on the potential that guided it. The
+//! **canonical route** from `s` to `t` in `graph ∖ mask` is the shortest
+//! path in which every vertex's predecessor edge is its *smallest-id
+//! tight* predecessor edge (an edge `(u, v)` is tight when
+//! `d(s, u) + w(u, v) = d(s, v)`). Every search — the fault oracles'
+//! [`DijkstraEngine::shortest_path_bounded_into`], serving's
+//! [`DijkstraEngine::astar`] and [`DijkstraEngine::search_from`], and
+//! the distance-only helpers — applies the rule at relax time: on
+//! `cand == dist[to]` it keeps the smaller edge id. Weights are
 //! positive, so plain Dijkstra settles every tight predecessor of a
 //! vertex before the vertex itself. A* under a consistent potential may
 //! settle a tight predecessor *at the same key* after its successor, so
-//! a canonical pair search keeps expanding every vertex whose key is at
-//! most `d(s, t)` before it stops. Either way every tight predecessor
-//! edge of every vertex on the path has been relaxed before extraction,
-//! so [`DijkstraEngine::extract_path_into`] returns the same path from
-//! all of them.
+//! a pair search keeps expanding every vertex whose key is at most
+//! `d(s, t)` before it stops. Either way every tight predecessor edge of
+//! every vertex on the path has been relaxed before extraction, so
+//! [`DijkstraEngine::extract_path_into`] returns the same path from all
+//! of them, under [`NoPotential`] or a [`Landmarks`](crate::Landmarks)
+//! potential alike.
 //!
-//! The construction searches ([`DijkstraEngine::dist_bounded`],
-//! [`DijkstraEngine::shortest_path_bounded_into`], the SSSP helpers)
-//! keep the first-found parent: their paths steer the fault oracles and
-//! the witnesses those record, so they must not change.
+//! # Bounded A*
+//!
+//! A bounded pair search under a potential `h` pushes a relaxation only
+//! when `d + h` is within the bound: `h` is a lower bound on the rest of
+//! the way, so such a vertex lies on no path within the bound. Every
+//! vertex of the canonical route, and every tight predecessor of one,
+//! has a key of at most `d(s, t) ≤ bound`, so the pruning never changes
+//! the route; it only shrinks the explored ball from radius
+//! `bound` around `s` to the ellipse of vertices that could still reach
+//! `t` in time.
 
 use crate::adjacency::GraphView;
 use crate::{Dist, EdgeId, FaultMask, IndexedHeap, NodeId, Weight};
@@ -295,20 +303,20 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) -> Option<Dist> {
-        self.run::<V, NoPotential, false>(graph, src, Some(dst), bound, mask, &NoPotential);
+        self.run(graph, src, Some(dst), bound, mask, &NoPotential);
         let d = self.query_dist(dst);
         (d.is_finite() && d <= bound).then_some(d)
     }
 
-    /// The canonical pair search: exact A* from `src` to `dst` in
+    /// The unbounded pair search: exact A* from `src` to `dst` in
     /// `graph ∖ mask` under a consistent `potential` (see [`Potential`]),
     /// with the smallest-id tie rule (see the module docs). Returns the
     /// distance, or `None` when `dst` is unreachable; the canonical route
     /// is then one [`DijkstraEngine::extract_path_into`] away.
     ///
-    /// Under [`NoPotential`] this is the early-stopped canonical
-    /// Dijkstra; under a landmark potential it settles a small fraction
-    /// of the vertices and returns the same path.
+    /// Under [`NoPotential`] this is early-stopped Dijkstra; under a
+    /// landmark potential it settles a small fraction of the vertices and
+    /// returns the same path.
     pub fn astar<V: GraphView, P: Potential>(
         &mut self,
         graph: &V,
@@ -317,17 +325,20 @@ impl DijkstraEngine {
         mask: &FaultMask,
         potential: &P,
     ) -> Option<Dist> {
-        self.run::<V, P, true>(graph, src, Some(dst), Dist::INFINITE, mask, potential);
+        self.run(graph, src, Some(dst), Dist::INFINITE, mask, potential);
         Some(self.query_dist(dst)).filter(|d| d.is_finite())
     }
 
-    /// Like [`DijkstraEngine::dist_bounded`], but also reconstructs one
-    /// shortest path into the reusable `out` buffer. Returns `true` (with
-    /// `out` filled) when a path within `bound` exists; on `false`, `out`
-    /// is cleared.
+    /// Bounded A* from `src` to `dst` in `graph ∖ mask` under a
+    /// consistent `potential` towards `dst`, reconstructing the canonical
+    /// route into the reusable `out` buffer. Returns `true` (with `out`
+    /// filled) when a path within `bound` exists; on `false`, `out` is
+    /// cleared. The route does not depend on the potential (module docs);
+    /// [`NoPotential`] makes this bounded Dijkstra.
     ///
     /// This is the zero-allocation form the oracle hot loop uses; see the
     /// module docs for the scratch-reuse contract.
+    #[allow(clippy::too_many_arguments)]
     pub fn shortest_path_bounded_into<V: GraphView>(
         &mut self,
         graph: &V,
@@ -335,14 +346,15 @@ impl DijkstraEngine {
         dst: NodeId,
         bound: Dist,
         mask: &FaultMask,
+        potential: &impl Potential,
         out: &mut PathScratch,
     ) -> bool {
-        self.run::<V, NoPotential, false>(graph, src, Some(dst), bound, mask, &NoPotential);
+        self.run(graph, src, Some(dst), bound, mask, potential);
         self.extract_path_into(dst, bound, out)
     }
 
-    /// Runs a full canonical single-source search (no target
-    /// early-stop, smallest-id tie rule), leaving the settled distances
+    /// Runs a full single-source search (no target early-stop,
+    /// smallest-id tie rule), leaving the settled distances
     /// and parent links in the engine for subsequent
     /// [`DijkstraEngine::extract_path_into`] calls. This is the
     /// batch-serving amortization: queries sharing a source share one
@@ -354,17 +366,17 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) {
-        self.run::<V, NoPotential, true>(graph, src, None, bound, mask, &NoPotential);
+        self.run(graph, src, None, bound, mask, &NoPotential);
     }
 
     /// Extracts the shortest path to `dst` from the engine's most recent
     /// search. Returns `true` with `out` filled iff `dst` was **settled**
     /// within `bound` by that search; on `false`, `out` is cleared.
     ///
-    /// After a canonical search ([`DijkstraEngine::search_from`] or
-    /// [`DijkstraEngine::astar`]) the extracted path is the **canonical
-    /// route** (module docs), so it is bit-identical across those
-    /// searches. The batch query engine relies on this equivalence.
+    /// The extracted path is the **canonical route** (module docs), so it
+    /// is bit-identical across every search that settled `dst`, guided or
+    /// not. The batch query engine and the guided fault oracles rely on
+    /// this equivalence.
     ///
     /// Only settled values are trusted: after a target-less search
     /// ([`DijkstraEngine::search_from`]) every vertex within the
@@ -414,8 +426,8 @@ impl DijkstraEngine {
         true
     }
 
-    /// Like [`DijkstraEngine::dist_bounded`], but also reconstructs one
-    /// shortest path. Allocates the result; loops should prefer
+    /// Like [`DijkstraEngine::dist_bounded`], but also reconstructs the
+    /// canonical route. Allocates the result; loops should prefer
     /// [`DijkstraEngine::shortest_path_bounded_into`].
     pub fn shortest_path_bounded<V: GraphView>(
         &mut self,
@@ -426,7 +438,7 @@ impl DijkstraEngine {
         mask: &FaultMask,
     ) -> Option<ShortestPath> {
         let mut out = PathScratch::new();
-        if self.shortest_path_bounded_into(graph, src, dst, bound, mask, &mut out) {
+        if self.shortest_path_bounded_into(graph, src, dst, bound, mask, &NoPotential, &mut out) {
             Some(ShortestPath {
                 dist: out.dist,
                 nodes: out.nodes,
@@ -446,7 +458,7 @@ impl DijkstraEngine {
         bound: Dist,
         mask: &FaultMask,
     ) -> Vec<Dist> {
-        self.run::<V, NoPotential, false>(graph, src, None, bound, mask, &NoPotential);
+        self.run(graph, src, None, bound, mask, &NoPotential);
         (0..graph.node_count())
             .map(|v| {
                 let d = self.query_dist(NodeId::new(v));
@@ -473,11 +485,11 @@ impl DijkstraEngine {
     }
 
     /// The one search loop. `potential` turns it into A* (keys are
-    /// `dist + potential`); `CANONICAL` selects the smallest-id tie rule
-    /// and, for pair searches, keeps expanding every vertex whose key
-    /// ties the target's before stopping (module docs). `NoPotential`
-    /// with `CANONICAL = false` is the construction search.
-    fn run<V: GraphView, P: Potential, const CANONICAL: bool>(
+    /// `dist + potential`, and a relaxation whose key exceeds `bound` is
+    /// not pushed); every search applies the smallest-id tie rule and,
+    /// for pair searches, keeps expanding every vertex whose key ties
+    /// the target's before stopping (module docs).
+    fn run<V: GraphView, P: Potential>(
         &mut self,
         graph: &V,
         src: NodeId,
@@ -503,16 +515,14 @@ impl DijkstraEngine {
         let mut heap = self.heap.take().expect("heap initialized by prepare");
         heap.clear();
         heap.push_or_decrease(src.index(), potential.estimate(src));
-        let mut stop_key = bound.value().unwrap_or(u64::MAX);
+        let max_key = bound.value().unwrap_or(u64::MAX);
+        let mut stop_key = max_key;
         while let Some((v, key)) = heap.pop() {
             self.pops += 1;
             if key > stop_key {
                 break;
             }
             if Some(NodeId::new(v)) == dst {
-                if !CANONICAL {
-                    break;
-                }
                 stop_key = key;
                 continue;
             }
@@ -527,14 +537,18 @@ impl DijkstraEngine {
                 }
                 self.touch(to.index());
                 if cand < self.dist[to.index()] {
+                    let key = cand
+                        .value()
+                        .expect("finite")
+                        .saturating_add(potential.estimate(to));
+                    if key > max_key {
+                        return;
+                    }
                     self.dist[to.index()] = cand;
                     self.parent_node[to.index()] = v as u32;
                     self.parent_edge[to.index()] = eid.raw();
-                    let key = cand.value().expect("finite");
-                    heap.push_or_decrease(to.index(), key.saturating_add(potential.estimate(to)));
-                } else if CANONICAL
-                    && cand == self.dist[to.index()]
-                    && eid.raw() < self.parent_edge[to.index()]
+                    heap.push_or_decrease(to.index(), key);
+                } else if cand == self.dist[to.index()] && eid.raw() < self.parent_edge[to.index()]
                 {
                     self.parent_node[to.index()] = v as u32;
                     self.parent_edge[to.index()] = eid.raw();
@@ -758,9 +772,9 @@ mod tests {
     /// A route as `(dist, nodes, edges)`, `None` when unreachable.
     type Found = Option<(Dist, Vec<NodeId>, Vec<EdgeId>)>;
 
-    /// The route each canonical search returns for `src → dst`:
-    /// A* under no potential, A* under the exact potential, and
-    /// extraction from a full `search_from`.
+    /// The route each search returns for `src → dst`: A* under no
+    /// potential, A* under the exact potential, and extraction from a
+    /// full `search_from`.
     fn canonical_routes<V: GraphView>(
         g: &V,
         mask: &FaultMask,
@@ -784,27 +798,50 @@ mod tests {
         [plain, guided, full]
     }
 
+    /// The route the bounded pair search returns under `potential`.
+    fn bounded_route<P: Potential>(
+        g: &Graph,
+        mask: &FaultMask,
+        src: usize,
+        dst: usize,
+        bound: Dist,
+        potential: &P,
+    ) -> Found {
+        let mut out = PathScratch::new();
+        DijkstraEngine::new()
+            .shortest_path_bounded_into(
+                g,
+                NodeId::new(src),
+                NodeId::new(dst),
+                bound,
+                mask,
+                potential,
+                &mut out,
+            )
+            .then(|| (out.dist(), out.nodes().to_vec(), out.edges().to_vec()))
+    }
+
     #[test]
     fn tie_rule_keeps_the_smallest_tight_edge_in_every_search() {
         // Two tight routes 0→3: via 1 (edges 0, 3) and via 2 (edges 1,
         // 2). Vertex 1 enters the heap first, so it relaxes 3 through
-        // the larger edge id 3 before vertex 2 offers edge 2.
+        // the larger edge id 3 before vertex 2 offers edge 2; every
+        // search must still keep edge 2.
         let g =
             Graph::from_weighted_edges(4, [(0, 1, 1), (0, 2, 1), (2, 3, 1), (1, 3, 1)]).unwrap();
         let mask = FaultMask::for_graph(&g);
-        let first_found = DijkstraEngine::new()
-            .shortest_path_bounded(&g, NodeId::new(0), NodeId::new(3), Dist::INFINITE, &mask)
-            .unwrap();
-        assert_eq!(
-            first_found.edges,
-            [EdgeId::new(0), EdgeId::new(3)],
-            "the construction search keeps the first-found parent"
-        );
         let canonical = Some((
             Dist::finite(2),
             vec![NodeId::new(0), NodeId::new(2), NodeId::new(3)],
             vec![EdgeId::new(1), EdgeId::new(2)],
         ));
+        let exact = ExactPotential(DijkstraEngine::new().sssp(&g, NodeId::new(3), &mask));
+        for bound in [Dist::finite(2), Dist::finite(3), Dist::INFINITE] {
+            let plain = bounded_route(&g, &mask, 0, 3, bound, &NoPotential);
+            assert_eq!(plain, canonical, "bounded search, bound {bound}");
+            let guided = bounded_route(&g, &mask, 0, 3, bound, &exact);
+            assert_eq!(guided, canonical, "guided bounded search, bound {bound}");
+        }
         for (i, route) in canonical_routes(&g, &mask, 0, 3).into_iter().enumerate() {
             assert_eq!(route, canonical, "search {i}");
         }
@@ -826,6 +863,90 @@ mod tests {
                 assert_eq!(plain, full, "{src}->{dst}");
             }
         }
+    }
+
+    #[test]
+    fn guided_search_matches_unguided_on_every_subgraph_of_the_table_graph() {
+        // The construction setting: the table is built once on G, the
+        // searches run on a subgraph H ⊆ G under fault masks, with bounds
+        // on both sides of the true distance. Guided and unguided must
+        // agree on every field of the answer.
+        use crate::generators::{erdos_renyi, grid, random_geometric, with_uniform_weights};
+        use crate::Landmarks;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA17);
+        let (mut plain, mut guided) = (DijkstraEngine::new(), DijkstraEngine::new());
+        let (mut plain_out, mut guided_out) = (PathScratch::new(), PathScratch::new());
+        let mut outcomes = [0usize; 2];
+        for trial in 0..24 {
+            let g = match trial % 3 {
+                0 => random_geometric(60, 0.3, &mut rng),
+                // Small weights tie often; p = 0.06 leaves G disconnected.
+                1 => with_uniform_weights(&erdos_renyi(50, 0.06, &mut rng), 1, 3, &mut rng),
+                _ => grid(6, 7),
+            };
+            let table = Landmarks::build(&g);
+            let mut h = Graph::new(g.node_count());
+            for (_, e) in g.edges() {
+                if rng.gen_bool(0.7) {
+                    h.add_edge_unchecked(e.u(), e.v(), e.weight());
+                }
+            }
+            let n = h.node_count();
+            for _ in 0..30 {
+                let mut mask = FaultMask::for_graph(&h);
+                for _ in 0..rng.gen_range(0..3) {
+                    mask.fault_vertex(NodeId::new(rng.gen_range(0..n)));
+                }
+                for _ in 0..rng.gen_range(0..3) {
+                    if h.edge_count() > 0 {
+                        mask.fault_edge(EdgeId::new(rng.gen_range(0..h.edge_count())));
+                    }
+                }
+                let (s, t) = (
+                    NodeId::new(rng.gen_range(0..n)),
+                    NodeId::new(rng.gen_range(0..n)),
+                );
+                let exact = plain.dist_bounded(&h, s, t, Dist::INFINITE, &mask);
+                let bounds = match exact.and_then(Dist::value) {
+                    Some(d) => vec![d.saturating_sub(1), d, d + 1, 2 * d + 1],
+                    None => vec![rng.gen_range(0..40)],
+                };
+                let bounds = bounds.into_iter().map(Dist::finite).chain([Dist::INFINITE]);
+                let h_t = table.potential_to(t);
+                for bound in bounds {
+                    let label = format!("trial {trial}: {s}->{t} bound {bound}");
+                    let a = plain.shortest_path_bounded_into(
+                        &h,
+                        s,
+                        t,
+                        bound,
+                        &mask,
+                        &NoPotential,
+                        &mut plain_out,
+                    );
+                    let b = guided.shortest_path_bounded_into(
+                        &h,
+                        s,
+                        t,
+                        bound,
+                        &mask,
+                        &h_t,
+                        &mut guided_out,
+                    );
+                    assert_eq!(a, b, "{label}: found");
+                    assert_eq!(a, exact.is_some_and(|d| d <= bound), "{label}: exact");
+                    outcomes[usize::from(a)] += 1;
+                    if a {
+                        assert_eq!(plain_out.dist(), guided_out.dist(), "{label}: dist");
+                        assert_eq!(plain_out.nodes(), guided_out.nodes(), "{label}: nodes");
+                        assert_eq!(plain_out.edges(), guided_out.edges(), "{label}: edges");
+                    }
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&c| c > 200), "{outcomes:?}");
     }
 
     #[test]

@@ -1,0 +1,239 @@
+//! Landmark distance tables: the A* potential every exact search runs
+//! on (ALT — A*, landmarks, triangle inequality; Goldberg–Harrelson,
+//! SODA 2005).
+//!
+//! For a landmark `L` the triangle inequality gives
+//! `|d_G(L, t) − d_G(L, v)| ≤ d_G(v, t)`, and the maximum over a few
+//! landmarks is a consistent lower bound on the distance to `t`
+//! ([`Potential`]). The table is computed once on an **unfaulted**
+//! graph `G`, and it stays consistent on every subgraph `H ⊆ G` that
+//! keeps `G`'s weights, under every fault mask: each edge of `H ∖ F` is
+//! an edge of `G`, so `h(u) ≤ w(u, v) + h(v)` still holds on it, and
+//! `d_G(v, t) ≤ d_{H∖F}(v, t)`. One table type serves both sides of the
+//! pipeline:
+//!
+//! * **Construction.** FT-greedy builds the table on the parent graph
+//!   whose edges it decides, once per run. The spanner `H` it grows is a
+//!   subgraph of that parent, so every fault-oracle search — while `H`
+//!   grows, under every candidate fault set — runs as bounded A* under
+//!   the same table, with no rebuild.
+//! * **Serving.** `FrozenSpanner::landmarks` builds the table on the
+//!   unfaulted spanner `H` at open. Faults only delete vertices and
+//!   edges, so no epoch ever invalidates it.
+//!
+//! A* and Dijkstra return the same path under the engine's one tie rule
+//! (see [`crate::dijkstra`]), so the table changes how much a search
+//! explores, never what it answers.
+//!
+//! Layout: [`LANDMARKS`] landmarks chosen by farthest-point selection,
+//! distances stored vertex-major as one cache-line row of `u32` per
+//! vertex, finite distances clamped below the [`UNREACHABLE`] sentinel.
+//! Clamping is 1-Lipschitz, and inside one component of `G` a landmark's
+//! column is either all finite or all sentinel. Every edge of a subgraph
+//! of `G` joins two vertices of one `G` component, so the absolute
+//! differences stay consistent on it without a branch on the sentinel.
+//! At n = 10⁴ the table is 640 KB and builds in tens of milliseconds; it
+//! is never persisted.
+
+use crate::{DijkstraEngine, Dist, FaultMask, GraphView, NodeId, Potential};
+use std::fmt;
+
+/// Landmarks per table.
+pub const LANDMARKS: usize = 16;
+
+/// Table entry for a vertex the landmark cannot reach.
+pub const UNREACHABLE: u32 = u32::MAX;
+
+/// One vertex's distances to every landmark: one cache line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(align(64))]
+struct Row([u32; LANDMARKS]);
+
+/// The landmark table of one graph (see the module docs). The default
+/// table covers the empty graph.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Landmarks {
+    vertices: Vec<NodeId>,
+    rows: Vec<Row>,
+}
+
+impl Landmarks {
+    /// Builds the table on the unfaulted `graph`: farthest-point
+    /// selection (the first landmark is the vertex farthest from vertex
+    /// 0, each next one the vertex farthest from all chosen so far,
+    /// unreachable counting as farthest and ties going to the smaller
+    /// id), one Dijkstra per landmark.
+    pub fn build<V: GraphView>(graph: &V) -> Self {
+        let n = graph.node_count();
+        let mut rows = vec![Row([UNREACHABLE; LANDMARKS]); n];
+        let mut vertices = Vec::with_capacity(LANDMARKS);
+        if n == 0 {
+            return Landmarks { vertices, rows };
+        }
+        let mask = FaultMask::with_capacity(n, graph.edge_count());
+        let mut engine = DijkstraEngine::new();
+        let raw = |d: Dist| d.value().unwrap_or(u64::MAX);
+        // Distance from each vertex to its nearest chosen landmark
+        // (before the first pick: to vertex 0).
+        let mut nearest: Vec<u64> = engine
+            .sssp(graph, NodeId::new(0), &mask)
+            .into_iter()
+            .map(raw)
+            .collect();
+        for i in 0..LANDMARKS {
+            let far = (0..n).fold(
+                0,
+                |best, v| if nearest[v] > nearest[best] { v } else { best },
+            );
+            vertices.push(NodeId::new(far));
+            let dist = engine.sssp(graph, NodeId::new(far), &mask);
+            for (v, d) in dist.into_iter().map(raw).enumerate() {
+                rows[v].0[i] = if d == u64::MAX {
+                    UNREACHABLE
+                } else {
+                    d.min(u64::from(UNREACHABLE - 1)) as u32
+                };
+                nearest[v] = if i == 0 { d } else { nearest[v].min(d) };
+            }
+        }
+        Landmarks { vertices, rows }
+    }
+
+    /// The landmark vertices, in selection order.
+    pub fn vertices(&self) -> &[NodeId] {
+        &self.vertices
+    }
+
+    /// `v`'s row: its (clamped) distance from each landmark, or
+    /// [`UNREACHABLE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn distances(&self, v: NodeId) -> &[u32; LANDMARKS] {
+        &self.rows[v.index()].0
+    }
+
+    /// The A* potential towards `target`:
+    /// `h(v) = max_L |d(L, target) − d(L, v)|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of range.
+    pub fn potential_to(&self, target: NodeId) -> LandmarkPotential<'_> {
+        LandmarkPotential {
+            rows: &self.rows,
+            target: self.rows[target.index()],
+        }
+    }
+}
+
+impl fmt::Debug for Landmarks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Landmarks")
+            .field("vertices", &self.vertices)
+            .field("rows", &self.rows.len())
+            .finish()
+    }
+}
+
+/// The landmark lower bound towards one target (built by
+/// [`Landmarks::potential_to`]).
+#[derive(Clone, Copy)]
+pub struct LandmarkPotential<'a> {
+    rows: &'a [Row],
+    target: Row,
+}
+
+impl Potential for LandmarkPotential<'_> {
+    #[inline]
+    fn estimate(&self, v: NodeId) -> u64 {
+        let row = &self.rows[v.index()].0;
+        let mut best = 0;
+        for (a, b) in row.iter().zip(&self.target.0) {
+            best = best.max(a.abs_diff(*b));
+        }
+        u64::from(best)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generators::{erdos_renyi, grid, random_geometric, with_uniform_weights};
+    use crate::{EdgeId, Graph, Weight};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A graph in three components: a weighted 4-cycle with a chord on
+    /// {0..3}, the isolated vertex 4, and a weighted path on {5..11}.
+    fn three_components() -> Graph {
+        let mut g = Graph::new(12);
+        for (u, v, w) in [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (1, 3, 2)] {
+            g.add_edge_unchecked(NodeId::new(u), NodeId::new(v), Weight::new(w).unwrap());
+        }
+        for v in 5..11 {
+            g.add_edge_unchecked(NodeId::new(v), NodeId::new(v + 1), Weight::new(5).unwrap());
+        }
+        g
+    }
+
+    /// Parents of a few generated families, one of them disconnected.
+    fn parents() -> Vec<Graph> {
+        let mut rng = StdRng::seed_from_u64(7);
+        vec![
+            grid(5, 6),
+            with_uniform_weights(&erdos_renyi(40, 0.2, &mut rng), 1, 9, &mut rng),
+            random_geometric(60, 0.3, &mut rng),
+            three_components(),
+        ]
+    }
+
+    /// A table built on G is consistent on every H ⊆ G: the construction
+    /// guarantee (H is a spanner being grown from G) as well as the
+    /// serving one (H = G).
+    #[test]
+    fn potential_is_zero_at_the_target_and_consistent_on_every_edge() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for g in parents() {
+            let table = Landmarks::build(&g);
+            for keep in [1.0, 0.6, 0.25] {
+                // H ⊆ G: a random subset of G's edges, G's weights.
+                let mut h = Graph::new(g.node_count());
+                for (_, e) in g.edges() {
+                    if rng.gen_bool(keep) {
+                        h.add_edge_unchecked(e.u(), e.v(), e.weight());
+                    }
+                }
+                for t in 0..h.node_count() {
+                    let pot = table.potential_to(NodeId::new(t));
+                    assert_eq!(pot.estimate(NodeId::new(t)), 0);
+                    for e in 0..h.edge_count() {
+                        let e = EdgeId::new(e);
+                        let (u, v) = h.edge_endpoints(e);
+                        let w = h.edge_weight(e).get();
+                        assert!(pot.estimate(u) <= w + pot.estimate(v), "{e} toward {t}");
+                        assert!(pot.estimate(v) <= w + pot.estimate(u), "{e} toward {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn farthest_point_selection_reaches_every_component() {
+        let g = three_components();
+        let table = Landmarks::build(&g);
+        assert_eq!(table.vertices().len(), LANDMARKS);
+        // Three components: {0..3}, {4}, {5..11} — each holds a landmark,
+        // so every vertex sees the sentinel in some column and a finite
+        // distance in another.
+        for comp in [&[0usize, 1, 2, 3][..], &[4], &[5, 6, 7, 8, 9, 10, 11]] {
+            assert!(table.vertices().iter().any(|l| comp.contains(&l.index())));
+        }
+        for v in 0..g.node_count() {
+            let row = table.distances(NodeId::new(v));
+            assert!(row.contains(&UNREACHABLE) && row.iter().any(|&d| d != UNREACHABLE));
+        }
+    }
+}

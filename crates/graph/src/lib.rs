@@ -8,7 +8,8 @@
 //! * [`FaultMask`] — logical vertex/edge deletion for evaluating
 //!   `dist_{H ∖ F}` without copying graphs.
 //! * [`DijkstraEngine`] — reusable, bound-aware, fault-masked shortest
-//!   paths (the inner loop of the fault-set search oracles).
+//!   paths (the inner loop of the fault-set search oracles), guided by a
+//!   [`Landmarks`] A* potential built once on the unfaulted parent.
 //! * [`girth`]/[`cycles`] — girth computation and bounded cycle
 //!   enumeration, the language of the paper's blocking-set arguments.
 //! * [`generators`] — deterministic and random graph families used by the
@@ -67,6 +68,7 @@ pub mod flow;
 pub mod generators;
 pub mod girth;
 pub mod io;
+pub mod landmarks;
 pub mod mst;
 pub mod partition;
 pub mod subgraph;
@@ -81,6 +83,7 @@ pub use error::GraphError;
 pub use graph::{Edge, Graph};
 pub use heap::IndexedHeap;
 pub use ids::{EdgeId, NodeId};
+pub use landmarks::{LandmarkPotential, Landmarks};
 pub use union_find::UnionFind;
 pub use view::FaultMask;
 pub use weight::{Dist, Weight};
