@@ -5,15 +5,12 @@
 //!
 //! * `substrate` — graph-layer primitives: adjacency-list vs CSR vs
 //!   packed frozen-CSR traversal and Dijkstra on identical workloads;
-//! * `perf_ftgreedy` — the construction trajectory behind the committed
-//!   `BENCH_2.json`: reference vs optimized vs pooled FT-greedy oracles;
 //! * `e1_size_vs_f`, `e4_baselines`, `e9_oracle` — experiment-shaped
 //!   benchmarks mirroring the harness's E1/E4/E9 sweeps.
 //!
 //! Run with `cargo bench` (or `cargo bench --no-run` for the CI compile
-//! smoke). The serving-side trajectory is measured by the `querybench`
-//! harness binary instead, because its artifact (`BENCH_4.json`) needs
-//! the strict JSON plumbing that lives in `spanner_harness`.
+//! smoke). End-to-end construction and serving cost is measured by
+//! `pipebench` (see `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

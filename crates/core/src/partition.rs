@@ -67,8 +67,9 @@
 //!
 //! Size optimality is what's traded away: the stitch does not interleave
 //! with the shards in one global weight order, so the union can keep
-//! edges a monolithic run would have dropped. The frontier bench
-//! (`BENCH_9.json`) tracks that inflation per PR and gates it at 1.25×.
+//! edges a monolithic run would have dropped. The fixed-instance test
+//! `partitioned_size_stays_within_a_quarter_of_monolithic_and_certifies_exactly`
+//! in `tests/partition_contract.rs` bounds that inflation at 1.25×.
 
 use crate::ft_greedy::{FtGreedy, FtSpanner};
 use crate::Spanner;

@@ -5,15 +5,10 @@
 //! per query it allocates a fresh [`FaultMask`], memoizes on sorted
 //! `Vec<usize>` clones, collects branching candidates into fresh vectors,
 //! and runs its Dijkstras over the pointer-chasing [`Graph`] adjacency
-//! list. It exists for two jobs:
-//!
-//! 1. **Equivalence testing** — the optimized oracle (CSR view, reusable
-//!    scratch, Zobrist memo, pooled candidate windows) must produce
-//!    identical spanners *and witnesses*; the property tests in
-//!    `spanner-core` pin that.
-//! 2. **Benchmark baseline** — `perf_ftgreedy` and the `perfbench`
-//!    harness command report speedups against this implementation, so the
-//!    perf trajectory in `BENCH_*.json` has a stable "before".
+//! list. It exists for one job, **equivalence testing**: the optimized
+//! oracle (CSR view, reusable scratch, Zobrist memo, pooled candidate
+//! windows) must produce identical spanners *and witnesses*; the
+//! property tests in `spanner-core` pin that.
 //!
 //! It deliberately keeps the old flat `packed + 1` stats charge for the
 //! packing probe (the accounting drift fixed in the live oracle), because

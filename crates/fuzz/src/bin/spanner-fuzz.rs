@@ -25,7 +25,7 @@
 //!   under the full contract (fail-closed, deterministic, canonical)
 //!   and verifies each file's outcome against its name.
 //! * `--check` validates an emitted findings artifact against the
-//!   `vft-spanner/fuzz-1` schema, same pattern as `perfbench --check`.
+//!   `vft-spanner/fuzz-1` schema, same pattern as `scenarios --check`.
 
 use spanner_fuzz::alloc::CountingAlloc;
 use spanner_fuzz::runner::{self, check_artifact, FuzzConfig};

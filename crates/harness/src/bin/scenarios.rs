@@ -1,5 +1,4 @@
-//! `scenarios` — the resilience engine sweep, as a committed-style
-//! artifact (the scenario-pipeline analogue of `perfbench`).
+//! `scenarios` — the resilience engine sweep, as a JSON artifact.
 //!
 //! Usage:
 //!

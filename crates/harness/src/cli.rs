@@ -1,7 +1,7 @@
 //! Shared command-line plumbing for the harness binaries.
 //!
-//! Every harness binary (`repro`, `perfbench`, `scenarios`, `querybench`,
-//! `spanner-artifact`) speaks the same dialect:
+//! Every harness binary (`repro`, `scenarios`, `spanner-artifact`)
+//! speaks the same dialect:
 //!
 //! * `--help` / `-h` prints the usage text to **stdout** and exits 0
 //!   (help is a successful outcome, not an error);

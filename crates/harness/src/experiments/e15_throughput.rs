@@ -9,9 +9,8 @@
 //!
 //! * `router` — the one-query-per-epoch baseline: every call re-applies
 //!   the failure set and serves one pair through the primitive
-//!   [`spanner_core::serve::route_one`] reference (the
-//!   pre-PR-4 consumer behavior, reproduced without the deleted
-//!   `ResilientRouter` shim — the JSON schema keeps the `router` label);
+//!   [`spanner_core::serve::route_one`] reference (how consumers
+//!   served before epochs existed);
 //! * `batch` — an [`EpochServer`] session over the shared frozen
 //!   artifact: the failure set is applied **once** per epoch, the batch
 //!   served against the interned fault view;
@@ -24,11 +23,10 @@
 //! first asserts all three paths returned **bit-identical answers**
 //! (routes, edges, distances, errors — the property the proptest suite
 //! pins), then reports queries/second and speedups vs the router
-//! baseline. The same sweep backs the `querybench` binary, which emits
-//! the machine-readable `BENCH_4.json` artifact CI schema-checks.
+//! baseline. `repro` exits non-zero when any cell's paths diverge, so
+//! `repro --smoke e15` is the release-binary identity gate.
 
 use super::{ExperimentContext, ExperimentOutput};
-use crate::json::{num, obj, s, JsonValue};
 use crate::{cell_seed, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,15 +38,6 @@ use spanner_graph::generators::random_geometric;
 use spanner_graph::{DijkstraEngine, FaultMask, NodeId, PathScratch};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The query-bench artifact schema tag; bump when the layout changes.
-/// `querybench-3` added the required `host` block (logical CPUs, rustc,
-/// OS/arch) so artifacts are comparable across machines.
-pub const SCHEMA: &str = "vft-spanner/querybench-3";
-
-/// The pre-host tag still accepted by [`check_artifact`], so committed
-/// artifacts from earlier PRs keep validating (`host` optional there).
-pub const LEGACY_SCHEMA: &str = "vft-spanner/querybench-1";
 
 /// The stretch target every E15 spanner is built for.
 pub const STRETCH: u64 = 3;
@@ -64,21 +53,13 @@ pub const SCENARIOS: [&str; 3] = ["clear", "random-f", "witness-replay"];
 pub struct ThroughputCell {
     /// The scenario name (one of [`SCENARIOS`]).
     pub scenario: &'static str,
-    /// Network size.
-    pub n: usize,
-    /// Spanner size.
-    pub edges: usize,
     /// The fault budget the spanner was built for (= faults per epoch in
     /// `random-f`).
     pub f: usize,
     /// Queries per epoch.
     pub batch: usize,
-    /// Fault epochs served.
-    pub epochs: usize,
     /// Total queries per path (`epochs × batch`).
     pub queries: usize,
-    /// Worker-pool width of the `par` path.
-    pub threads: usize,
     /// Single-query router throughput (queries/second).
     pub router_qps: f64,
     /// Sequential epoch-batch throughput.
@@ -90,21 +71,15 @@ pub struct ThroughputCell {
 }
 
 impl ThroughputCell {
-    /// Sequential-batch speedup over the router baseline, rounded the
-    /// way the artifact records it.
+    /// Sequential-batch speedup over the router baseline.
     pub fn speedup_batch(&self) -> f64 {
-        round2(self.batch_qps / self.router_qps)
+        self.batch_qps / self.router_qps
     }
 
-    /// Pooled-batch speedup over the router baseline, rounded the way
-    /// the artifact records it.
+    /// Pooled-batch speedup over the router baseline.
     pub fn speedup_par(&self) -> f64 {
-        round2(self.par_qps / self.router_qps)
+        self.par_qps / self.router_qps
     }
-}
-
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
 }
 
 /// One epoch's workload: the failure set and the batch of live pairs.
@@ -190,9 +165,9 @@ fn measure(
     (best, answers)
 }
 
-/// Runs the scenario × budget × batch sweep and returns every cell
-/// (table rendering and JSON emission both feed off this). `threads` is
-/// the pooled path's worker count; `repeats` the min-of-N methodology.
+/// Runs the scenario × budget × batch sweep and returns every cell.
+/// `threads` is the pooled path's worker count; `repeats` the min-of-N
+/// methodology.
 pub fn sweep(ctx: &ExperimentContext, threads: usize, repeats: usize) -> Vec<ThroughputCell> {
     let n = ctx.pick(24, 64, 96);
     let radius = ctx.pick(0.5, 0.3, 0.27);
@@ -257,13 +232,9 @@ pub fn sweep(ctx: &ExperimentContext, threads: usize, repeats: usize) -> Vec<Thr
                 let queries = epochs * batch;
                 cells.push(ThroughputCell {
                     scenario,
-                    n,
-                    edges: frozen.edge_count(),
                     f,
                     batch,
-                    epochs,
                     queries,
-                    threads,
                     router_qps: queries as f64 / router_secs.max(1e-9),
                     batch_qps: queries as f64 / batch_secs.max(1e-9),
                     par_qps: queries as f64 / par_secs.max(1e-9),
@@ -273,157 +244,6 @@ pub fn sweep(ctx: &ExperimentContext, threads: usize, repeats: usize) -> Vec<Thr
         }
     }
     cells
-}
-
-fn cell_json(cell: &ThroughputCell) -> JsonValue {
-    obj([
-        ("scenario", s(cell.scenario)),
-        ("n", num(cell.n as f64)),
-        ("edges_kept", num(cell.edges as f64)),
-        ("f", num(cell.f as f64)),
-        ("batch", num(cell.batch as f64)),
-        ("epochs", num(cell.epochs as f64)),
-        ("queries", num(cell.queries as f64)),
-        ("threads", num(cell.threads as f64)),
-        ("router_qps", num(cell.router_qps.round())),
-        ("batch_qps", num(cell.batch_qps.round())),
-        ("par_qps", num(cell.par_qps.round())),
-        ("speedup_batch", num(cell.speedup_batch())),
-        ("speedup_par", num(cell.speedup_par())),
-        ("identical", JsonValue::Bool(cell.identical)),
-    ])
-}
-
-/// Builds the machine-readable query-bench artifact (the document the
-/// `querybench` binary writes as `BENCH_4.json` and CI schema-checks).
-pub fn artifact(
-    scale_name: &str,
-    threads: usize,
-    repeats: usize,
-    cells: &[ThroughputCell],
-) -> JsonValue {
-    let all_identical = cells.iter().all(|c| c.identical);
-    let best_batch = cells
-        .iter()
-        .map(ThroughputCell::speedup_batch)
-        .fold(0.0, f64::max);
-    let best_par = cells
-        .iter()
-        .map(ThroughputCell::speedup_par)
-        .fold(0.0, f64::max);
-    obj([
-        ("schema", s(SCHEMA)),
-        (
-            "generated_by",
-            s("cargo run --release -p spanner-harness --bin querybench"),
-        ),
-        ("host", crate::host::host_json()),
-        ("scale", s(scale_name)),
-        ("stretch", num(STRETCH as f64)),
-        ("repeats", num(repeats as f64)),
-        ("pooled_threads", num(threads as f64)),
-        (
-            "records",
-            JsonValue::Array(cells.iter().map(cell_json).collect()),
-        ),
-        (
-            "summary",
-            obj([
-                ("cells", num(cells.len() as f64)),
-                ("results_identical_all", JsonValue::Bool(all_identical)),
-                ("best_speedup_batch", num(best_batch)),
-                ("best_speedup_par", num(best_par)),
-            ]),
-        ),
-    ])
-}
-
-/// Validates a parsed query-bench artifact against the `querybench-1`
-/// schema: tag, per-record keys and sanity, the hard requirement that
-/// **every** record certifies bit-identical answers across the three
-/// read paths, and the summary's agreement with its records.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation found.
-pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != SCHEMA && schema != LEGACY_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (want {SCHEMA:?} or legacy {LEGACY_SCHEMA:?})"
-        ));
-    }
-    if schema == SCHEMA {
-        crate::host::check_host(doc)?;
-    }
-    let records = doc
-        .get("records")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing records array")?;
-    if records.is_empty() {
-        return Err("empty records array".into());
-    }
-    let mut best_batch = 0.0f64;
-    let mut best_par = 0.0f64;
-    for (i, record) in records.iter().enumerate() {
-        if record.get("scenario").and_then(JsonValue::as_str).is_none() {
-            return Err(format!("record {i} missing scenario name"));
-        }
-        let field = |key: &str| -> Result<f64, String> {
-            record
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or(format!("record {i} missing numeric key {key:?}"))
-        };
-        for key in [
-            "n",
-            "edges_kept",
-            "f",
-            "batch",
-            "epochs",
-            "queries",
-            "threads",
-        ] {
-            field(key)?;
-        }
-        for key in ["router_qps", "batch_qps", "par_qps"] {
-            let qps = field(key)?;
-            if !qps.is_finite() || qps <= 0.0 {
-                return Err(format!("record {i} has a bad {key}: {qps}"));
-            }
-        }
-        best_batch = best_batch.max(field("speedup_batch")?);
-        best_par = best_par.max(field("speedup_par")?);
-        // The hard gate: a single sequential-vs-parallel (or router)
-        // mismatch fails the whole artifact.
-        if record.get("identical") != Some(&JsonValue::Bool(true)) {
-            return Err(format!(
-                "record {i} does not certify identical answers across read paths"
-            ));
-        }
-    }
-    let summary = doc.get("summary").ok_or("missing summary")?;
-    if summary.get("results_identical_all") != Some(&JsonValue::Bool(true)) {
-        return Err("summary does not certify identical answers".into());
-    }
-    for (key, want) in [
-        ("best_speedup_batch", best_batch),
-        ("best_speedup_par", best_par),
-    ] {
-        let claimed = summary
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or(format!("summary missing {key}"))?;
-        if (claimed - want).abs() > 1e-9 {
-            return Err(format!(
-                "summary claims {key}={claimed}, records say {want}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Runs E15. See the module docs.
@@ -483,7 +303,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
 mod tests {
     use super::*;
     use crate::experiments::Scale;
-    use crate::json;
 
     #[test]
     fn smoke_sweep_is_identical_and_covers_the_grid() {
@@ -513,30 +332,6 @@ mod tests {
             .iter()
             .any(|n| n.contains("bit-identical") && n.contains("yes")));
         assert_eq!(out.tables[0].row_count(), SCENARIOS.len());
-    }
-
-    #[test]
-    fn artifact_round_trips_and_checks() {
-        let ctx = ExperimentContext::new(Scale::Smoke);
-        let cells = sweep(&ctx, 2, 1);
-        let doc = artifact("smoke", 2, 1, &cells);
-        let text = doc.to_string();
-        let back = json::parse(&text).expect("artifact must be valid JSON");
-        check_artifact(&back).expect("artifact must satisfy its own schema");
-    }
-
-    #[test]
-    fn check_rejects_tampered_artifacts() {
-        let ctx = ExperimentContext::new(Scale::Smoke);
-        let cells = sweep(&ctx, 2, 1);
-        let doc = artifact("smoke", 2, 1, &cells);
-        // Flip one identity certification: must be caught.
-        let text = doc
-            .to_string()
-            .replacen("\"identical\": true", "\"identical\": false", 1);
-        let back = json::parse(&text).unwrap();
-        assert!(check_artifact(&back).is_err());
-        assert!(check_artifact(&json::parse("{\"schema\": \"nope\"}").unwrap()).is_err());
     }
 
     #[test]

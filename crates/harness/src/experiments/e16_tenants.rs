@@ -12,8 +12,7 @@
 //! * `router` — the reference: one fresh engine per tenant serving one
 //!   pair at a time through
 //!   [`spanner_core::serve::route_one`], every query
-//!   re-applying the tenant's failure set (the behavior of the deleted
-//!   `ResilientRouter` shim — the JSON schema keeps the `router` label);
+//!   re-applying the tenant's failure set;
 //! * `shared` — one `EpochServer`, one [`EpochHandle`] session per
 //!   tenant, tenants partitioned across `threads` OS threads
 //!   (`std::thread::scope`), each thread serving its tenants'
@@ -30,12 +29,11 @@
 //! queries/second. An untimed stats pass additionally certifies the
 //! sharing claim itself: opening all tenant sessions builds exactly `v`
 //! fault views (`views_built == views`, `epochs_opened == tenants`) —
-//! the interning table, not the tenant count, pays the mask work. The
-//! same sweep backs `querybench --tenants`, which emits the
-//! machine-readable `BENCH_6.json` artifact CI schema-checks.
+//! the interning table, not the tenant count, pays the mask work.
+//! `repro` exits non-zero when any cell diverges or fails that
+//! certificate, so `repro --smoke e16` is the release-binary gate.
 
 use super::{ExperimentContext, ExperimentOutput};
-use crate::json::{num, obj, s, JsonValue};
 use crate::{cell_seed, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,15 +46,6 @@ use spanner_graph::{DijkstraEngine, FaultMask, NodeId, PathScratch};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The tenants-bench artifact schema tag; bump when the layout changes.
-/// `querybench-4` added the required `host` block (logical CPUs, rustc,
-/// OS/arch) so artifacts are comparable across machines.
-pub const SCHEMA: &str = "vft-spanner/querybench-4";
-
-/// The pre-host tag still accepted by [`check_artifact`], so committed
-/// artifacts from earlier PRs keep validating (`host` optional there).
-pub const LEGACY_SCHEMA: &str = "vft-spanner/querybench-2";
-
 /// The stretch target every E16 spanner is built for.
 pub const STRETCH: u64 = 3;
 
@@ -67,10 +56,6 @@ pub const BUDGET: usize = 1;
 /// measured over all three serving strategies.
 #[derive(Clone, Debug)]
 pub struct TenantsCell {
-    /// Network size.
-    pub n: usize,
-    /// Spanner size.
-    pub edges: usize,
     /// Concurrent tenant sessions.
     pub tenants: usize,
     /// Distinct fault views among the tenants (`max(1, tenants/2)`).
@@ -99,21 +84,25 @@ pub struct TenantsCell {
 }
 
 impl TenantsCell {
-    /// Shared-path speedup over the per-tenant router reference,
-    /// rounded the way the artifact records it.
+    /// Shared-path speedup over the per-tenant router reference.
     pub fn speedup_shared(&self) -> f64 {
-        round2(self.shared_qps / self.router_qps)
+        self.shared_qps / self.router_qps
     }
 
-    /// Coalesced-path speedup over the per-tenant router reference,
-    /// rounded the way the artifact records it.
+    /// Coalesced-path speedup over the per-tenant router reference.
     pub fn speedup_coalesced(&self) -> f64 {
-        round2(self.coalesced_qps / self.router_qps)
+        self.coalesced_qps / self.router_qps
     }
-}
 
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
+    /// The interning certificate: with every tenant session open, the
+    /// server built one view per distinct fault set, opened one epoch
+    /// per tenant, and every session after the first of its view reused
+    /// the interned one.
+    pub fn interned(&self) -> bool {
+        self.views_built == self.views as u64
+            && self.epochs_opened == self.tenants as u64
+            && self.views_shared == (self.tenants - self.views) as u64
+    }
 }
 
 /// One tenant's workload: its fault view and its batch of live pairs.
@@ -226,9 +215,8 @@ fn serve_coalesced(server: &EpochServer, plan: &[TenantPlan]) -> Answers {
         .collect()
 }
 
-/// Runs the tenants × threads × batch sweep and returns every cell
-/// (table rendering and JSON emission both feed off this). `repeats` is
-/// the min-of-N methodology.
+/// Runs the tenants × threads × batch sweep and returns every cell.
+/// `repeats` is the min-of-N methodology.
 pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<TenantsCell> {
     let n = ctx.pick(24, 64, 96);
     let radius = ctx.pick(0.5, 0.3, 0.27);
@@ -300,8 +288,6 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<TenantsCell> {
                     router_answers == shared_answers && shared_answers == coalesced_answers;
                 let queries = tenants * batch;
                 cells.push(TenantsCell {
-                    n,
-                    edges: frozen.edge_count(),
                     tenants,
                     views,
                     threads,
@@ -319,167 +305,6 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<TenantsCell> {
         }
     }
     cells
-}
-
-fn cell_json(cell: &TenantsCell) -> JsonValue {
-    obj([
-        ("n", num(cell.n as f64)),
-        ("edges_kept", num(cell.edges as f64)),
-        ("f", num(BUDGET as f64)),
-        ("tenants", num(cell.tenants as f64)),
-        ("views", num(cell.views as f64)),
-        ("threads", num(cell.threads as f64)),
-        ("batch", num(cell.batch as f64)),
-        ("queries", num(cell.queries as f64)),
-        ("router_qps", num(cell.router_qps.round())),
-        ("shared_qps", num(cell.shared_qps.round())),
-        ("coalesced_qps", num(cell.coalesced_qps.round())),
-        ("speedup_shared", num(cell.speedup_shared())),
-        ("speedup_coalesced", num(cell.speedup_coalesced())),
-        ("views_built", num(cell.views_built as f64)),
-        ("epochs_opened", num(cell.epochs_opened as f64)),
-        ("views_shared", num(cell.views_shared as f64)),
-        ("identical", JsonValue::Bool(cell.identical)),
-    ])
-}
-
-/// Builds the machine-readable tenants-bench artifact (the document
-/// `querybench --tenants` writes as `BENCH_6.json` and CI
-/// schema-checks).
-pub fn artifact(scale_name: &str, repeats: usize, cells: &[TenantsCell]) -> JsonValue {
-    let all_identical = cells.iter().all(|c| c.identical);
-    let best_shared = cells
-        .iter()
-        .map(TenantsCell::speedup_shared)
-        .fold(0.0, f64::max);
-    let best_coalesced = cells
-        .iter()
-        .map(TenantsCell::speedup_coalesced)
-        .fold(0.0, f64::max);
-    obj([
-        ("schema", s(SCHEMA)),
-        (
-            "generated_by",
-            s("cargo run --release -p spanner-harness --bin querybench -- --tenants"),
-        ),
-        ("host", crate::host::host_json()),
-        ("scale", s(scale_name)),
-        ("stretch", num(STRETCH as f64)),
-        ("f", num(BUDGET as f64)),
-        ("repeats", num(repeats as f64)),
-        (
-            "records",
-            JsonValue::Array(cells.iter().map(cell_json).collect()),
-        ),
-        (
-            "summary",
-            obj([
-                ("cells", num(cells.len() as f64)),
-                ("results_identical_all", JsonValue::Bool(all_identical)),
-                ("best_speedup_shared", num(best_shared)),
-                ("best_speedup_coalesced", num(best_coalesced)),
-            ]),
-        ),
-    ])
-}
-
-/// Validates a parsed tenants-bench artifact against the `querybench-2`
-/// schema: tag, per-record keys and sanity, the hard requirement that
-/// **every** record certifies bit-identical answers across the three
-/// serving strategies **and** certifies view interning (`views_built ==
-/// views`, `epochs_opened == tenants`), and the summary's agreement
-/// with its records.
-///
-/// # Errors
-///
-/// Returns a description of the first schema violation found.
-pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != SCHEMA && schema != LEGACY_SCHEMA {
-        return Err(format!(
-            "unexpected schema {schema:?} (want {SCHEMA:?} or legacy {LEGACY_SCHEMA:?})"
-        ));
-    }
-    if schema == SCHEMA {
-        crate::host::check_host(doc)?;
-    }
-    let records = doc
-        .get("records")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing records array")?;
-    if records.is_empty() {
-        return Err("empty records array".into());
-    }
-    let mut best_shared = 0.0f64;
-    let mut best_coalesced = 0.0f64;
-    for (i, record) in records.iter().enumerate() {
-        let field = |key: &str| -> Result<f64, String> {
-            record
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or(format!("record {i} missing numeric key {key:?}"))
-        };
-        for key in ["n", "edges_kept", "f", "batch", "queries", "threads"] {
-            field(key)?;
-        }
-        for key in ["router_qps", "shared_qps", "coalesced_qps"] {
-            let qps = field(key)?;
-            if !qps.is_finite() || qps <= 0.0 {
-                return Err(format!("record {i} has a bad {key}: {qps}"));
-            }
-        }
-        best_shared = best_shared.max(field("speedup_shared")?);
-        best_coalesced = best_coalesced.max(field("speedup_coalesced")?);
-        // Hard gate 1: a single cross-strategy mismatch fails the
-        // whole artifact.
-        if record.get("identical") != Some(&JsonValue::Bool(true)) {
-            return Err(format!(
-                "record {i} does not certify identical answers across serving strategies"
-            ));
-        }
-        // Hard gate 2: the sharing certificate. With all tenant
-        // sessions open, the server must have built exactly one view
-        // per distinct fault set and opened one epoch per tenant.
-        let tenants = field("tenants")?;
-        let views = field("views")?;
-        if field("views_built")? != views {
-            return Err(format!(
-                "record {i}: views_built != views — tenant sessions did not share interned views"
-            ));
-        }
-        if field("epochs_opened")? != tenants {
-            return Err(format!(
-                "record {i}: epochs_opened != tenants in the stats pass"
-            ));
-        }
-        if field("views_shared")? != tenants - views {
-            return Err(format!(
-                "record {i}: views_shared != tenants - views in the stats pass"
-            ));
-        }
-    }
-    let summary = doc.get("summary").ok_or("missing summary")?;
-    if summary.get("results_identical_all") != Some(&JsonValue::Bool(true)) {
-        return Err("summary does not certify identical answers".into());
-    }
-    for (key, want) in [
-        ("best_speedup_shared", best_shared),
-        ("best_speedup_coalesced", best_coalesced),
-    ] {
-        let claimed = summary
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or(format!("summary missing {key}"))?;
-        if (claimed - want).abs() > 1e-9 {
-            return Err(format!(
-                "summary claims {key}={claimed}, records say {want}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Runs E16. See the module docs.
@@ -506,8 +331,7 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
     let mut best = 0.0f64;
     for cell in &cells {
         all_identical &= cell.identical;
-        all_interned &=
-            cell.views_built == cell.views as u64 && cell.epochs_opened == cell.tenants as u64;
+        all_interned &= cell.interned();
         best = best
             .max(cell.speedup_shared())
             .max(cell.speedup_coalesced());
@@ -549,7 +373,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
 mod tests {
     use super::*;
     use crate::experiments::Scale;
-    use crate::json;
 
     #[test]
     fn smoke_sweep_is_identical_and_certifies_sharing() {
@@ -581,36 +404,6 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("interning") && n.contains("yes")));
-    }
-
-    #[test]
-    fn artifact_round_trips_and_checks() {
-        let ctx = ExperimentContext::new(Scale::Smoke);
-        let cells = sweep(&ctx, 1);
-        let doc = artifact("smoke", 1, &cells);
-        let text = doc.to_string();
-        let back = json::parse(&text).expect("artifact must be valid JSON");
-        check_artifact(&back).expect("artifact must satisfy its own schema");
-    }
-
-    #[test]
-    fn check_rejects_tampered_artifacts() {
-        let ctx = ExperimentContext::new(Scale::Smoke);
-        let cells = sweep(&ctx, 1);
-        let doc = artifact("smoke", 1, &cells);
-        let text = doc
-            .to_string()
-            .replacen("\"identical\": true", "\"identical\": false", 1);
-        assert!(check_artifact(&json::parse(&text).unwrap()).is_err());
-        // A sharing regression (views_built drifting up to the tenant
-        // count) must also be caught.
-        let cheat = doc.to_string().replacen(
-            &format!("\"views_built\": {}", cells[0].views),
-            &format!("\"views_built\": {}", cells[0].tenants),
-            1,
-        );
-        assert!(check_artifact(&json::parse(&cheat).unwrap()).is_err());
-        assert!(check_artifact(&json::parse("{\"schema\": \"nope\"}").unwrap()).is_err());
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Minimal JSON emission and validation for the perf pipeline.
+//! Minimal JSON emission and validation for the harness artifacts.
 //!
-//! The workspace is offline (no serde), but the bench harness must emit
-//! machine-readable `BENCH_*.json` artifacts and CI must be able to prove
-//! they parse. This module provides the two halves:
+//! The workspace is offline (no serde), but the `scenarios` and
+//! `spanner-fuzz` binaries emit machine-readable JSON artifacts and CI
+//! must be able to prove they parse. This module provides the two
+//! halves:
 //!
 //! * [`JsonValue`] with a deterministic writer (object keys keep
 //!   insertion order, floats render with enough precision to round-trip
 //!   the measurements);
-//! * [`parse`], a strict recursive-descent reader used by
-//!   `perfbench --check` — it accepts exactly the JSON grammar (RFC 8259,
-//!   minus the laxities: no trailing commas, no comments, no NaN).
+//! * [`parse`], a strict recursive-descent reader used by every
+//!   `--check` — it accepts exactly the JSON grammar (RFC 8259, minus
+//!   the laxities: no trailing commas, no comments, no NaN).
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,12 +1,12 @@
 //! Experiment harness for the `vft-spanner` reproduction.
 //!
 //! The paper is a theory paper; EXPERIMENTS.md defines the tables and
-//! figures this harness regenerates (E1–E14, see [`experiments`]). The
+//! figures this harness regenerates (E1–E16, see [`experiments`]). The
 //! crate also provides the measurement plumbing:
 //!
 //! * [`Table`] — aligned ASCII tables with CSV export;
-//! * [`json`] — serde-free JSON emission/validation for the perf
-//!   artifacts (`BENCH_*.json`, written by the `perfbench` binary);
+//! * [`json`] — serde-free JSON emission/validation for the scenario
+//!   and fuzz artifacts;
 //! * [`fit_power_law`] — log–log exponent fits (the "shape" checks);
 //! * [`parallel_map`] — ordered parallel parameter sweeps;
 //! * [`cell_seed`] — deterministic per-cell seeding.
@@ -18,29 +18,12 @@
 //! cargo run --release -p spanner-harness --bin repro -- --quick e1 e6
 //! ```
 //!
-//! Track the FT-greedy construction cost (the perf trajectory behind the
-//! committed `BENCH_2.json`) with the `perfbench` binary:
-//!
-//! ```text
-//! cargo run --release -p spanner-harness --bin perfbench -- --out BENCH_2.json
-//! cargo run --release -p spanner-harness --bin perfbench -- --check BENCH_2.json
-//! ```
-//!
 //! Run the failure-scenario resilience sweep (E14's engine) and emit /
 //! schema-check its JSON artifact with the `scenarios` binary:
 //!
 //! ```text
 //! cargo run --release -p spanner-harness --bin scenarios -- --out SCENARIOS.json
 //! cargo run --release -p spanner-harness --bin scenarios -- --check SCENARIOS.json
-//! ```
-//!
-//! Track the serving-side throughput trajectory (E15: epoch batches vs
-//! the single-query router, behind the committed `BENCH_4.json`) with
-//! the `querybench` binary:
-//!
-//! ```text
-//! cargo run --release -p spanner-harness --bin querybench -- --out BENCH_4.json
-//! cargo run --release -p spanner-harness --bin querybench -- --check BENCH_4.json
 //! ```
 //!
 //! Persist, inspect, and serve frozen spanner artifacts (the binary
@@ -68,8 +51,6 @@ mod table;
 pub mod cli;
 pub mod corpus;
 pub mod experiments;
-pub mod frontier;
-pub mod host;
 pub mod json;
 pub mod plot;
 

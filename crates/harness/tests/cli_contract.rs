@@ -15,9 +15,6 @@ use std::process::{Command, Output};
 /// cargo build each one before the test runs — a binary missing from
 /// this list compiles out of the contract, so add new binaries here.
 const BINS: &[(&str, &str)] = &[
-    ("frontierbench", env!("CARGO_BIN_EXE_frontierbench")),
-    ("perfbench", env!("CARGO_BIN_EXE_perfbench")),
-    ("querybench", env!("CARGO_BIN_EXE_querybench")),
     ("repro", env!("CARGO_BIN_EXE_repro")),
     ("scenarios", env!("CARGO_BIN_EXE_scenarios")),
     ("spanner-artifact", env!("CARGO_BIN_EXE_spanner-artifact")),
@@ -90,20 +87,17 @@ fn every_binary_rejects_an_unknown_flag_on_stderr_without_panicking() {
 
 #[test]
 fn every_bench_binary_rejects_a_check_flag_without_a_value() {
-    // The artifact-emitting binaries share `--check PATH`; a dangling
-    // `--check` must produce the consistent "needs a value" message.
-    for name in ["perfbench", "querybench", "scenarios"] {
-        let path = BINS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| *p)
-            .expect("bin listed above");
-        let out = run(path, &["--check"]);
-        assert!(!out.status.success(), "{name}: dangling --check must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--check") && stderr.contains("needs a value"),
-            "{name}: expected the shared needs-a-value diagnostic, got: {stderr:?}"
-        );
-    }
+    // `scenarios` is the one artifact-emitting binary with
+    // `--check PATH`; a dangling `--check` must produce the shared
+    // "needs a value" message.
+    let out = run(env!("CARGO_BIN_EXE_scenarios"), &["--check"]);
+    assert!(
+        !out.status.success(),
+        "scenarios: dangling --check must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--check") && stderr.contains("needs a value"),
+        "scenarios: expected the shared needs-a-value diagnostic, got: {stderr:?}"
+    );
 }
