@@ -36,7 +36,6 @@ fn bench_oracle_scaling_in_f(c: &mut Criterion) {
                 BranchingOracle::with_config(BranchingConfig {
                     use_packing: false,
                     use_memo: false,
-                    use_cut_shortcut: false,
                 })
                 .find_blocking_faults(&g, query(f))
             });

@@ -512,7 +512,6 @@ mod tests {
             OracleKind::BranchingWith(BranchingConfig {
                 use_packing: false,
                 use_memo: false,
-                use_cut_shortcut: false,
             }),
             OracleKind::Parallel(3),
         ] {

@@ -1,11 +1,10 @@
 //! Partitioned FT-greedy: sharded construction with a boundary stitch.
 //!
-//! Monolithic FT-greedy scales as the oracle's whole-graph work: every
-//! kept-edge decision runs a min-cut shortcut whose Menger prefilter
-//! issues *unbounded* Dijkstras over the entire growing spanner, so the
-//! construction is quadratic-ish in practice and tops out around
-//! `n ≈ 10²–10³`. This module trades a bounded size inflation for
-//! near-linear scaling:
+//! Every FT-greedy oracle search is bounded by `k·w` of the edge it
+//! decides, so a monolithic build already does ball-sized work per
+//! candidate. Partitioning splits that work into independent shard
+//! builds plus a stitch over the cross-shard edges, at the price of a
+//! bounded size inflation:
 //!
 //! 1. **Partition** — [`spanner_graph::partition::bfs_balls`] shards
 //!    the vertex set into deterministic seeded BFS balls.
@@ -22,10 +21,9 @@
 //!    dropped one — even between two boundary vertices — carries its
 //!    shard's drop certificate into every union (the "Intra-shard edge"
 //!    case below), so the stitch oracle could only answer "drop" again.
-//!    The stitch disables the root min-cut shortcut — with it off, every
-//!    stitch Dijkstra is bounded by `k·w` (ball-sized), which is the
-//!    whole scaling win; all oracle configurations are exact, so this is
-//!    a pure perf trade.
+//!    The union of the shard spanners is loaded into the stitch's view
+//!    in one bulk append ([`ParallelBranchingOracle::view_extend_edges`]),
+//!    one fold instead of one per few dozen edges.
 //!
 //! Steps 2 and 3 share one keep loop, the pooled FT-greedy driver
 //! behind [`FtGreedy::run_pooled_with`]: it decides windows of upcoming
@@ -235,15 +233,11 @@ impl<'a> PartitionedFtGreedy<'a> {
         let t2 = Instant::now();
         let mut candidates = cross_edges;
         candidates.sort_by_key(|&e| (self.graph.weight(e), e));
-        // Bounded-ball Dijkstras only from here on: the root min-cut
-        // shortcut's unbounded packing probes are what partitioning is
-        // escaping (exactness is unaffected; see the module docs).
-        oracle.set_root_cut_shortcut(false);
         oracle.view_reset(self.graph);
-        for &id in &union_kept {
+        oracle.view_extend_edges(union_kept.iter().map(|&id| {
             let e = self.graph.edge(id);
-            oracle.view_push_edge(e.u(), e.v(), e.weight());
-        }
+            (e.u(), e.v(), e.weight())
+        }));
         FtGreedy::new(self.graph, self.stretch)
             .faults(self.faults)
             .model(self.model)

@@ -14,9 +14,9 @@
 //!   `remaining-budget` pairwise disjoint short paths survive, no extension
 //!   of the current fault set can work — stop. Each node's probe starts
 //!   from the shortest path the node has just found, so it never repeats
-//!   the node's own Dijkstra; at the root, the min-cut shortcut's Menger
-//!   pre-filter can certify the same prune outright (see
-//!   [`cut_shortcut_with_prefilter`]).
+//!   the node's own Dijkstra. At the root, `f + 1` disjoint short paths
+//!   are the cheap drop certificate: the query ends after a handful of
+//!   Dijkstras.
 //! * **Memoization**: the same fault *set* reached by different orders
 //!   explores the same subtree; a hash set of visited sets collapses those
 //!   permutations.
@@ -27,8 +27,8 @@
 //!
 //! # Guided searches
 //!
-//! Every Dijkstra a query runs — each search node's bounded path, the
-//! seeded packing probes and the root Menger pre-filter — can run as A*
+//! Every Dijkstra a query runs — each search node's bounded path and the
+//! seeded packing probes, all bounded by the query's `bound` — can run as A*
 //! towards `v` under a [`Landmarks`] table. FT-greedy builds the table
 //! once per run on the parent graph `G` whose edges it decides. The
 //! spanner `H` is a subgraph of `G` with `G`'s weights, so
@@ -69,9 +69,8 @@
 use crate::fingerprint::{component_hash, SetFingerprint};
 use crate::packing::{disjoint_path_packing_counted, PackingScratch};
 use crate::{FaultModel, FaultOracle, FaultSet, OracleQuery, OracleStats};
-use spanner_graph::connectivity::CutScratch;
 use spanner_graph::{
-    DijkstraEngine, Dist, EdgeId, FaultMask, Graph, GraphView, Landmarks, NoPotential, NodeId,
+    DijkstraEngine, EdgeId, FaultMask, Graph, GraphView, Landmarks, NoPotential, NodeId,
     PathScratch, Potential,
 };
 use std::collections::HashSet;
@@ -83,12 +82,6 @@ pub struct BranchingConfig {
     pub use_packing: bool,
     /// Enable fault-set memoization.
     pub use_memo: bool,
-    /// Enable the global min-cut shortcut: if the whole graph has an
-    /// `s–t` cut (vertex or edge, per model) of size ≤ budget, that cut
-    /// blocks *every* path — in particular all short ones — so it is a
-    /// valid witness without any search. Sound; found via bounded
-    /// max-flow before branching starts.
-    pub use_cut_shortcut: bool,
 }
 
 impl Default for BranchingConfig {
@@ -96,7 +89,6 @@ impl Default for BranchingConfig {
         BranchingConfig {
             use_packing: true,
             use_memo: true,
-            use_cut_shortcut: true,
         }
     }
 }
@@ -150,8 +142,6 @@ struct SearchScratch {
     path: PathScratch,
     /// Buffers for the packing probe.
     packing: PackingScratch,
-    /// Flow network + residual buffers for the min-cut shortcut.
-    cuts: CutScratch,
 }
 
 impl BranchingOracle {
@@ -353,126 +343,11 @@ impl BranchingOracle {
         query: OracleQuery,
     ) -> Option<FaultSet> {
         self.begin_query(view);
-        if self.config.use_cut_shortcut && query.budget > 0 {
-            match cut_shortcut_with_prefilter(
-                view,
-                &mut self.engine,
-                h,
-                &self.scratch.mask,
-                &mut self.scratch.packing,
-                &mut self.scratch.cuts,
-                &mut self.stats,
-                query,
-                self.config.use_packing,
-            ) {
-                RootVerdict::Cut(cut) => return Some(cut),
-                RootVerdict::Drop => return None,
-                RootVerdict::Search => {}
-            }
-        }
         if self.search(view, h, &query) {
             Some(self.collect_current(query.model))
         } else {
             None
         }
-    }
-}
-
-/// What the root front decided for a query.
-enum RootVerdict {
-    /// A cut within budget blocks every `u–v` path: the query's witness.
-    Cut(FaultSet),
-    /// `budget + 1` disjoint paths within the bound: nothing blocks the
-    /// pair, the query answers `None`.
-    Drop,
-    /// Nothing proven: run the branching search.
-    Search,
-}
-
-/// The root front of every query: a Menger disjoint-path pre-filter
-/// followed — only when the pre-filter proves nothing — by the exact
-/// min-cut shortcut.
-///
-/// The pre-filter greedily packs `budget + 1` pairwise disjoint `u–v`
-/// paths of *unbounded* length. Any such family is a Menger certificate
-/// that every `u–v` cut exceeds the budget, so the exact max-flow — which
-/// would build and solve a network only to answer "no cut" — is skipped
-/// with byte-identical output. Greedy packing is not Menger-optimal, so a
-/// short family proves nothing and the exact cut runs.
-///
-/// The same family doubles as a **drop certificate**: when every packed
-/// path also weighs at most `query.bound`, it is a packing of `budget + 1`
-/// disjoint *short* paths, so by the packing lemma ([`crate::packing`])
-/// no fault set within budget stretches the pair — exactly the root
-/// packing prune the search would reach after re-running those
-/// Dijkstras under the bound. With `certify_drops` (the packing prune's
-/// toggle) the query ends there, counted as one explored node and one
-/// packing prune; a family with a path over the bound goes on to the
-/// search.
-///
-/// `mask` must be the query's (empty) base mask, and `h` a consistent
-/// potential towards `query.v` on `view`.
-#[allow(clippy::too_many_arguments)]
-fn cut_shortcut_with_prefilter<V: GraphView, P: Potential>(
-    view: &V,
-    engine: &mut DijkstraEngine,
-    h: &P,
-    mask: &FaultMask,
-    packing: &mut PackingScratch,
-    cuts: &mut CutScratch,
-    stats: &mut OracleStats,
-    query: OracleQuery,
-    certify_drops: bool,
-) -> RootVerdict {
-    let probe = disjoint_path_packing_counted(
-        view,
-        engine,
-        mask,
-        query.u,
-        query.v,
-        Dist::INFINITE,
-        query.model,
-        query.budget + 1,
-        None,
-        h,
-        packing,
-    );
-    stats.shortest_path_queries += probe.queries;
-    if probe.packed > query.budget {
-        // Certified: no cut within budget exists.
-        if certify_drops && probe.longest <= query.bound {
-            stats.nodes_explored += 1;
-            stats.packing_prunes += 1;
-            return RootVerdict::Drop;
-        }
-        return RootVerdict::Search;
-    }
-    let witness = match query.model {
-        FaultModel::Vertex => spanner_graph::connectivity::min_vertex_cut_st_with(
-            view,
-            mask,
-            query.u,
-            query.v,
-            query.budget as u32,
-            cuts,
-        )
-        .map(FaultSet::vertices),
-        FaultModel::Edge => spanner_graph::connectivity::min_edge_cut_st_with(
-            view,
-            mask,
-            query.u,
-            query.v,
-            query.budget as u32,
-            cuts,
-        )
-        .map(FaultSet::edges),
-    };
-    match witness {
-        Some(cut) => {
-            stats.cut_shortcuts += 1;
-            RootVerdict::Cut(cut)
-        }
-        None => RootVerdict::Search,
     }
 }
 
@@ -568,23 +443,14 @@ mod tests {
         let g = diamond();
         for use_packing in [false, true] {
             for use_memo in [false, true] {
-                for use_cut_shortcut in [false, true] {
-                    let mut o = BranchingOracle::with_config(BranchingConfig {
-                        use_packing,
-                        use_memo,
-                        use_cut_shortcut,
-                    });
-                    let f = o.find_blocking_faults(&g, q(0, 3, 2, 2, FaultModel::Vertex));
-                    assert!(
-                        f.is_some(),
-                        "packing={use_packing} memo={use_memo} cut={use_cut_shortcut}"
-                    );
-                    let none = o.find_blocking_faults(&g, q(0, 3, 2, 1, FaultModel::Vertex));
-                    assert!(
-                        none.is_none(),
-                        "packing={use_packing} memo={use_memo} cut={use_cut_shortcut}"
-                    );
-                }
+                let mut o = BranchingOracle::with_config(BranchingConfig {
+                    use_packing,
+                    use_memo,
+                });
+                let f = o.find_blocking_faults(&g, q(0, 3, 2, 2, FaultModel::Vertex));
+                assert!(f.is_some(), "packing={use_packing} memo={use_memo}");
+                let none = o.find_blocking_faults(&g, q(0, 3, 2, 1, FaultModel::Vertex));
+                assert!(none.is_none(), "packing={use_packing} memo={use_memo}");
             }
         }
     }
@@ -650,12 +516,10 @@ mod tests {
         let mut with_memo = BranchingOracle::with_config(BranchingConfig {
             use_packing: false,
             use_memo: true,
-            use_cut_shortcut: false,
         });
         let mut without_memo = BranchingOracle::with_config(BranchingConfig {
             use_packing: false,
             use_memo: false,
-            use_cut_shortcut: false,
         });
         let a = with_memo.find_blocking_faults(&g, query);
         let b = without_memo.find_blocking_faults(&g, query);
@@ -686,9 +550,11 @@ mod tests {
 
     #[test]
     fn root_prefilter_certifies_drop_when_every_route_fits_the_bound() {
-        // Three disjoint 2-hop routes, bound 3, f = 2: the prefilter's
-        // three Dijkstras pack all three, each within the bound, so the
-        // query ends at the root as one packing prune.
+        // The root packing probe filters a query before any branching.
+        // Three disjoint 2-hop routes, bound 3, f = 2: the root's own
+        // Dijkstra finds one route, the probe seeded with it packs the
+        // other two, and three disjoint short routes outlast any two
+        // faults, so the query ends at the root as one packing prune.
         let g = theta(&[2, 2, 2]);
         for model in [FaultModel::Vertex, FaultModel::Edge] {
             let mut o = BranchingOracle::new();
@@ -703,10 +569,9 @@ mod tests {
 
     #[test]
     fn root_prefilter_with_a_route_over_the_bound_falls_through_to_search() {
-        // The third route has 4 hops > bound 3: the prefilter still packs
-        // three paths (no cut within budget), but they are no drop
-        // certificate, so the search decides — and finds the 2-fault
-        // witness the reference oracle finds.
+        // The third route has 4 hops > bound 3: the root packing probe
+        // packs only two short routes, so the search branches and finds
+        // the 2-fault witness the reference oracle finds.
         use crate::reference::ReferenceBranchingOracle;
         let g = theta(&[2, 2, 4]);
         for model in [FaultModel::Vertex, FaultModel::Edge] {
@@ -720,7 +585,6 @@ mod tests {
                 "{model:?}"
             );
             assert!(o.stats().nodes_explored > 1, "{model:?}: search must run");
-            assert_eq!(o.stats().cut_shortcuts, 0, "{model:?}");
         }
     }
 }

@@ -38,7 +38,9 @@ pub struct OracleStats {
     pub packing_prunes: u64,
     /// Number of branches skipped by fault-set memoization.
     pub memo_hits: u64,
-    /// Number of queries answered directly by a global min-cut witness.
+    /// Always 0: no oracle answers a query by a global min-cut witness
+    /// any more (every exact query is a bounded search). Kept only
+    /// because the frozen `pipebench` still reports it.
     pub cut_shortcuts: u64,
     /// Number of times reusable scratch (fault mask words, memo table,
     /// candidate arena) had to be allocated or grown. After the first

@@ -27,9 +27,8 @@ use spanner_graph::{
     DijkstraEngine, Dist, FaultMask, Graph, GraphView, NoPotential, NodeId, PathScratch, Potential,
 };
 
-/// The outcome of a packing probe: how many disjoint paths were packed,
-/// how many bounded Dijkstras that actually took, and the weight of the
-/// heaviest packed path.
+/// The outcome of a packing probe: how many disjoint paths were packed
+/// and how many bounded Dijkstras that actually took.
 ///
 /// The query count is exact (one per loop iteration, including the final
 /// miss; a seed path costs none), so
@@ -42,10 +41,6 @@ pub struct PackingProbe {
     pub packed: usize,
     /// Number of bounded shortest-path queries the probe issued.
     pub queries: u64,
-    /// Weight of the heaviest path actually packed ([`Dist::ZERO`] when
-    /// none was). An unbounded probe whose `longest` fits a tighter bound
-    /// has packed its paths under that bound too.
-    pub longest: Dist,
 }
 
 /// Reusable buffers for [`disjoint_path_packing_counted`]: the working
@@ -94,7 +89,6 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
     let mut probe = PackingProbe {
         packed: 0,
         queries: 0,
-        longest: Dist::ZERO,
     };
     if cap == 0 {
         return probe;
@@ -120,7 +114,6 @@ pub fn disjoint_path_packing_counted<V: GraphView>(
             }
         };
         probe.packed += 1;
-        probe.longest = probe.longest.max(path.dist());
         if probe.packed >= cap {
             break;
         }
@@ -353,7 +346,6 @@ mod tests {
             PackingProbe {
                 packed: 3,
                 queries: 4,
-                longest: Dist::finite(3),
             }
         );
         // Cap truncation: stops right at the cap, no trailing miss query.
@@ -375,7 +367,6 @@ mod tests {
             PackingProbe {
                 packed: 2,
                 queries: 2,
-                longest: Dist::finite(3),
             }
         );
         // Direct-edge saturation costs exactly one query.
@@ -399,7 +390,6 @@ mod tests {
             PackingProbe {
                 packed: 7,
                 queries: 1,
-                longest: Dist::finite(1),
             }
         );
         // Seeded with the path the first query would find, each probe
@@ -432,14 +422,7 @@ mod tests {
                 &NoPotential,
                 &mut scratch,
             );
-            assert_eq!(
-                probe,
-                PackingProbe {
-                    packed,
-                    queries,
-                    longest: bound,
-                }
-            );
+            assert_eq!(probe, PackingProbe { packed, queries });
         }
     }
 
@@ -523,7 +506,6 @@ mod tests {
                     let label = format!("n={n} model={model:?} cap={cap}");
                     assert_eq!(guided, plain, "{label}: guided");
                     assert_eq!(seeded.packed, plain.packed, "{label}");
-                    assert_eq!(seeded.longest, plain.longest, "{label}");
                     assert_eq!(seeded.queries + 1, plain.queries, "{label}");
                     seeded_runs += 1;
                 }

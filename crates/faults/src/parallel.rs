@@ -169,22 +169,6 @@ impl ParallelBranchingOracle {
         self.threads
     }
 
-    /// Enables or disables the min-cut shortcut (which only ever runs at
-    /// the root of a query) for every subsequent query, inline and
-    /// pooled alike; safe at any time, because each job carries the
-    /// configuration it runs under. All configurations are exact; the
-    /// shortcut is a performance trade. Partitioned construction turns
-    /// it off for the boundary stitch, where the shortcut's unbounded
-    /// whole-graph packing probes dominate the cost of the
-    /// (ball-bounded) search they would prune.
-    pub fn set_root_cut_shortcut(&mut self, enabled: bool) {
-        let config = BranchingConfig {
-            use_cut_shortcut: enabled,
-            ..self.inline.config()
-        };
-        self.inline.set_config(config);
-    }
-
     /// Starts a construction over `parent`: builds `parent`'s landmark
     /// table (the A* potential of every query until the next reset),
     /// resets the shared spanner view to `parent`'s vertices with no
@@ -205,11 +189,24 @@ impl ParallelBranchingOracle {
     /// [`ParallelBranchingOracle::view_reset`], with its weight.
     pub fn view_push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
         let mut view = self.view.write().expect("view lock");
-        debug_assert!(
-            view.landmarks.potential_to(v).estimate(u) <= weight.get(),
-            "{u}-{v} (weight {weight}) is no edge of the parent the table was built on"
-        );
+        debug_assert_parent_edge(&view.landmarks, u, v, weight);
         view.spanner.push_edge(u, v, weight)
+    }
+
+    /// Appends many edges to the shared spanner view at once, with one
+    /// fold of the view's append buffer instead of one per
+    /// `PENDING_REBUILD_LIMIT` edges (see
+    /// [`IncrementalCsr::extend_edges`]). The ids are the ones
+    /// [`ParallelBranchingOracle::view_push_edge`] would give edge by
+    /// edge, and every edge must be a parent edge in the same sense.
+    pub fn view_extend_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>) {
+        let mut view = self.view.write().expect("view lock");
+        let SharedView { spanner, landmarks } = &mut *view;
+        spanner.extend_edges(
+            edges
+                .into_iter()
+                .inspect(|&(u, v, weight)| debug_assert_parent_edge(landmarks, u, v, weight)),
+        );
     }
 
     /// Decides one query against the shared spanner view on the calling
@@ -324,6 +321,16 @@ impl ParallelBranchingOracle {
     }
 }
 
+/// Catches a view edge that is no edge of the parent the landmark table
+/// was built on (its A* would no longer be exact): the table's lower
+/// bound on `d(u, v)` must not exceed the edge's weight.
+fn debug_assert_parent_edge(landmarks: &Landmarks, u: NodeId, v: NodeId, weight: Weight) {
+    debug_assert!(
+        landmarks.potential_to(v).estimate(u) <= weight.get(),
+        "{u}-{v} (weight {weight}) is no edge of the parent the table was built on"
+    );
+}
+
 impl Drop for ParallelBranchingOracle {
     fn drop(&mut self) {
         if let Some(PoolHandle(pool)) = self.pool.take() {
@@ -378,9 +385,7 @@ mod tests {
     /// Loads `g` into the oracle's shared view, as its own parent.
     fn load_view(o: &mut ParallelBranchingOracle, g: &Graph) {
         o.view_reset(g);
-        for (_, e) in g.edges() {
-            o.view_push_edge(e.u(), e.v(), e.weight());
-        }
+        o.view_extend_edges(g.edges().map(|(_, e)| (e.u(), e.v(), e.weight())));
     }
 
     #[test]
@@ -452,10 +457,7 @@ mod tests {
     #[test]
     fn stats_aggregate_from_workers() {
         let g = diamond();
-        let mut o = ParallelBranchingOracle::new(2).with_config(BranchingConfig {
-            use_cut_shortcut: false,
-            ..BranchingConfig::default()
-        });
+        let mut o = ParallelBranchingOracle::new(2);
         load_view(&mut o, &g);
         let mut verdicts = Vec::new();
         o.find_blocking_faults_batch_in_view(&[q(0, 3, 2, 2, FaultModel::Vertex)], &mut verdicts);
@@ -498,6 +500,32 @@ mod tests {
     }
 
     #[test]
+    fn bulk_loaded_view_answers_like_one_grown_edge_by_edge() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use spanner_graph::generators::erdos_renyi;
+        let mut rng = StdRng::seed_from_u64(56);
+        let g = erdos_renyi(40, 0.1, &mut rng);
+        let mut bulk = ParallelBranchingOracle::new(2);
+        load_view(&mut bulk, &g);
+        let mut grown = ParallelBranchingOracle::new(2);
+        grown.view_reset(&g);
+        for (id, e) in g.edges() {
+            assert_eq!(grown.view_push_edge(e.u(), e.v(), e.weight()), id);
+        }
+        let queries: Vec<_> = (1..40)
+            .flat_map(|v| [FaultModel::Vertex, FaultModel::Edge].map(|model| q(0, v, 3, 1, model)))
+            .collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        bulk.find_blocking_faults_batch_in_view(&queries, &mut a);
+        grown.find_blocking_faults_batch_in_view(&queries, &mut b);
+        assert_eq!(a, b);
+        // Both verdicts occur, and some keeps need a fault.
+        assert!(a.iter().any(Option::is_none));
+        assert!(a.iter().flatten().any(|w| !w.is_empty()));
+    }
+
+    #[test]
     fn view_reset_starts_fresh_construction() {
         let triangle = Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap();
         let mut o = ParallelBranchingOracle::new(2);
@@ -517,23 +545,5 @@ mod tests {
             None
         );
         assert_eq!(o.stats().pool_spawns, 1, "reset reuses the pool");
-    }
-
-    #[test]
-    fn cut_shortcut_toggle_reaches_the_workers() {
-        // Two parallel paths 0-1-3 and 0-2-3: with the shortcut on, the
-        // vertex cut {1, 2} answers at the root.
-        let g = diamond();
-        let mut o = ParallelBranchingOracle::new(2);
-        load_view(&mut o, &g);
-        let query = q(0, 3, 2, 2, FaultModel::Vertex);
-        let mut verdicts = Vec::new();
-        o.find_blocking_faults_batch_in_view(&[query], &mut verdicts);
-        assert!(o.stats().cut_shortcuts > 0);
-        o.reset_stats();
-        o.set_root_cut_shortcut(false);
-        o.find_blocking_faults_batch_in_view(&[query], &mut verdicts);
-        assert!(verdicts[0].is_some());
-        assert_eq!(o.stats().cut_shortcuts, 0);
     }
 }

@@ -13,6 +13,12 @@
 //! It deliberately keeps the old flat `packed + 1` stats charge for the
 //! packing probe (the accounting drift fixed in the live oracle), because
 //! a reference that silently improves stops being a reference.
+//!
+//! Every query is the bounded search alone, as in the live oracle. A
+//! global min-cut that once answered queries before the search is gone
+//! from both: a cut witness and a search witness are both valid
+//! certificates but often differ, so a reference keeping the cut would
+//! pin witnesses the live oracle no longer returns.
 
 use crate::packing::disjoint_path_packing;
 use crate::{FaultModel, FaultOracle, FaultSet, OracleQuery, OracleStats};
@@ -48,7 +54,7 @@ pub struct ReferenceBranchingOracle {
 
 impl ReferenceBranchingOracle {
     /// Creates a reference oracle (always the full default feature set:
-    /// packing prune, memoization, min-cut shortcut).
+    /// packing prune and memoization).
     pub fn new() -> Self {
         ReferenceBranchingOracle::default()
     }
@@ -135,35 +141,6 @@ impl ReferenceBranchingOracle {
 impl FaultOracle for ReferenceBranchingOracle {
     fn find_blocking_faults(&mut self, graph: &Graph, query: OracleQuery) -> Option<FaultSet> {
         let mut mask = FaultMask::for_graph(graph);
-        if query.budget > 0 {
-            // A global cut within budget blocks all paths, short or long.
-            match query.model {
-                FaultModel::Vertex => {
-                    if let Some(cut) = spanner_graph::connectivity::min_vertex_cut_st(
-                        graph,
-                        &mask,
-                        query.u,
-                        query.v,
-                        query.budget as u32,
-                    ) {
-                        self.stats.cut_shortcuts += 1;
-                        return Some(FaultSet::vertices(cut));
-                    }
-                }
-                FaultModel::Edge => {
-                    if let Some(cut) = spanner_graph::connectivity::min_edge_cut_st(
-                        graph,
-                        &mask,
-                        query.u,
-                        query.v,
-                        query.budget as u32,
-                    ) {
-                        self.stats.cut_shortcuts += 1;
-                        return Some(FaultSet::edges(cut));
-                    }
-                }
-            }
-        }
         let mut current = Vec::with_capacity(query.budget);
         let mut memo: HashSet<Vec<usize>> = HashSet::new();
         if self.search(graph, &query, &mut mask, &mut current, &mut memo) {

@@ -128,27 +128,23 @@ proptest! {
         let mut reference: Option<bool> = None;
         for use_packing in [false, true] {
             for use_memo in [false, true] {
-                for use_cut_shortcut in [false, true] {
-                    let mut oracle = BranchingOracle::with_config(BranchingConfig {
+                let mut oracle = BranchingOracle::with_config(BranchingConfig {
+                    use_packing,
+                    use_memo,
+                });
+                let found = oracle.find_blocking_faults(&g, q);
+                if let Some(ref w) = found {
+                    assert_valid_witness(&g, &q, w);
+                }
+                match reference {
+                    None => reference = Some(found.is_some()),
+                    Some(r) => prop_assert_eq!(
+                        r,
+                        found.is_some(),
+                        "packing={} memo={}",
                         use_packing,
-                        use_memo,
-                        use_cut_shortcut,
-                    });
-                    let found = oracle.find_blocking_faults(&g, q);
-                    if let Some(ref w) = found {
-                        assert_valid_witness(&g, &q, w);
-                    }
-                    match reference {
-                        None => reference = Some(found.is_some()),
-                        Some(r) => prop_assert_eq!(
-                            r,
-                            found.is_some(),
-                            "packing={} memo={} cut={}",
-                            use_packing,
-                            use_memo,
-                            use_cut_shortcut
-                        ),
-                    }
+                        use_memo
+                    ),
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! Vec-of-Vec representation; [`IncrementalCsr`](crate::IncrementalCsr)
 //! is the cache-friendly flat layout the hot path prefers. Algorithms
 //! that only *read* adjacency ([`DijkstraEngine`](crate::DijkstraEngine),
-//! the min-cut shortcuts in [`connectivity`](crate::connectivity)) are
+//! the max-flow queries in [`connectivity`](crate::connectivity)) are
 //! generic over this trait, so both layouts run through identical —
 //! monomorphized, allocation-free — code paths.
 //!

@@ -13,52 +13,25 @@ use crate::flow::FlowNetwork;
 use crate::{EdgeId, FaultMask, NodeId};
 
 /// Iterates live (unmasked) edges of a view in edge-id order — the shared
-/// scan of every network builder, kept deterministic across graph layouts
-/// so cut witnesses are identical on the adjacency-list and CSR paths.
-fn for_each_live_edge<V: GraphView>(
-    view: &V,
-    mask: &FaultMask,
-    mut f: impl FnMut(EdgeId, NodeId, NodeId),
-) {
+/// scan of both network builders, deterministic across graph layouts.
+fn for_each_live_edge<V: GraphView>(view: &V, mask: &FaultMask, mut f: impl FnMut(NodeId, NodeId)) {
     for i in 0..view.edge_count() {
         let id = EdgeId::new(i);
         let (u, v) = view.edge_endpoints(id);
         if mask.is_edge_faulted(id) || mask.is_vertex_faulted(u) || mask.is_vertex_faulted(v) {
             continue;
         }
-        f(id, u, v);
+        f(u, v);
     }
 }
 
 /// Builds the unit-capacity network of `graph ∖ mask` for edge cuts.
 fn edge_network<V: GraphView>(graph: &V, mask: &FaultMask) -> FlowNetwork {
     let mut net = FlowNetwork::new(graph.node_count());
-    edge_network_into(&mut net, graph, mask);
-    net
-}
-
-/// [`edge_network`] into a reset, allocation-reusing network.
-fn edge_network_into<V: GraphView>(net: &mut FlowNetwork, graph: &V, mask: &FaultMask) {
-    net.reset(graph.node_count());
-    for_each_live_edge(graph, mask, |_, u, v| {
+    for_each_live_edge(graph, mask, |u, v| {
         net.add_undirected_unit(u.index(), v.index());
     });
-}
-
-/// Reusable state for the `_with` cut extractors: the flow network and
-/// the residual-side buffer, recycled across the thousands of cut
-/// shortcut probes a single FT-greedy run issues.
-#[derive(Debug, Default)]
-pub struct CutScratch {
-    net: FlowNetwork,
-    side: Vec<bool>,
-}
-
-impl CutScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        CutScratch::default()
-    }
+    net
 }
 
 /// Maximum number of edge-disjoint `s–t` paths in `graph ∖ mask`
@@ -141,32 +114,18 @@ pub fn vertex_connectivity_st<V: GraphView>(
     {
         return None;
     }
-    let net = split_network(graph, mask, s, t);
-    let mut net = net;
+    let mut net = split_network(graph, mask, s, t);
     Some(net.max_flow(s.index(), t.index(), limit))
 }
 
 /// The vertex-split network: node `v` becomes `v_in = v`, `v_out = v + n`
 /// joined by a capacity-1 arc (terminals collapsed to a single node). Edge
-/// arcs get effectively infinite capacity so that *every* minimum cut
-/// consists of split arcs only — required for cut extraction.
+/// arcs get effectively infinite capacity, so only split arcs limit the
+/// flow.
 fn split_network<V: GraphView>(graph: &V, mask: &FaultMask, s: NodeId, t: NodeId) -> FlowNetwork {
-    let mut net = FlowNetwork::new(2 * graph.node_count());
-    split_network_into(&mut net, graph, mask, s, t);
-    net
-}
-
-/// [`split_network`] into a reset, allocation-reusing network.
-fn split_network_into<V: GraphView>(
-    net: &mut FlowNetwork,
-    graph: &V,
-    mask: &FaultMask,
-    s: NodeId,
-    t: NodeId,
-) {
     let n = graph.node_count();
     let big = n as u32 + 1; // no s-t flow can exceed n
-    net.reset(2 * n);
+    let mut net = FlowNetwork::new(2 * n);
     for i in 0..n {
         let v = NodeId::new(i);
         if v == s || v == t || mask.is_vertex_faulted(v) {
@@ -182,113 +141,11 @@ fn split_network_into<V: GraphView>(
         }
     };
     let in_of = |v: NodeId| v.index();
-    for_each_live_edge(graph, mask, |_, u, v| {
+    for_each_live_edge(graph, mask, |u, v| {
         net.add_arc(out_of(u), in_of(v), big);
         net.add_arc(out_of(v), in_of(u), big);
     });
-}
-
-/// Extracts a minimum `s–t` *edge* cut of size at most `limit`, or `None`
-/// if every cut is larger. The returned edges disconnect `s` from `t`.
-pub fn min_edge_cut_st<V: GraphView>(
-    graph: &V,
-    mask: &FaultMask,
-    s: NodeId,
-    t: NodeId,
-    limit: u32,
-) -> Option<Vec<crate::EdgeId>> {
-    min_edge_cut_st_with(graph, mask, s, t, limit, &mut CutScratch::new())
-}
-
-/// [`min_edge_cut_st`] with caller-owned scratch: identical answers, no
-/// per-call network allocation (the FT-greedy oracle hot path).
-pub fn min_edge_cut_st_with<V: GraphView>(
-    graph: &V,
-    mask: &FaultMask,
-    s: NodeId,
-    t: NodeId,
-    limit: u32,
-    scratch: &mut CutScratch,
-) -> Option<Vec<crate::EdgeId>> {
-    edge_network_into(&mut scratch.net, graph, mask);
-    let flow = scratch
-        .net
-        .max_flow(s.index(), t.index(), limit.saturating_add(1));
-    if flow > limit {
-        return None;
-    }
-    scratch.net.min_cut_side_into(s.index(), &mut scratch.side);
-    let side = &scratch.side;
-    let mut cut = Vec::new();
-    for_each_live_edge(graph, mask, |id, u, v| {
-        if side[u.index()] != side[v.index()] {
-            cut.push(id);
-        }
-    });
-    debug_assert_eq!(cut.len() as u32, flow, "cut size must equal flow value");
-    Some(cut)
-}
-
-/// Extracts a minimum `s–t` *vertex* cut of size at most `limit`, or
-/// `None` if `s, t` are adjacent or every cut is larger. The returned
-/// vertices (disjoint from `{s, t}`) disconnect `s` from `t`.
-pub fn min_vertex_cut_st<V: GraphView>(
-    graph: &V,
-    mask: &FaultMask,
-    s: NodeId,
-    t: NodeId,
-    limit: u32,
-) -> Option<Vec<NodeId>> {
-    min_vertex_cut_st_with(graph, mask, s, t, limit, &mut CutScratch::new())
-}
-
-/// [`min_vertex_cut_st`] with caller-owned scratch: identical answers, no
-/// per-call network allocation (the FT-greedy oracle hot path).
-///
-/// # Panics
-///
-/// Same conditions as [`min_vertex_cut_st`].
-pub fn min_vertex_cut_st_with<V: GraphView>(
-    graph: &V,
-    mask: &FaultMask,
-    s: NodeId,
-    t: NodeId,
-    limit: u32,
-    scratch: &mut CutScratch,
-) -> Option<Vec<NodeId>> {
-    assert!(
-        !mask.is_vertex_faulted(s) && !mask.is_vertex_faulted(t),
-        "terminal is faulted"
-    );
-    if graph
-        .find_edge(s, t)
-        .is_some_and(|e| !mask.is_edge_faulted(e))
-    {
-        return None;
-    }
-    let n = graph.node_count();
-    split_network_into(&mut scratch.net, graph, mask, s, t);
-    let flow = scratch
-        .net
-        .max_flow(s.index(), t.index(), limit.saturating_add(1));
-    if flow > limit {
-        return None;
-    }
-    scratch.net.min_cut_side_into(s.index(), &mut scratch.side);
-    let side = &scratch.side;
-    let mut cut = Vec::new();
-    for i in 0..n {
-        let v = NodeId::new(i);
-        if v == s || v == t || mask.is_vertex_faulted(v) {
-            continue;
-        }
-        // The split arc v_in -> v_out crosses the cut.
-        if side[v.index()] && !side[v.index() + n] {
-            cut.push(v);
-        }
-    }
-    debug_assert_eq!(cut.len() as u32, flow, "cut size must equal flow value");
-    Some(cut)
+    net
 }
 
 /// Decides whether `graph ∖ mask` is `k`-vertex-connected: at least `k+1`
@@ -455,57 +312,5 @@ mod tests {
             edge_connectivity_st(&g, &mask, NodeId::new(0), NodeId::new(1), 3),
             3
         );
-    }
-
-    #[test]
-    fn extracted_edge_cut_disconnects() {
-        let g = generators::cycle(6);
-        let mask = no_faults(&g);
-        let cut = min_edge_cut_st(&g, &mask, NodeId::new(0), NodeId::new(3), u32::MAX).unwrap();
-        assert_eq!(cut.len(), 2);
-        let mut cut_mask = no_faults(&g);
-        for e in cut {
-            cut_mask.fault_edge(e);
-        }
-        let hops = crate::bfs::hop_distances(&g, NodeId::new(0), &cut_mask);
-        assert_eq!(hops[3], u32::MAX);
-    }
-
-    #[test]
-    fn extracted_edge_cut_respects_limit() {
-        let g = generators::cycle(6);
-        let mask = no_faults(&g);
-        assert!(min_edge_cut_st(&g, &mask, NodeId::new(0), NodeId::new(3), 1).is_none());
-        assert!(min_edge_cut_st(&g, &mask, NodeId::new(0), NodeId::new(3), 2).is_some());
-    }
-
-    #[test]
-    fn extracted_vertex_cut_disconnects() {
-        // Diamond with a longer arm: cut must be {1, 2}.
-        let g = Graph::from_edges(5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]).unwrap();
-        let mask = no_faults(&g);
-        let cut = min_vertex_cut_st(&g, &mask, NodeId::new(0), NodeId::new(4), u32::MAX).unwrap();
-        assert_eq!(cut.len(), 2);
-        let mut cut_mask = no_faults(&g);
-        for v in cut {
-            assert_ne!(v, NodeId::new(0));
-            assert_ne!(v, NodeId::new(4));
-            cut_mask.fault_vertex(v);
-        }
-        let hops = crate::bfs::hop_distances(&g, NodeId::new(0), &cut_mask);
-        assert_eq!(hops[4], u32::MAX);
-    }
-
-    #[test]
-    fn vertex_cut_none_for_adjacent_or_over_limit() {
-        let g = generators::complete(4);
-        let mask = no_faults(&g);
-        assert!(min_vertex_cut_st(&g, &mask, NodeId::new(0), NodeId::new(1), u32::MAX).is_none());
-        let g = generators::petersen(); // 3-connected, non-adjacent 0 and 7
-        let mask = no_faults(&g);
-        assert!(g.contains_edge(NodeId::new(0), NodeId::new(7)).is_none());
-        assert!(min_vertex_cut_st(&g, &mask, NodeId::new(0), NodeId::new(7), 2).is_none());
-        let cut = min_vertex_cut_st(&g, &mask, NodeId::new(0), NodeId::new(7), 3).unwrap();
-        assert_eq!(cut.len(), 3);
     }
 }

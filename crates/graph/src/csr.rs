@@ -281,14 +281,7 @@ impl IncrementalCsr {
     /// arbitrary [`Graph`] per query and must resynchronize their view.
     pub fn sync_from_graph(&mut self, graph: &Graph) {
         self.reset(graph.node_count());
-        for (_, e) in graph.edges() {
-            self.edge_u.push(e.u().raw());
-            self.edge_v.push(e.v().raw());
-            self.edge_w.push(e.weight());
-        }
-        if !self.edge_u.is_empty() {
-            self.rebuild();
-        }
+        self.extend_edges(graph.edges().map(|(_, e)| (e.u(), e.v(), e.weight())));
     }
 
     /// Appends an edge, returning its dense id. Amortized O(1): every
@@ -300,6 +293,33 @@ impl IncrementalCsr {
     /// Panics if an endpoint is out of range or `u == v`. Duplicates are
     /// not detected (mirroring [`Graph::add_edge_unchecked`]).
     pub fn push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
+        let id = self.append(u, v, weight);
+        if self.pending_len() > PENDING_REBUILD_LIMIT {
+            self.rebuild();
+        }
+        id
+    }
+
+    /// Appends every edge of `edges` in order, then folds the append
+    /// buffer once. Edge ids, endpoints and neighbor order are exactly
+    /// those of [`IncrementalCsr::push_edge`] called edge by edge, for
+    /// one O(n + m) fold instead of one per `PENDING_REBUILD_LIMIT`
+    /// edges: the way to load a large edge set before querying.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`IncrementalCsr::push_edge`].
+    pub fn extend_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>) {
+        for (u, v, weight) in edges {
+            self.append(u, v, weight);
+        }
+        if self.pending_len() > 0 {
+            self.rebuild();
+        }
+    }
+
+    /// Pushes one edge onto the append buffer without folding.
+    fn append(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
         assert!(
             u.index() < self.node_count && v.index() < self.node_count,
             "edge endpoint out of range"
@@ -309,9 +329,6 @@ impl IncrementalCsr {
         self.edge_u.push(u.raw());
         self.edge_v.push(v.raw());
         self.edge_w.push(weight);
-        if self.edge_u.len() - self.frozen > PENDING_REBUILD_LIMIT {
-            self.rebuild();
-        }
         id
     }
 
@@ -1199,6 +1216,42 @@ mod tests {
         }
         assert!(view.rebuild_count() > 0, "workload should cross the limit");
         assert!(view.pending_len() <= 32);
+    }
+
+    #[test]
+    fn bulk_append_matches_edge_by_edge_with_one_fold() {
+        // Seed both views with a few edges (leaving some pending), then
+        // append the rest edge by edge to one and in bulk to the other.
+        let mut rng = StdRng::seed_from_u64(93);
+        let g = generators::erdos_renyi(40, 0.2, &mut rng);
+        let edges: Vec<_> = g.edges().map(|(_, e)| (e.u(), e.v(), e.weight())).collect();
+        assert!(edges.len() > 3 * 32, "workload must span several folds");
+        let (head, tail) = edges.split_at(5);
+        let mut one_by_one = IncrementalCsr::new(40);
+        let mut bulk = IncrementalCsr::new(40);
+        for &(u, v, w) in head {
+            one_by_one.push_edge(u, v, w);
+            bulk.push_edge(u, v, w);
+        }
+        for &(u, v, w) in tail {
+            one_by_one.push_edge(u, v, w);
+        }
+        let folds = bulk.rebuild_count();
+        bulk.extend_edges(tail.iter().copied());
+        assert_eq!(bulk.rebuild_count(), folds + 1, "one fold for the batch");
+        assert_eq!(bulk.pending_len(), 0);
+        assert!(one_by_one.rebuild_count() > folds + 1);
+        assert_eq!(bulk.edge_count(), one_by_one.edge_count());
+        for i in 0..edges.len() {
+            let id = EdgeId::new(i);
+            assert_eq!(bulk.edge_endpoints(id), one_by_one.edge_endpoints(id));
+            assert_eq!(bulk.edge_weight(id), one_by_one.edge_weight(id));
+        }
+        for v in g.nodes() {
+            let order = view_neighbors(&bulk, v);
+            assert!(order.windows(2).all(|w| w[0].1 < w[1].1), "by edge id");
+            assert_eq!(order, view_neighbors(&one_by_one, v), "vertex {v}");
+        }
     }
 
     #[test]

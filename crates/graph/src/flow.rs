@@ -52,25 +52,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Clears the network back to `n` isolated nodes, keeping every
-    /// allocation (outer vector, per-node arc vectors, BFS scratch).
-    ///
-    /// The cut shortcut inside the FT-greedy fault oracle solves one
-    /// bounded max-flow per oracle query; rebuilding into a reset network
-    /// instead of a fresh one removes all of that loop's allocator
-    /// traffic after warm-up. Arc insertion order — and therefore the
-    /// specific minimum cut the solver reports — is unaffected.
-    pub fn reset(&mut self, n: usize) {
-        if self.adj.len() != n {
-            self.adj.resize_with(n, Vec::new);
-            self.level.resize(n, -1);
-            self.iter.resize(n, 0);
-        }
-        for arcs in &mut self.adj {
-            arcs.clear();
-        }
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adj.len()
@@ -163,26 +144,6 @@ impl FlowNetwork {
             }
         }
         reachable
-    }
-
-    /// [`FlowNetwork::min_cut_side`] writing into a reusable buffer
-    /// (cleared and refilled; no allocation once capacity suffices —
-    /// the `&mut self` receiver lets the residual BFS reuse the
-    /// network's own queue).
-    pub fn min_cut_side_into(&mut self, s: usize, reachable: &mut Vec<bool>) {
-        reachable.clear();
-        reachable.resize(self.adj.len(), false);
-        self.queue.clear();
-        reachable[s] = true;
-        self.queue.push_back(s);
-        while let Some(v) = self.queue.pop_front() {
-            for arc in &self.adj[v] {
-                if arc.cap > 0 && !reachable[arc.to as usize] {
-                    reachable[arc.to as usize] = true;
-                    self.queue.push_back(arc.to as usize);
-                }
-            }
-        }
     }
 
     /// Computes the max `s→t` flow, stopping early once `limit` is

@@ -3,14 +3,27 @@
 //! The paper: "in a naive implementation [the FT greedy algorithm] is
 //! exponential in f. It would be interesting to improve this dependence."
 //! We fix one input graph and sweep `f`, counting search-tree nodes for
-//! (a) the branching oracle with packing pruning + memoization,
-//! (b) branching with nothing, (c) brute force (small `f` only), and
-//! (d) the full default config including the min-cut shortcut.
-//! Shape claims: every exact *search* grows exponentially in `f`; pruning
-//! buys a base improvement without changing the shape; the flow shortcut
-//! answers the "locally low-connectivity" queries outright and only the
-//! residual hard queries pay the exponential search — a concrete datapoint
-//! on where the open problem's hardness actually lives.
+//! (a) the branching oracle with packing pruning + memoization (the
+//! default, and the only exact oracle FT-greedy runs), (b) branching
+//! with nothing and (c) brute force (small `f` only). Shape claims:
+//! every exact search grows exponentially in `f`; pruning buys a base
+//! improvement without changing the shape.
+//!
+//! Every query is a bounded search. An earlier version also answered
+//! queries at the root with a global min-cut (an unbounded max-flow over
+//! the whole spanner). That saved search nodes but cost more wall time
+//! than it saved, so it was deleted. Whole-construction times with the
+//! cut vs without it (2-vCPU host, release build, identical kept edges
+//! in every case):
+//!
+//! | input | with cut | search only |
+//! |---|---|---|
+//! | this experiment's G(40, 0.3), f = 1–4 | 1.5–4.8 ms | 0.8–3.8 ms |
+//! | G(60, 0.25), f = 5 | 19.4 ms | 16.0 ms |
+//! | geometric n = 800, r = 0.3, f = 2 | 1.30 s | 1.09 s |
+//! | geometric n = 2000, r = 0.08, f = 1 | 0.58 s | 0.12 s |
+//! | geometric n = 300, r = 0.2, f = 3 | 77 ms | 40 ms |
+//! | geometric n = 120, r = 0.45, f = 4 | 57 ms | 38 ms |
 
 use super::{ExperimentContext, ExperimentOutput};
 use crate::plot::{AxisScale, Plot, Series};
@@ -40,8 +53,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
             "no-prune nodes",
             "exhaustive nodes",
             "growth",
-            "+cut nodes",
-            "cut hits",
         ],
     );
     let mut notes = Vec::new();
@@ -49,26 +60,16 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
     let results = parallel_map(cells, ctx.threads, |f| {
         let mut rng = StdRng::seed_from_u64(cell_seed(9, 0, 0));
         let g = erdos_renyi(n, p, &mut rng);
-        // Pure search: packing + memo, no flow shortcut (the shape claim).
+        // The default oracle: packing + memo.
         let t0 = Instant::now();
-        let pruned = FtGreedy::new(&g, stretch)
-            .faults(f)
-            .oracle(OracleKind::BranchingWith(BranchingConfig {
-                use_packing: true,
-                use_memo: true,
-                use_cut_shortcut: false,
-            }))
-            .run();
+        let pruned = FtGreedy::new(&g, stretch).faults(f).run();
         let pruned_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // Full default config (with the min-cut shortcut).
-        let full = FtGreedy::new(&g, stretch).faults(f).run();
         let noprune_nodes = if f <= max_f_noprune {
             let ft = FtGreedy::new(&g, stretch)
                 .faults(f)
                 .oracle(OracleKind::BranchingWith(BranchingConfig {
                     use_packing: false,
                     use_memo: false,
-                    use_cut_shortcut: false,
                 }))
                 .run();
             Some(ft.stats().nodes_explored)
@@ -90,23 +91,17 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
             pruned_ms,
             noprune_nodes,
             exhaustive_nodes,
-            full.stats().nodes_explored,
-            full.stats().cut_shortcuts,
         )
     });
     let mut prev: Option<u64> = None;
     let mut growth_ratios = Vec::new();
     let mut search_series = Series::new("pure search (packing+memo)", '#');
     let mut naive_series = Series::new("naive search", 'o');
-    let mut cut_series = Series::new("with min-cut shortcut", '+');
-    for (f, pruned_nodes, pruned_ms, noprune_nodes, exhaustive_nodes, full_nodes, cut_hits) in
-        results
-    {
+    for (f, pruned_nodes, pruned_ms, noprune_nodes, exhaustive_nodes) in results {
         search_series.point(f as f64, pruned_nodes as f64);
         if let Some(v) = noprune_nodes {
             naive_series.point(f as f64, v as f64);
         }
-        cut_series.point(f as f64, full_nodes as f64);
         let growth = prev.map(|p| pruned_nodes as f64 / p.max(1) as f64);
         if let Some(gr) = growth {
             if f >= 2 {
@@ -120,8 +115,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
             noprune_nodes.map_or("-".to_string(), |v| v.to_string()),
             exhaustive_nodes.map_or("-".to_string(), |v| v.to_string()),
             growth.map_or("-".to_string(), fnum),
-            full_nodes.to_string(),
-            cut_hits.to_string(),
         ]);
         prev = Some(pruned_nodes);
     }
@@ -133,12 +126,10 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
         ));
     }
     notes.push("pruning (packing + memo) reduces nodes vs the naive search but the growth stays exponential".to_string());
-    notes.push("the min-cut flow shortcut ('+cut' columns) resolves the locally-sparse queries without search; the residual hard queries still pay the exponential search".to_string());
     let figure = Plot::new("Figure E9: search nodes vs f (log y)", 56, 14)
         .scale(AxisScale::Linear, AxisScale::Log)
         .series(search_series)
         .series(naive_series)
-        .series(cut_series)
         .render();
     ExperimentOutput {
         id: "e9",

@@ -1,9 +1,9 @@
 //! The paper's open problem, live: how expensive is exactness?
 //!
 //! FT-greedy needs an oracle for "can ≤ f faults stretch this edge?" — a
-//! length-bounded cut problem. This example races the three exact oracles
-//! and the polynomial heuristic as `f` grows, and shows where the flow
-//! shortcut bites.
+//! length-bounded cut problem. This example races the exact branching
+//! search against the polynomial heuristic as `f` grows, and shows which
+//! part of the search settles most queries.
 //!
 //! ```text
 //! cargo run --release --example open_problem
@@ -61,18 +61,21 @@ fn main() {
     println!("    calls out as its open problem (pruning helps, the shape remains);");
     println!("  • the heuristic stays flat and usually matches the exact size, but");
     println!("    nothing guarantees its output is fault tolerant (audit column!);");
-    println!("  • the built-in min-cut shortcut already answers every query whose pair");
-    println!("    is only f-connected in H — the hard residue is pairs that stay");
-    println!("    (f+1)-connected yet lose all their SHORT paths to some fault set.");
+    println!("  • a drop usually ends at a packing prune: f + 1 disjoint short paths");
+    println!("    survive, so no f faults can stretch the pair; a keep ends when the");
+    println!("    search finds its witness, a fault set cutting every short path.");
 
-    // Show one hard residual query explicitly.
+    // Show how one construction's search was spent.
     let ft = FtGreedy::new(&g, 3).faults(3).run();
     let stats = ft.stats();
     println!();
     println!(
-        "at f=3 the construction answered {} queries by min-cut shortcut and {} by search ({} nodes).",
-        stats.cut_shortcuts,
-        ft.spanner().edge_count() - stats.cut_shortcuts as usize,
-        stats.nodes_explored
+        "at f=3 the construction kept {} of {} edges; its search explored {} nodes, \
+         {} of them cut short by the packing prune and {} skipped by the memo.",
+        ft.spanner().edge_count(),
+        g.edge_count(),
+        stats.nodes_explored,
+        stats.packing_prunes,
+        stats.memo_hits
     );
 }

@@ -75,21 +75,18 @@ fn weighted_geometric_eft_with_all_baselines() {
 #[test]
 #[ignore = "multi-second stress test; run with --ignored --release"]
 fn deep_fault_budget_oracle_consistency() {
-    // f = 6 on a moderate graph: branching with and without the cut
-    // shortcut must produce identical spanners.
+    // f = 6 on a moderate graph: the sequential and the pooled oracle
+    // must produce identical spanners and witnesses.
     let mut rng = StdRng::seed_from_u64(4);
     let g = generators::erdos_renyi(60, 0.25, &mut rng);
-    let with_cut = FtGreedy::new(&g, 3).faults(6).run();
-    let without_cut = FtGreedy::new(&g, 3)
+    let sequential = FtGreedy::new(&g, 3).faults(6).run();
+    let pooled = FtGreedy::new(&g, 3)
         .faults(6)
-        .oracle(OracleKind::BranchingWith(spanner_faults::BranchingConfig {
-            use_packing: true,
-            use_memo: true,
-            use_cut_shortcut: false,
-        }))
+        .oracle(OracleKind::Parallel(2))
         .run();
     assert_eq!(
-        with_cut.spanner().parent_edge_ids(),
-        without_cut.spanner().parent_edge_ids()
+        sequential.spanner().parent_edge_ids(),
+        pooled.spanner().parent_edge_ids()
     );
+    assert_eq!(sequential.witnesses(), pooled.witnesses());
 }
