@@ -17,20 +17,22 @@
 //! With `f = 0` this is precisely the classic greedy algorithm
 //! ([`crate::greedy_spanner`]); the equivalence is tested.
 //!
-//! The exact branching paths build one [`Landmarks`] table per run, on
+//! The exact branching paths build one
+//! [`Landmarks`](spanner_graph::Landmarks) table per run, on
 //! the graph whose edges they decide, and every oracle search of the run
 //! is bounded A* under it (the spanner only ever holds that graph's
 //! edges, so the table is a consistent potential for all of them; see
 //! `spanner_faults`' branching module docs). The output does not depend
 //! on the table: [`FtGreedy::run_with_oracle`] over an unguided
-//! [`BranchingOracle`] returns the same spanner and witnesses.
+//! [`BranchingOracle`](spanner_faults::BranchingOracle) returns the same
+//! spanner and witnesses.
 
 use crate::Spanner;
 use spanner_faults::{
-    BranchingConfig, BranchingOracle, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet,
-    GreedyHeuristicOracle, HittingSetOracle, OracleQuery, OracleStats, ParallelBranchingOracle,
+    BranchingConfig, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet, GreedyHeuristicOracle,
+    HittingSetOracle, OracleQuery, OracleStats, ParallelBranchingOracle,
 };
-use spanner_graph::{EdgeId, Graph, Landmarks};
+use spanner_graph::{EdgeId, Graph};
 use std::collections::VecDeque;
 
 /// Which oracle implementation FT-greedy should use.
@@ -45,12 +47,14 @@ pub enum OracleKind {
     Exhaustive,
     /// Path-enumeration + hitting-set branch & bound.
     HittingSet,
-    /// Branching on a persistent pool of this many worker threads:
-    /// windows of upcoming candidates are decided concurrently, one whole
-    /// query per worker, and committed in weight order, so the output is
-    /// the sequential [`OracleKind::Branching`] output bit for bit. Pays
-    /// off where most candidates are dropped (dense inputs); keep-dense
-    /// runs stay on the calling thread.
+    /// Branching on this many threads, the calling one included, with
+    /// `threads − 1` persistent helpers: on runs of drops, windows of
+    /// upcoming candidates are published as one batch whose queries every
+    /// thread claims and decides whole, and the verdicts are committed in
+    /// weight order, so the output is the [`OracleKind::Branching`] output
+    /// bit for bit. Pays off where most candidates are dropped (dense
+    /// inputs); keep-dense runs stay on the calling thread, and so does
+    /// everything at `Parallel(1)`, which is `Branching`.
     Parallel(usize),
     /// **Inexact** polynomial-time heuristic (the open-problem probe):
     /// kept edges are always justified, but edges may be dropped wrongly,
@@ -60,17 +64,6 @@ pub enum OracleKind {
 }
 
 impl OracleKind {
-    fn instantiate(self) -> Box<dyn FaultOracle> {
-        match self {
-            OracleKind::Branching => Box::new(BranchingOracle::new()),
-            OracleKind::BranchingWith(cfg) => Box::new(BranchingOracle::with_config(cfg)),
-            OracleKind::Exhaustive => Box::new(ExhaustiveOracle::new()),
-            OracleKind::HittingSet => Box::new(HittingSetOracle::new()),
-            OracleKind::Parallel(threads) => Box::new(ParallelBranchingOracle::new(threads)),
-            OracleKind::Heuristic => Box::new(GreedyHeuristicOracle::new()),
-        }
-    }
-
     /// Whether this oracle is exact (`false` only for
     /// [`OracleKind::Heuristic`]).
     pub fn is_exact(self) -> bool {
@@ -153,21 +146,24 @@ impl<'a> FtGreedy<'a> {
     /// Runs Algorithm 1 and returns the fault tolerant spanner with its
     /// recorded witnesses.
     ///
-    /// The default branching oracle (and its `BranchingWith`/`Parallel`
-    /// variants) runs through a monomorphized hot loop over the spanner's
-    /// incremental CSR view — no `Box<dyn>` dispatch, no per-query
-    /// allocation. The remaining oracle kinds go through the generic
+    /// The branching kinds (`Branching`, `BranchingWith`, `Parallel`) all
+    /// run the pooled keep loop over the incremental CSR view — no
+    /// `Box<dyn>` dispatch, no per-query allocation; `Branching` and
+    /// `BranchingWith` are that loop at width 1, on the calling thread
+    /// alone. The remaining oracle kinds go through the generic
     /// [`FtGreedy::run_with_oracle`] path.
     pub fn run(&self) -> FtSpanner {
-        match self.oracle {
-            OracleKind::Branching => self.run_branching(BranchingConfig::default()),
-            OracleKind::BranchingWith(config) => self.run_branching(config),
-            OracleKind::Parallel(threads) => self.run_pooled(threads),
-            kind => {
-                let mut oracle = kind.instantiate();
-                self.run_with_oracle(oracle.as_mut())
+        let (threads, config) = match self.oracle {
+            OracleKind::Branching => (1, BranchingConfig::default()),
+            OracleKind::BranchingWith(config) => (1, config),
+            OracleKind::Parallel(threads) => (threads, BranchingConfig::default()),
+            OracleKind::Exhaustive => return self.run_with_oracle(&mut ExhaustiveOracle::new()),
+            OracleKind::HittingSet => return self.run_with_oracle(&mut HittingSetOracle::new()),
+            OracleKind::Heuristic => {
+                return self.run_with_oracle(&mut GreedyHeuristicOracle::new())
             }
-        }
+        };
+        self.run_pooled_with(&mut ParallelBranchingOracle::new(threads).with_config(config))
     }
 
     /// Runs Algorithm 1 with a caller-provided oracle, querying the
@@ -190,37 +186,9 @@ impl<'a> FtGreedy<'a> {
         self.finish(spanner, witnesses, oracle.stats())
     }
 
-    /// The optimized sequential path: one [`BranchingOracle`] whose
-    /// scratch lives for the whole construction, querying the spanner's
-    /// flat CSR view under the parent's landmark table.
-    fn run_branching(&self, config: BranchingConfig) -> FtSpanner {
-        let mut oracle = BranchingOracle::with_config(config);
-        let landmarks = Landmarks::build(self.graph);
-        let mut spanner = Spanner::empty(self.graph, self.stretch);
-        let mut witnesses = Vec::new();
-        for parent_id in self.graph.edges_by_weight() {
-            let query = self.query_for(parent_id);
-            if let Some(found) =
-                oracle.find_blocking_faults_in(spanner.view(), Some(&landmarks), query)
-            {
-                let e = self.graph.edge(parent_id);
-                spanner.push_edge(parent_id, e.u(), e.v(), e.weight());
-                witnesses.push(found);
-            }
-        }
-        self.finish(spanner, witnesses, oracle.stats())
-    }
-
-    /// The optimized parallel path: a persistent worker pool sharing an
-    /// incremental CSR view of the spanner, alive for the whole run.
-    fn run_pooled(&self, threads: usize) -> FtSpanner {
-        let mut oracle = ParallelBranchingOracle::new(threads);
-        self.run_pooled_with(&mut oracle)
-    }
-
-    /// The `Parallel` path of [`FtGreedy::run`] over a **caller-owned**
-    /// pooled oracle, so one persistent worker pool (and its scratch)
-    /// can serve many constructions: partitioned builds
+    /// The branching path of [`FtGreedy::run`] over a **caller-owned**
+    /// pooled oracle, so one persistent pool (and its scratch) can serve
+    /// many constructions: partitioned builds
     /// ([`crate::partition`]) run every shard and the boundary stitch
     /// through a single oracle, and
     /// [`spanner_faults::OracleStats::pool_spawns`] proves it.
@@ -256,7 +224,8 @@ impl<'a> FtGreedy<'a> {
     /// with its witness. The output is exactly the sequential loop's.
     ///
     /// Upcoming candidates are decided speculatively in *windows*, one
-    /// whole query per pool job, all against the current view. The view
+    /// batch of whole queries shared by the calling thread and the
+    /// oracle's helpers, all against the current view. The view
     /// only grows, so a drop verdict holds in every later view and is
     /// final wherever it sits in the window; the first keep saw the
     /// sequential view (only drops precede it) and is committed; later
@@ -265,8 +234,9 @@ impl<'a> FtGreedy<'a> {
     /// loop runs inline until `2 × threads` drops in a row, then doubles
     /// the window (up to `16 × threads`) while no window needs a re-check,
     /// and drops back inline as soon as one does — keep-dense runs (sparse
-    /// shards keep most of their edges) never pay a pool round trip per
-    /// keep.
+    /// shards keep most of their edges) never pay a batch per keep. At
+    /// width 1 no window opens: with no helper to share it, a window could
+    /// only add rechecks.
     pub(crate) fn keep_pooled(
         &self,
         oracle: &mut ParallelBranchingOracle,
@@ -274,6 +244,7 @@ impl<'a> FtGreedy<'a> {
         kept: &mut Vec<EdgeId>,
         witnesses: &mut Vec<FaultSet>,
     ) {
+        let pooled = oracle.threads() > 1;
         let entry_run = 2 * oracle.threads();
         let max_window = 16 * oracle.threads();
         let mut keep = |oracle: &mut ParallelBranchingOracle, id: EdgeId, found: FaultSet| {
@@ -305,7 +276,7 @@ impl<'a> FtGreedy<'a> {
                     }
                     None => {
                         drop_run += 1;
-                        if drop_run >= entry_run {
+                        if pooled && drop_run >= entry_run {
                             window = entry_run;
                         }
                     }

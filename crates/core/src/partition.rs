@@ -9,11 +9,11 @@
 //! 1. **Partition** — [`spanner_graph::partition::bfs_balls`] shards
 //!    the vertex set into deterministic seeded BFS balls.
 //! 2. **Per-shard build** — Algorithm 1 runs exactly on each shard's
-//!    induced subgraph, every shard through **one** persistent
-//!    [`ParallelBranchingOracle`] worker pool
-//!    ([`FtGreedy::run_pooled_with`]; the pool spawns once, and
+//!    induced subgraph, every shard through **one**
+//!    [`ParallelBranchingOracle`] ([`FtGreedy::run_pooled_with`]): its
+//!    helper threads spawn once, and
 //!    [`OracleStats::pool_spawns`](spanner_faults::OracleStats) proves
-//!    it).
+//!    it.
 //! 3. **Boundary stitch** — the cross-shard edges, and only those, are
 //!    run through the FT-greedy keep rule with the **global** budget
 //!    `f`, querying the union of all shard spanners as it grows. No
@@ -27,8 +27,9 @@
 //!
 //! Steps 2 and 3 share one keep loop, the pooled FT-greedy driver
 //! behind [`FtGreedy::run_pooled_with`]: it decides windows of upcoming
-//! candidates concurrently, one whole query per pool job, and commits
-//! them in weight order (drops are final because the union only grows;
+//! candidates concurrently — the calling thread and the oracle's helpers
+//! each claim whole queries of a window from one shared cursor — and
+//! commits them in weight order (drops are final because the union only grows;
 //! the first keep of a window is exact; later keeps are decided again).
 //! Its output is the sequential keep loop's, bit for bit, at every pool
 //! width. Nearly all stitch candidates on dense inputs are drops, so the
@@ -109,7 +110,7 @@ impl<'a> PartitionedFtGreedy<'a> {
     /// stretch.
     ///
     /// Defaults: `faults = 0`, vertex model, shard target 256, seed 9,
-    /// one pool worker per logical CPU.
+    /// one pool thread per logical CPU.
     ///
     /// # Panics
     ///
@@ -151,8 +152,8 @@ impl<'a> PartitionedFtGreedy<'a> {
         self
     }
 
-    /// Sets the worker-pool width shared by all shard builds and the
-    /// stitch.
+    /// Sets the pool width (threads, the caller included) shared by all
+    /// shard builds and the stitch.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads.max(1);
         self
@@ -184,7 +185,7 @@ impl<'a> PartitionedFtGreedy<'a> {
         }
         let partition_secs = t0.elapsed().as_secs_f64();
 
-        // Phase 2: per-shard FT-greedy over one shared worker pool.
+        // Phase 2: per-shard FT-greedy over one shared pooled oracle.
         let t1 = Instant::now();
         let mut oracle = ParallelBranchingOracle::new(self.threads);
         let mut union_kept: Vec<EdgeId> = Vec::new();
@@ -289,7 +290,8 @@ fn translate_witness(w: &FaultSet, members: &[NodeId], edge_offset: usize) -> Fa
 }
 
 /// The output of [`PartitionedFtGreedy::run`]: the stitched union
-/// spanner plus the per-phase report the frontier bench records.
+/// spanner plus its per-phase report (this module's tests and
+/// `tests/partition_contract.rs` assert its counts).
 #[derive(Clone, Debug)]
 pub struct PartitionedSpanner {
     ft: FtSpanner,

@@ -15,10 +15,10 @@
 //! * [`BranchingOracle`] — `O(k^f)` bounded search tree with sound
 //!   disjoint-path-packing pruning and fault-set memoization (the oracle
 //!   FT-greedy actually uses);
-//! * [`ParallelBranchingOracle`] — the same branching queries on a
-//!   persistent worker pool, a batch at a time against one shared
-//!   spanner view (FT-greedy's pooled path decides candidate windows
-//!   with it);
+//! * [`ParallelBranchingOracle`] — the same branching queries a batch at
+//!   a time against one shared spanner view, decided by the calling
+//!   thread and persistent helper threads together (FT-greedy's
+//!   branching paths decide their candidates with it);
 //! * [`HittingSetOracle`] — an independent exact formulation via explicit
 //!   short-path enumeration ([`paths`]) and hitting-set branch & bound,
 //!   used to cross-validate the branching oracle;

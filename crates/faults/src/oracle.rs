@@ -47,10 +47,12 @@ pub struct OracleStats {
     /// query on a graph of a given size this stays flat — the regression
     /// tests assert exactly that.
     pub scratch_rebuilds: u64,
-    /// Number of times a persistent worker pool was spawned. A pooled
-    /// oracle reused across constructions (e.g. every shard of a
-    /// partitioned build) spawns exactly once; the frontier bench
-    /// asserts that.
+    /// Number of times a pooled oracle spawned its persistent helper
+    /// threads. One reused across constructions (e.g. every shard of a
+    /// partitioned build) spawns exactly once, and one of width 1, which
+    /// has no helpers, never does. The pooled oracle's own tests and
+    /// `spanner_core`'s partition tests (`partition.rs`,
+    /// `tests/partition_contract.rs`) assert these counts.
     pub pool_spawns: u64,
     /// Number of batch verdicts a pooled construction threw away because
     /// an earlier keep in the same batch grew the spanner they were

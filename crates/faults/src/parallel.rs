@@ -6,9 +6,9 @@
 //! every decision in a dense construction is a *drop* settled by the
 //! root packing prune within a handful of Dijkstras, so splitting one
 //! query's search tree across threads leaves the extra cores idle.
-//! This oracle instead runs **one whole sequential [`BranchingOracle`]
-//! query per pool job**, so a batch of upcoming candidates is decided
-//! concurrently against one snapshot of the spanner.
+//! This oracle instead decides a batch of upcoming candidates
+//! concurrently, **one whole sequential [`BranchingOracle`] query at a
+//! time per participant**, against one snapshot of the spanner.
 //!
 //! # Why a batch can be committed exactly
 //!
@@ -24,24 +24,39 @@
 //! verdicts thrown away are counted in
 //! [`OracleStats::speculative_rechecks`].
 //!
+//! # How a batch runs
+//!
+//! An oracle of width `t` spawns `t − 1` helper threads (none at
+//! `t = 1`), once, on first use. A batch is published once: its
+//! queries, an atomic claim cursor and a completion count. The calling
+//! thread then claims and decides queries exactly as the helpers do, so
+//! `t` threads work on `t` CPUs and nobody waits on a message per
+//! query. Helpers sleep on a condition variable between batches; each
+//! one hands its answers and work counters back once per batch, and the
+//! last one to finish wakes the caller if it is still waiting. A helper
+//! that wakes late finds the cursor exhausted and goes back to sleep. A
+//! helper that panics marks the pool dead, and the batch fails loudly
+//! instead of waiting for an answer that never comes.
+//!
 //! # Determinism
 //!
 //! A [`BranchingOracle`] query is a pure function of the view, the
 //! query and the configuration: every scratch buffer is cleared, never
-//! carried over, between queries. So it does not matter which worker
-//! ran which query, or in what order results came back — batch verdicts
-//! are re-ordered by index before the caller sees them.
+//! carried over, between queries. So it does not matter which thread
+//! ran which query, or in what order answers came back — batch verdicts
+//! are placed by index before the caller sees them.
 //!
 //! # Sharing the view
 //!
-//! Workers outlive any one query, so they cannot borrow the caller's
+//! Helpers outlive any one query, so they cannot borrow the caller's
 //! graph: they share an [`IncrementalCsr`] spanner view, together with
 //! the [`Landmarks`] table of the construction's parent graph, behind an
-//! `Arc<RwLock<…>>`. A construction starts with
+//! `RwLock`, and decide under its read guard. A construction starts with
 //! [`ParallelBranchingOracle::view_reset`], which takes the parent, builds
 //! its table once and empties the view; the caller grows the view with
 //! [`ParallelBranchingOracle::view_push_edge`] between batches (never
-//! while one is in flight). Every query on the view, pooled or inline,
+//! while one is in flight: a batch returns only once every one of its
+//! queries is answered). Every query on the view, pooled or inline,
 //! is a guided [`BranchingOracle`] query (see the branching module
 //! docs): the view only ever holds parent edges, so the parent's table
 //! stays a consistent A* potential for the whole construction. Queries
@@ -54,21 +69,9 @@ use crate::{BranchingConfig, BranchingOracle, FaultOracle, FaultSet, OracleQuery
 use spanner_graph::{
     EdgeId, Graph, GraphView, IncrementalCsr, Landmarks, NodeId, Potential, Weight,
 };
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// One whole query handed to a pool worker.
-struct Job {
-    seq: u64,
-    index: usize,
-    query: OracleQuery,
-    config: BranchingConfig,
-}
-
-/// A worker's answer for one job.
-type JobResult = (u64, usize, Option<FaultSet>, OracleStats);
 
 /// What every query of one construction runs against: the spanner grown
 /// so far and the landmark table of the parent graph it is a subgraph of.
@@ -84,17 +87,67 @@ impl SharedView {
     }
 }
 
-/// The long-lived worker pool: a shared job queue, a result channel and
-/// the thread handles (joined on drop).
-struct Pool {
-    jobs: mpsc::Sender<Job>,
-    results: mpsc::Receiver<JobResult>,
-    handles: Vec<JoinHandle<()>>,
+/// One published batch: its queries, the configuration they run under,
+/// and the cursor every participant claims query indices from.
+#[derive(Debug)]
+struct Batch {
+    queries: Vec<OracleQuery>,
+    config: BranchingConfig,
+    next: AtomicUsize,
+}
+
+impl Batch {
+    /// The next unclaimed query index, or `None` once all are claimed.
+    fn claim(&self) -> Option<usize> {
+        // Relaxed: the cursor publishes no data (the queries reach every
+        // participant through the round mutex); atomicity alone makes
+        // each index go to exactly one claimant.
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        (index < self.queries.len()).then_some(index)
+    }
+}
+
+/// The batch in flight and what the helpers have handed back for it.
+#[derive(Debug, Default)]
+struct Round {
+    /// Bumped once per published batch; a helper remembers the last one
+    /// it saw.
+    epoch: u64,
+    /// The batch in flight (`None` between batches).
+    batch: Option<Arc<Batch>>,
+    /// Queries of the batch in flight answered so far, by anyone.
+    done: usize,
+    /// Helper answers for the batch in flight.
+    answers: Vec<(usize, Option<FaultSet>)>,
+    /// Helper work counters for the batch in flight.
+    stats: OracleStats,
+    /// A helper panicked: no batch can complete any more.
+    dead: bool,
+    /// The oracle is being dropped: helpers exit.
+    shutdown: bool,
+}
+
+/// State shared by the caller and its helpers.
+#[derive(Debug)]
+struct Shared {
+    view: RwLock<SharedView>,
+    round: Mutex<Round>,
+    /// Signalled when a batch is published or the pool shuts down.
+    published: Condvar,
+    /// Signalled when the last answer of a batch is in, or a helper dies.
+    finished: Condvar,
+}
+
+impl Shared {
+    fn round(&self) -> MutexGuard<'_, Round> {
+        self.round.lock().expect("pool round lock")
+    }
 }
 
 /// Pooled exact oracle. Every answer is the answer [`BranchingOracle`]
 /// gives for the same view, query and configuration (property-tested);
-/// batches of queries run concurrently on a persistent worker pool.
+/// batches of queries are shared between the calling thread and a
+/// persistent set of helper threads.
 ///
 /// # Examples
 ///
@@ -117,30 +170,20 @@ struct Pool {
 #[derive(Debug)]
 pub struct ParallelBranchingOracle {
     threads: usize,
-    /// The caller's own oracle, for single queries.
+    /// The caller's own oracle: single queries, and its share of every
+    /// batch.
     inline: BranchingOracle,
-    /// Counters absorbed from the workers, plus the pool's own.
+    /// Counters absorbed from the helpers, plus the pool's own.
     stats: OracleStats,
-    view: Arc<RwLock<SharedView>>,
-    pool: Option<PoolHandle>,
-    seq: u64,
-}
-
-/// Wrapper so the pool (whose channels are not `Debug`) can live inside a
-/// `#[derive(Debug)]` struct.
-struct PoolHandle(Pool);
-
-impl std::fmt::Debug for PoolHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool")
-            .field("workers", &self.0.handles.len())
-            .finish()
-    }
+    shared: Arc<Shared>,
+    /// `threads − 1` helpers once spawned; always empty at width 1.
+    helpers: Vec<JoinHandle<()>>,
 }
 
 impl ParallelBranchingOracle {
-    /// Creates an oracle using `threads` persistent workers (at least 1).
-    /// Workers are spawned when the first construction resets the view
+    /// Creates an oracle that decides batches on `threads` threads (at
+    /// least 1): the caller plus `threads − 1` persistent helpers.
+    /// Helpers are spawned when the first construction resets the view
     /// ([`ParallelBranchingOracle::view_reset`]), so configuring the
     /// oracle first costs nothing.
     pub fn new(threads: usize) -> Self {
@@ -148,23 +191,27 @@ impl ParallelBranchingOracle {
             threads: threads.max(1),
             inline: BranchingOracle::new(),
             stats: OracleStats::default(),
-            view: Arc::new(RwLock::new(SharedView {
-                spanner: IncrementalCsr::new(0),
-                landmarks: Landmarks::default(),
-            })),
-            pool: None,
-            seq: 0,
+            shared: Arc::new(Shared {
+                view: RwLock::new(SharedView {
+                    spanner: IncrementalCsr::new(0),
+                    landmarks: Landmarks::default(),
+                }),
+                round: Mutex::new(Round::default()),
+                published: Condvar::new(),
+                finished: Condvar::new(),
+            }),
+            helpers: Vec::new(),
         }
     }
 
     /// Sets the branching configuration of every subsequent query, on
-    /// the calling thread and on the workers alike.
+    /// the calling thread and on the helpers alike.
     pub fn with_config(mut self, config: BranchingConfig) -> Self {
         self.inline.set_config(config);
         self
     }
 
-    /// The number of pool workers.
+    /// The number of threads a batch is decided on, the caller included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -172,13 +219,13 @@ impl ParallelBranchingOracle {
     /// Starts a construction over `parent`: builds `parent`'s landmark
     /// table (the A* potential of every query until the next reset),
     /// resets the shared spanner view to `parent`'s vertices with no
-    /// edges, and makes sure the worker pool is up. FT-greedy calls this
+    /// edges, and makes sure the helpers are up. FT-greedy calls this
     /// once per construction, then grows the view with
     /// [`ParallelBranchingOracle::view_push_edge`].
     pub fn view_reset<V: GraphView>(&mut self, parent: &V) {
         self.ensure_pool();
         let landmarks = Landmarks::build(parent);
-        let mut view = self.view.write().expect("view lock");
+        let mut view = self.shared.view.write().expect("view lock");
         view.spanner.reset(parent.node_count());
         view.landmarks = landmarks;
     }
@@ -188,7 +235,7 @@ impl ParallelBranchingOracle {
     /// be an edge of the parent given to the last
     /// [`ParallelBranchingOracle::view_reset`], with its weight.
     pub fn view_push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        let mut view = self.view.write().expect("view lock");
+        let mut view = self.shared.view.write().expect("view lock");
         debug_assert_parent_edge(&view.landmarks, u, v, weight);
         view.spanner.push_edge(u, v, weight)
     }
@@ -200,7 +247,7 @@ impl ParallelBranchingOracle {
     /// [`ParallelBranchingOracle::view_push_edge`] would give edge by
     /// edge, and every edge must be a parent edge in the same sense.
     pub fn view_extend_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>) {
-        let mut view = self.view.write().expect("view lock");
+        let mut view = self.shared.view.write().expect("view lock");
         let SharedView { spanner, landmarks } = &mut *view;
         spanner.extend_edges(
             edges
@@ -210,60 +257,62 @@ impl ParallelBranchingOracle {
     }
 
     /// Decides one query against the shared spanner view on the calling
-    /// thread (no pool round trip).
+    /// thread.
     pub fn find_blocking_faults_in_view(&mut self, query: OracleQuery) -> Option<FaultSet> {
-        let guard = self.view.read().expect("view lock");
+        let guard = self.shared.view.read().expect("view lock");
         guard.decide(&mut self.inline, query)
     }
 
     /// Decides every query of `queries` against the current shared view,
-    /// one whole query per pool job, and writes the answers to
-    /// `verdicts` in query order (`verdicts[i]` answers `queries[i]`).
+    /// on the calling thread and the helpers together, and writes the
+    /// answers to `verdicts` in query order (`verdicts[i]` answers
+    /// `queries[i]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query panics, on whichever thread decided it.
     pub fn find_blocking_faults_batch_in_view(
         &mut self,
         queries: &[OracleQuery],
         verdicts: &mut Vec<Option<FaultSet>>,
     ) {
         self.ensure_pool();
-        let pool = &self.pool.as_ref().expect("pool spawned").0;
-        self.seq += 1;
-        let config = self.inline.config();
-        for (index, &query) in queries.iter().enumerate() {
-            pool.jobs
-                .send(Job {
-                    seq: self.seq,
-                    index,
-                    query,
-                    config,
-                })
-                .expect("worker pool alive");
-        }
         verdicts.clear();
         verdicts.resize(queries.len(), None);
-        let mut received = 0;
-        while received < queries.len() {
-            // recv_timeout + liveness check rather than a bare recv: if a
-            // worker dies mid-job (panic), its result never arrives but
-            // the channel stays open through the survivors' senders — a
-            // bare recv would hang the whole construction.
-            match pool.results.recv_timeout(Duration::from_millis(100)) {
-                Ok((seq, index, found, stats)) => {
-                    debug_assert_eq!(seq, self.seq, "stale job result");
-                    verdicts[index] = found;
-                    self.stats.absorb(stats);
-                    received += 1;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !pool.handles.iter().any(|h| h.is_finished()),
-                        "a pool worker died mid-batch"
-                    );
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!("worker pool shut down mid-batch");
-                }
+        let batch = Arc::new(Batch {
+            queries: queries.to_vec(),
+            config: self.inline.config(),
+            next: AtomicUsize::new(0),
+        });
+        {
+            let mut round = self.shared.round();
+            round.epoch += 1;
+            round.batch = Some(Arc::clone(&batch));
+            round.done = 0;
+        }
+        self.shared.published.notify_all();
+        let mut mine = 0;
+        {
+            let view = self.shared.view.read().expect("view lock");
+            while let Some(index) = batch.claim() {
+                verdicts[index] = view.decide(&mut self.inline, queries[index]);
+                mine += 1;
             }
         }
+        let mut round = self.shared.round();
+        round.done += mine;
+        while round.done < queries.len() && !round.dead {
+            round = self.shared.finished.wait(round).expect("pool round lock");
+        }
+        if round.dead {
+            drop(round);
+            panic!("a pool helper died mid-batch");
+        }
+        round.batch = None;
+        for (index, found) in round.answers.drain(..) {
+            verdicts[index] = found;
+        }
+        self.stats.absorb(std::mem::take(&mut round.stats));
     }
 
     /// Records `count` batch verdicts the caller threw away because an
@@ -273,51 +322,78 @@ impl ParallelBranchingOracle {
         self.stats.speculative_rechecks += count as u64;
     }
 
-    /// Spawns the persistent workers on first use.
+    /// Spawns the `threads − 1` persistent helpers on first use (none at
+    /// width 1).
     fn ensure_pool(&mut self) {
-        if self.pool.is_some() {
+        if self.threads == 1 || !self.helpers.is_empty() {
             return;
         }
         self.stats.pool_spawns += 1;
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let (result_tx, result_rx) = mpsc::channel::<JobResult>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut handles = Vec::with_capacity(self.threads);
-        for _ in 0..self.threads {
-            let jobs = Arc::clone(&job_rx);
-            let results = result_tx.clone();
-            let view = Arc::clone(&self.view);
-            handles.push(std::thread::spawn(move || {
-                // One sequential oracle per worker, alive for the whole
-                // pool lifetime: its scratch persists across every query
-                // of every construction.
-                let mut oracle = BranchingOracle::new();
-                loop {
-                    let job = {
-                        let rx = jobs.lock().expect("job queue lock");
-                        match rx.recv() {
-                            Ok(job) => job,
-                            Err(_) => return, // pool dropped
-                        }
-                    };
-                    oracle.set_config(job.config);
-                    let found = view
-                        .read()
-                        .expect("view lock")
-                        .decide(&mut oracle, job.query);
-                    let stats = oracle.stats();
-                    oracle.reset_stats();
-                    if results.send((job.seq, job.index, found, stats)).is_err() {
-                        return; // pool dropped mid-flight
-                    }
-                }
-            }));
+        self.helpers = (1..self.threads)
+            .map(|_| {
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || help(&shared))
+            })
+            .collect();
+    }
+}
+
+/// A helper's life: wait for a batch, claim and decide its queries under
+/// the view's read guard, hand the answers back once, repeat until
+/// shutdown. Its one sequential oracle lives as long as the pool, so its
+/// scratch persists across every query of every construction.
+fn help(shared: &Shared) {
+    /// Marks the pool dead if the helper unwinds, so the caller fails
+    /// the batch instead of waiting for answers that never come.
+    struct DeathNotice<'a>(&'a Shared);
+    impl Drop for DeathNotice<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let mut round = self.0.round.lock().unwrap_or_else(PoisonError::into_inner);
+                round.dead = true;
+                self.0.finished.notify_all();
+            }
         }
-        self.pool = Some(PoolHandle(Pool {
-            jobs: job_tx,
-            results: result_rx,
-            handles,
-        }));
+    }
+    let _notice = DeathNotice(shared);
+    let mut oracle = BranchingOracle::new();
+    let mut answers = Vec::new();
+    let mut seen = 0;
+    loop {
+        let batch = {
+            let mut round = shared.round();
+            while round.epoch == seen && !round.shutdown {
+                round = shared.published.wait(round).expect("pool round lock");
+            }
+            if round.shutdown {
+                return;
+            }
+            seen = round.epoch;
+            match &round.batch {
+                Some(batch) => Arc::clone(batch),
+                // Woke after the batch was already answered.
+                None => continue,
+            }
+        };
+        oracle.set_config(batch.config);
+        {
+            let view = shared.view.read().expect("view lock");
+            while let Some(index) = batch.claim() {
+                answers.push((index, view.decide(&mut oracle, batch.queries[index])));
+            }
+        }
+        if answers.is_empty() {
+            continue;
+        }
+        let stats = oracle.stats();
+        oracle.reset_stats();
+        let mut round = shared.round();
+        round.done += answers.len();
+        round.answers.append(&mut answers);
+        round.stats.absorb(stats);
+        if round.done == batch.queries.len() {
+            shared.finished.notify_one();
+        }
     }
 }
 
@@ -333,12 +409,15 @@ fn debug_assert_parent_edge(landmarks: &Landmarks, u: NodeId, v: NodeId, weight:
 
 impl Drop for ParallelBranchingOracle {
     fn drop(&mut self) {
-        if let Some(PoolHandle(pool)) = self.pool.take() {
-            drop(pool.jobs); // closes the queue; workers exit their loop
-            drop(pool.results);
-            for handle in pool.handles {
-                let _ = handle.join();
-            }
+        self.shared
+            .round
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.shared.published.notify_all();
+        for helper in self.helpers.drain(..) {
+            // A helper that panicked already failed its batch.
+            let _ = helper.join();
         }
     }
 }
@@ -471,8 +550,8 @@ mod tests {
 
     #[test]
     fn pool_persists_across_queries() {
-        // Many batches through one oracle: the same workers serve all of
-        // them (the pool is spawned once), and the shared view keeps up
+        // Many batches through one oracle: the same helpers serve all of
+        // them (they are spawned once), and the shared view keeps up
         // with incremental growth.
         let mut o = ParallelBranchingOracle::new(2);
         let g = diamond();
@@ -497,6 +576,102 @@ mod tests {
             }
         }
         assert_eq!(o.stats().pool_spawns, 1);
+    }
+
+    #[test]
+    fn late_helpers_never_answer_a_grown_view() {
+        // Over a thousand small batches, each followed by one view push: a
+        // helper that wakes after the caller already answered a batch
+        // must find its cursor exhausted rather than decide that batch
+        // against the grown view. Every verdict equals a sequential
+        // oracle's on the prefix the batch was published against.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use spanner_graph::generators::random_geometric;
+        let g = random_geometric(200, 0.15, &mut StdRng::seed_from_u64(58));
+        let order = g.edges_by_weight();
+        let landmarks = Landmarks::build(&g);
+        for threads in [2, 4] {
+            let mut o = ParallelBranchingOracle::new(threads);
+            o.view_reset(&g);
+            let mut prefix = IncrementalCsr::new(g.node_count());
+            let mut seq = BranchingOracle::new();
+            let mut verdicts = Vec::new();
+            let (mut keeps, mut drops) = (0, 0);
+            for (step, &id) in order.iter().enumerate() {
+                let queries: Vec<_> = order[step..]
+                    .iter()
+                    .take(1 + step % 8)
+                    .flat_map(|&c| {
+                        let e = g.edge(c);
+                        [FaultModel::Vertex, FaultModel::Edge].map(|model| OracleQuery {
+                            u: e.u(),
+                            v: e.v(),
+                            bound: e.weight().stretched(3),
+                            budget: 2,
+                            model,
+                        })
+                    })
+                    .collect();
+                o.find_blocking_faults_batch_in_view(&queries, &mut verdicts);
+                for (query, batched) in queries.iter().zip(&verdicts) {
+                    let expected = seq.find_blocking_faults_in(&prefix, Some(&landmarks), *query);
+                    assert_eq!(
+                        batched, &expected,
+                        "threads={threads} step {step} {query:?}"
+                    );
+                    match expected {
+                        Some(_) => keeps += 1,
+                        None => drops += 1,
+                    }
+                }
+                let e = g.edge(id);
+                o.view_push_edge(e.u(), e.v(), e.weight());
+                prefix.push_edge(e.u(), e.v(), e.weight());
+            }
+            assert!(keeps > 0 && drops > 0, "keeps {keeps}, drops {drops}");
+            assert_eq!(o.stats().pool_spawns, 1);
+            // Helpers answered some queries (their counters are the ones
+            // absorbed per batch), so batches really were shared.
+            assert!(o.stats.shortest_path_queries > 0, "helpers never took part");
+        }
+    }
+
+    #[test]
+    fn panicking_query_fails_its_batch_at_every_width() {
+        // The batch opens with one slow query (no packing prune, no memo,
+        // a search tree of thousands of nodes), which the caller claims
+        // first; every later query names a vertex the view does not have,
+        // so the helpers that claim them panic. At every width the batch
+        // must then panic on the calling thread within a deadline — a
+        // dead helper fails the batch instead of leaving the caller
+        // waiting for its answer — and dropping the oracle must not hang.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        for threads in [1usize, 2, 4] {
+            let (alive, exited) = mpsc::channel::<()>();
+            let batch = std::thread::spawn(move || {
+                let _alive = alive;
+                let g = spanner_graph::generators::complete(30);
+                let mut o = ParallelBranchingOracle::new(threads).with_config(BranchingConfig {
+                    use_packing: false,
+                    use_memo: false,
+                });
+                load_view(&mut o, &g);
+                let mut queries = vec![q(0, 99, 3, 12, FaultModel::Edge); threads.max(2)];
+                queries[0].v = NodeId::new(1);
+                o.find_blocking_faults_batch_in_view(&queries, &mut Vec::new());
+            });
+            assert_eq!(
+                exited.recv_timeout(Duration::from_secs(60)),
+                Err(mpsc::RecvTimeoutError::Disconnected),
+                "threads={threads}: the batch hung"
+            );
+            assert!(
+                batch.join().is_err(),
+                "threads={threads}: the batch did not panic"
+            );
+        }
     }
 
     #[test]
