@@ -19,7 +19,9 @@
 //!
 //! The exact branching paths build one
 //! [`Landmarks`](spanner_graph::Landmarks) table per run, on
-//! the graph whose edges they decide, and every oracle search of the run
+//! the graph whose edges they decide (a partitioned build restricts its
+//! input graph's one table to each shard instead; see
+//! [`crate::partition`]), and every oracle search of the run
 //! is bounded A* under it (the spanner only ever holds that graph's
 //! edges, so the table is a consistent potential for all of them; see
 //! `spanner_faults`' branching module docs). The output does not depend
@@ -188,10 +190,11 @@ impl<'a> FtGreedy<'a> {
 
     /// The branching path of [`FtGreedy::run`] over a **caller-owned**
     /// pooled oracle, so one persistent pool (and its scratch) can serve
-    /// many constructions: partitioned builds
-    /// ([`crate::partition`]) run every shard and the boundary stitch
-    /// through a single oracle, and
-    /// [`spanner_faults::OracleStats::pool_spawns`] proves it.
+    /// many constructions, as
+    /// [`spanner_faults::OracleStats::pool_spawns`] shows. (Partitioned
+    /// builds, [`crate::partition`], share one oracle the same way but
+    /// call the keep loop underneath directly, with one landmark table
+    /// for all shards and the stitch.)
     ///
     /// The shared view is reset to this run's graph, whose landmark
     /// table the oracle builds for the run; the oracle's
@@ -219,9 +222,11 @@ impl<'a> FtGreedy<'a> {
     /// Algorithm 1's keep loop over a pooled oracle: decides `candidates`
     /// (parent edge ids, in the order the greedy scans them) against the
     /// oracle's shared view, which must already hold the spanner built so
-    /// far, reset on this run's graph (whose landmark table guides every
-    /// query). Every kept edge is pushed to the view and appended to `kept`
-    /// with its witness. The output is exactly the sequential loop's.
+    /// far, reset on this run's graph with a landmark table consistent on
+    /// it (the graph's own, or a supergraph's restricted to it), which
+    /// guides every query. Every kept edge is pushed to the view and
+    /// appended to `kept` with its witness. The output is exactly the
+    /// sequential loop's.
     ///
     /// Upcoming candidates are decided speculatively in *windows*, one
     /// batch of whole queries shared by the calling thread and the

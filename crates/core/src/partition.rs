@@ -9,9 +9,8 @@
 //! 1. **Partition** — [`spanner_graph::partition::bfs_balls`] shards
 //!    the vertex set into deterministic seeded BFS balls.
 //! 2. **Per-shard build** — Algorithm 1 runs exactly on each shard's
-//!    induced subgraph, every shard through **one**
-//!    [`ParallelBranchingOracle`] ([`FtGreedy::run_pooled_with`]): its
-//!    helper threads spawn once, and
+//!    induced subgraph (local ids), every shard through **one**
+//!    [`ParallelBranchingOracle`]: its helper threads spawn once, and
 //!    [`OracleStats::pool_spawns`](spanner_faults::OracleStats) proves
 //!    it.
 //! 3. **Boundary stitch** — the cross-shard edges, and only those, are
@@ -25,8 +24,10 @@
 //!    in one bulk append ([`ParallelBranchingOracle::view_extend_edges`]),
 //!    one fold instead of one per few dozen edges.
 //!
-//! Steps 2 and 3 share one keep loop, the pooled FT-greedy driver
-//! behind [`FtGreedy::run_pooled_with`]: it decides windows of upcoming
+//! Steps 2 and 3 share one keep loop, `FtGreedy::keep_pooled` (the
+//! pooled FT-greedy driver behind [`FtGreedy::run_pooled_with`]), which
+//! each shard and the stitch call directly on their own candidates, with
+//! no per-shard `FtSpanner` assembled: it decides windows of upcoming
 //! candidates concurrently — the calling thread and the oracle's helpers
 //! each claim whole queries of a window from one shared cursor — and
 //! commits them in weight order (drops are final because the union only grows;
@@ -35,12 +36,15 @@
 //! width. Nearly all stitch candidates on dense inputs are drops, so the
 //! stitch is where the windows grow widest.
 //!
-//! Every construction starts with
-//! [`ParallelBranchingOracle::view_reset`] on the graph whose edges it
-//! decides, which builds that graph's landmark table: each shard build
-//! on the shard's induced subgraph (local ids), the stitch on `G`. The
-//! union is a subgraph of `G`, so `G`'s table guides every stitch
-//! search as bounded A*, with the same answers as unguided Dijkstra.
+//! The whole run builds **one** landmark table, on `G`, at the start of
+//! step 2. Each shard build resets the oracle's view
+//! ([`ParallelBranchingOracle::view_reset_with`]) with that table
+//! restricted to the shard's members ([`Landmarks::restrict`]: row `i`
+//! is `G`'s row for member `i`), and the stitch takes the table itself.
+//! A shard spanner (up to its local ids) and the union are subgraphs of
+//! `G` with `G`'s weights, so `G`'s table is a consistent potential on
+//! both, and every
+//! search runs as bounded A* with the same answers as unguided Dijkstra.
 //!
 //! # Why the union satisfies the `(2k−1)`-stretch `f`-fault contract
 //!
@@ -74,7 +78,7 @@ use crate::ft_greedy::{FtGreedy, FtSpanner};
 use crate::Spanner;
 use spanner_faults::{FaultModel, FaultOracle, FaultSet, ParallelBranchingOracle};
 use spanner_graph::partition::bfs_balls;
-use spanner_graph::{EdgeId, Graph, NodeId};
+use spanner_graph::{EdgeId, Graph, Landmarks, NodeId};
 use std::time::Instant;
 
 /// Configurable partitioned FT-greedy runner (non-consuming builder),
@@ -185,11 +189,14 @@ impl<'a> PartitionedFtGreedy<'a> {
         }
         let partition_secs = t0.elapsed().as_secs_f64();
 
-        // Phase 2: per-shard FT-greedy over one shared pooled oracle.
+        // Phase 2: per-shard FT-greedy over one shared pooled oracle,
+        // every shard guided by G's landmark table restricted to it.
         let t1 = Instant::now();
+        let landmarks = Landmarks::build(self.graph);
         let mut oracle = ParallelBranchingOracle::new(self.threads);
         let mut union_kept: Vec<EdgeId> = Vec::new();
         let mut union_witnesses: Vec<FaultSet> = Vec::new();
+        let mut local_kept: Vec<EdgeId> = Vec::new();
         let mut local_of = vec![u32::MAX; n];
         for (shard, edges) in shard_edges.iter().enumerate() {
             let members = partition.members(shard);
@@ -208,17 +215,21 @@ impl<'a> PartitionedFtGreedy<'a> {
                     e.weight(),
                 );
             }
-            let ft = FtGreedy::new(&shard_graph, self.stretch)
+            oracle.view_reset_with(members.len(), landmarks.restrict(members));
+            let edge_offset = union_kept.len();
+            local_kept.clear();
+            FtGreedy::new(&shard_graph, self.stretch)
                 .faults(self.faults)
                 .model(self.model)
-                .run_pooled_with(&mut oracle);
-            let edge_offset = union_kept.len();
-            for &local in ft.spanner().parent_edge_ids() {
-                let global = edges[local.index()];
-                union_kept.push(global);
-            }
-            for w in ft.witnesses() {
-                union_witnesses.push(translate_witness(w, members, edge_offset));
+                .keep_pooled(
+                    &mut oracle,
+                    &shard_graph.edges_by_weight(),
+                    &mut local_kept,
+                    &mut union_witnesses,
+                );
+            union_kept.extend(local_kept.iter().map(|local| edges[local.index()]));
+            for w in &mut union_witnesses[edge_offset..] {
+                *w = translate_witness(w, members, edge_offset);
             }
             for v in members {
                 local_of[v.index()] = u32::MAX;
@@ -234,7 +245,7 @@ impl<'a> PartitionedFtGreedy<'a> {
         let t2 = Instant::now();
         let mut candidates = cross_edges;
         candidates.sort_by_key(|&e| (self.graph.weight(e), e));
-        oracle.view_reset(self.graph);
+        oracle.view_reset_with(n, landmarks);
         oracle.view_extend_edges(union_kept.iter().map(|&id| {
             let e = self.graph.edge(id);
             (e.u(), e.v(), e.weight())
@@ -338,12 +349,15 @@ pub struct PartitionReport {
     pub stitch_kept: usize,
     /// Wall time of the partition/classification phase.
     pub partition_secs: f64,
-    /// Wall time of the per-shard build phase.
+    /// Wall time of the per-shard build phase, which includes building
+    /// `G`'s landmark table (the run's only one).
     pub build_secs: f64,
-    /// Wall time of the boundary stitch phase.
+    /// Wall time of the boundary stitch phase; it reuses `G`'s table from
+    /// the build phase and builds none.
     pub stitch_secs: f64,
-    /// Worker-pool spawns across all phases; 1 whenever any oracle
-    /// query ran (the pool reuse contract the bench asserts).
+    /// Worker-pool spawns across all phases: 1 at every width above 1,
+    /// since every shard and the stitch share one oracle, and 0 at
+    /// width 1, which spawns no helper.
     pub pool_spawns: u64,
 }
 

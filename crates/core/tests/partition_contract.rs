@@ -17,10 +17,11 @@ use spanner_core::partition::PartitionedFtGreedy;
 use spanner_core::verify::{certify_vft_exact, verify_ft_exhaustive};
 use spanner_core::{FtGreedy, OracleKind};
 use spanner_faults::reference::ReferenceBranchingOracle;
-use spanner_faults::{FaultModel, FaultOracle, OracleQuery};
+use spanner_faults::{FaultModel, FaultOracle, FaultSet, OracleQuery};
 use spanner_graph::generators::{complete, cycle, grid, random_geometric, with_uniform_weights};
-use spanner_graph::partition::bfs_balls;
-use spanner_graph::Graph;
+use spanner_graph::partition::{bfs_balls, Partition};
+use spanner_graph::subgraph::induced;
+use spanner_graph::{EdgeId, Graph};
 
 /// The n ≤ 12 instance zoo: name, graph, shard target.
 fn instances() -> Vec<(&'static str, Graph, usize)> {
@@ -292,5 +293,109 @@ fn partitioned_size_stays_within_a_quarter_of_monolithic_and_certifies_exactly()
             None,
             "{label}: exact certificate found a violation"
         );
+    }
+}
+
+/// The unguided reference for the shard phase of a partitioned build:
+/// FT-greedy over [`ReferenceBranchingOracle`] on each shard's induced
+/// subgraph ([`induced`]: local ids in member order, edges in parent
+/// edge-id order, as the partitioned build numbers them),
+/// its keeps and witnesses translated to union coordinates and
+/// concatenated in shard order.
+fn reference_shard_builds(
+    g: &Graph,
+    partition: &Partition,
+    f: usize,
+    model: FaultModel,
+) -> (Vec<EdgeId>, Vec<FaultSet>) {
+    let (mut kept, mut witnesses) = (Vec::new(), Vec::new());
+    for members in partition.shards() {
+        let shard = induced(g, members.iter().copied());
+        let built = FtGreedy::new(&shard.graph, 3)
+            .faults(f)
+            .model(model)
+            .run_with_oracle(&mut ReferenceBranchingOracle::new());
+        let offset = kept.len();
+        let spanner = built.spanner();
+        kept.extend(
+            spanner
+                .parent_edge_ids()
+                .iter()
+                .map(|&l| shard.parent_edge(l)),
+        );
+        for w in built.witnesses() {
+            witnesses.push(match model {
+                FaultModel::Vertex => {
+                    FaultSet::vertices(w.vertex_faults().iter().map(|&v| shard.parent_node(v)))
+                }
+                FaultModel::Edge => FaultSet::edges(
+                    w.edge_faults()
+                        .iter()
+                        .map(|e| EdgeId::new(e.index() + offset)),
+                ),
+            });
+        }
+    }
+    (kept, witnesses)
+}
+
+/// Every shard build runs under the input graph's landmark table
+/// restricted to the shard, where it used to build the shard's own. A*
+/// under any consistent table answers like unguided Dijkstra, so each
+/// shard's keeps and witnesses must be exactly the reference's on the
+/// shard's induced subgraph. On two sparse geometric graphs (n = 1000,
+/// mean degree ≈ 7) and the dense n = 150 instance above, both models,
+/// f ∈ {1, 2}: the first `shard_kept` union edges and witnesses must
+/// equal [`reference_shard_builds`], and pool widths 1, 2 and 4 must
+/// encode identical artifacts.
+#[test]
+fn shard_builds_match_the_unguided_reference() {
+    const SEED: u64 = 9;
+    let sparse = |salt: u64| {
+        let n = 1000;
+        let radius = (7.0 / (std::f64::consts::PI * n as f64)).sqrt();
+        let mut rng = StdRng::seed_from_u64(0x5A4D + salt);
+        (random_geometric(n, radius, &mut rng), 128)
+    };
+    let dense = {
+        let mut rng = StdRng::seed_from_u64(0xD15E);
+        (random_geometric(150, 0.3, &mut rng), 32)
+    };
+    for (g, target) in [sparse(0), sparse(1), dense] {
+        let partition = bfs_balls(&g, target, SEED);
+        assert!(partition.shard_count() >= 4, "too few shards");
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for f in [1usize, 2] {
+                let label = format!("n={} f={f} model={model:?}", g.node_count());
+                let (kept, witnesses) = reference_shard_builds(&g, &partition, f, model);
+                assert!(!kept.is_empty(), "{label}: the shards kept nothing");
+                let mut bytes = None;
+                for threads in [1usize, 2, 4] {
+                    let built = PartitionedFtGreedy::new(&g, 3)
+                        .faults(f)
+                        .model(model)
+                        .shard_target(target)
+                        .seed(SEED)
+                        .threads(threads)
+                        .run();
+                    let label = format!("{label} threads={threads}");
+                    let shard_kept = built.report().shard_kept;
+                    let ft = built.ft();
+                    assert_eq!(
+                        &ft.spanner().parent_edge_ids()[..shard_kept],
+                        &kept[..],
+                        "{label}: shard keeps diverged from the reference"
+                    );
+                    assert_eq!(
+                        &ft.witnesses()[..shard_kept],
+                        &witnesses[..],
+                        "{label}: shard witnesses diverged from the reference"
+                    );
+                    let encoded = ft.freeze(&g).encode();
+                    let first = bytes.get_or_insert_with(|| encoded.clone());
+                    assert!(*first == encoded, "{label}: artifact bytes diverged");
+                }
+            }
+        }
     }
 }

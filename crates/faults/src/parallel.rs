@@ -53,7 +53,10 @@
 //! the [`Landmarks`] table of the construction's parent graph, behind an
 //! `RwLock`, and decide under its read guard. A construction starts with
 //! [`ParallelBranchingOracle::view_reset`], which takes the parent, builds
-//! its table once and empties the view; the caller grows the view with
+//! its table once and empties the view, or with
+//! [`ParallelBranchingOracle::view_reset_with`], which takes a table the
+//! caller already has (a partitioned build hands each shard the input
+//! graph's table restricted to the shard); the caller grows the view with
 //! [`ParallelBranchingOracle::view_push_edge`] between batches (never
 //! while one is in flight: a batch returns only once every one of its
 //! queries is answered). Every query on the view, pooled or inline,
@@ -217,16 +220,27 @@ impl ParallelBranchingOracle {
     }
 
     /// Starts a construction over `parent`: builds `parent`'s landmark
-    /// table (the A* potential of every query until the next reset),
-    /// resets the shared spanner view to `parent`'s vertices with no
-    /// edges, and makes sure the helpers are up. FT-greedy calls this
-    /// once per construction, then grows the view with
-    /// [`ParallelBranchingOracle::view_push_edge`].
+    /// table and hands it to
+    /// [`ParallelBranchingOracle::view_reset_with`].
     pub fn view_reset<V: GraphView>(&mut self, parent: &V) {
+        self.view_reset_with(parent.node_count(), Landmarks::build(parent));
+    }
+
+    /// Starts a construction over a parent with `node_count` vertices
+    /// whose landmark table is `landmarks` (the A* potential of every
+    /// query until the next reset): resets the shared spanner view to
+    /// those vertices with no edges, and makes sure the helpers are up.
+    /// FT-greedy calls this once per construction, then grows the view
+    /// with [`ParallelBranchingOracle::view_push_edge`].
+    ///
+    /// The table must have a row per vertex and be consistent on every
+    /// subgraph of the parent: built on the parent itself, or on a
+    /// supergraph and [`Landmarks::restrict`]ed to the parent's vertices,
+    /// as a partitioned build does for its shards.
+    pub fn view_reset_with(&mut self, node_count: usize, landmarks: Landmarks) {
         self.ensure_pool();
-        let landmarks = Landmarks::build(parent);
         let mut view = self.shared.view.write().expect("view lock");
-        view.spanner.reset(parent.node_count());
+        view.spanner.reset(node_count);
         view.landmarks = landmarks;
     }
 

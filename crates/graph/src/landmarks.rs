@@ -12,11 +12,13 @@
 //! `d_G(v, t) ≤ d_{H∖F}(v, t)`. One table type serves both sides of the
 //! pipeline:
 //!
-//! * **Construction.** FT-greedy builds the table on the parent graph
-//!   whose edges it decides, once per run. The spanner `H` it grows is a
-//!   subgraph of that parent, so every fault-oracle search — while `H`
-//!   grows, under every candidate fault set — runs as bounded A* under
-//!   the same table, with no rebuild.
+//! * **Construction.** FT-greedy builds the table once, on the input
+//!   graph `G`. The spanner `H` it grows is a subgraph of `G`, so every
+//!   fault-oracle search — while `H` grows, under every candidate fault
+//!   set — runs as bounded A* under the same table, with no rebuild. A
+//!   partitioned build guides each shard's induced subgraph with
+//!   [`Landmarks::restrict`] of that one table (rows gathered into the
+//!   shard's local ids) and the stitch with the table itself.
 //! * **Serving.** `FrozenSpanner::landmarks` builds the table on the
 //!   unfaulted spanner `H` at open. Faults only delete vertices and
 //!   edges, so no epoch ever invalidates it.
@@ -110,7 +112,26 @@ impl Landmarks {
         Landmarks { vertices, rows }
     }
 
-    /// The landmark vertices, in selection order.
+    /// The table restricted to the subgraph induced by `members`: row
+    /// `i` is this table's row for `members[i]`, so the result guides
+    /// searches in the subgraph's local ids. Every edge of that subgraph
+    /// (with this graph's weights) is an edge of this graph, so the
+    /// restricted table is as consistent there as on any other subgraph
+    /// (see the module docs). The landmarks need not lie in the subgraph,
+    /// so the result's [`Landmarks::vertices`] is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member is out of range.
+    pub fn restrict(&self, members: &[NodeId]) -> Landmarks {
+        Landmarks {
+            vertices: Vec::new(),
+            rows: members.iter().map(|v| self.rows[v.index()]).collect(),
+        }
+    }
+
+    /// The landmark vertices, in selection order (empty for a
+    /// [`Landmarks::restrict`]ed table).
     pub fn vertices(&self) -> &[NodeId] {
         &self.vertices
     }
@@ -465,5 +486,58 @@ mod tests {
         let mut kernel = Kernel::snapshot(&heavy);
         assert_eq!(kernel.sssp(0)[2], u64::MAX - 1);
         assert_eq!(kernel.sssp(0)[4], u64::MAX - 1);
+    }
+
+    /// A partitioned build guides every shard with G's table restricted
+    /// to the shard: the rows must be G's rows in the shard's local ids,
+    /// and the potential must stay consistent and admissible on the
+    /// shard's induced subgraph.
+    #[test]
+    fn restricted_table_guides_induced_subgraphs() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let geometric =
+            with_uniform_weights(&random_geometric(3000, 0.03, &mut rng), 1, 20, &mut rng);
+        let cases = parents()
+            .into_iter()
+            .map(|g| (g, 8))
+            .chain([(geometric, 200)]);
+        let mut engine = DijkstraEngine::new();
+        for (case, (g, target)) in cases.enumerate() {
+            let table = Landmarks::build(&g);
+            let partition = crate::partition::bfs_balls(&g, target, 3);
+            assert!(partition.shard_count() > 1, "case {case}: one shard");
+            for (shard, members) in partition.shards().enumerate() {
+                let what = format!("case {case}, shard {shard}");
+                let restricted = table.restrict(members);
+                assert!(restricted.vertices().is_empty(), "{what}");
+                for (local, &global) in members.iter().enumerate() {
+                    assert_eq!(
+                        restricted.distances(NodeId::new(local)),
+                        table.distances(global),
+                        "{what}: row {local}"
+                    );
+                }
+                // The induced subgraph in local ids, G's weights.
+                let sub = crate::subgraph::induced(&g, members.iter().copied()).graph;
+                let mask = FaultMask::with_capacity(sub.node_count(), sub.edge_count());
+                let step = (members.len() / 4).max(1);
+                for t in (0..members.len()).step_by(step).map(NodeId::new) {
+                    let pot = restricted.potential_to(t);
+                    assert_eq!(pot.estimate(t), 0, "{what}");
+                    for (id, e) in sub.edges() {
+                        let (hu, hv) = (pot.estimate(e.u()), pot.estimate(e.v()));
+                        assert!(
+                            hu.abs_diff(hv) <= e.weight().get(),
+                            "{what}: {id} toward {t}"
+                        );
+                    }
+                    for (v, d) in engine.sssp(&sub, t, &mask).into_iter().enumerate() {
+                        if let Some(d) = d.value() {
+                            assert!(pot.estimate(NodeId::new(v)) <= d, "{what}: {v} to {t}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
