@@ -11,7 +11,7 @@ use spanner_extremal::projective;
 use spanner_graph::generators::{
     cartesian_product, complete_bipartite, erdos_renyi, random_geometric,
 };
-use spanner_graph::{csr::CsrGraph, dijkstra, girth, Dist, FaultMask, Landmarks, NodeId};
+use spanner_graph::{dijkstra, girth, Dist, FaultMask, Landmarks, NodeId};
 
 fn bench_dijkstra(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
@@ -37,13 +37,6 @@ fn bench_dijkstra(c: &mut Criterion) {
         b.iter(|| {
             engine.dist_bounded(&g, NodeId::new(0), NodeId::new(200), Dist::finite(3), &mask)
         });
-    });
-    let csr = CsrGraph::from_graph(&g);
-    group.bench_function("sssp_csr_layout", |b| {
-        b.iter(|| csr.sssp(NodeId::new(0), &mask));
-    });
-    group.bench_function("bounded_pair_query_csr", |b| {
-        b.iter(|| csr.dist_bounded(NodeId::new(0), NodeId::new(200), Dist::finite(3), &mask));
     });
     group.finish();
 }

@@ -1,10 +1,9 @@
 //! The frozen spanner artifact: the construction's output, sealed for
 //! serving.
 //!
-//! A [`Spanner`] is a *construction-time* object: it
-//! grows edge by edge and keeps an incremental CSR view so the fault
-//! oracle can query it mid-build. Once the construction finishes, the
-//! consumer-facing problem inverts — the spanner never changes again,
+//! A [`Spanner`] is a *construction-time* object: it grows edge by edge,
+//! and the construction searches it mid-build. Once the construction
+//! finishes, the consumer-facing problem inverts — the spanner never changes again,
 //! but it is read by every query of every epoch, possibly from many
 //! threads at once. [`FrozenSpanner`] is the artifact for that phase:
 //!

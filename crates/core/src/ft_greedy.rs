@@ -149,8 +149,8 @@ impl<'a> FtGreedy<'a> {
     /// recorded witnesses.
     ///
     /// The branching kinds (`Branching`, `BranchingWith`, `Parallel`) all
-    /// run the pooled keep loop over the incremental CSR view — no
-    /// `Box<dyn>` dispatch, no per-query allocation; `Branching` and
+    /// run the pooled keep loop over the oracle's shared spanner `Graph` —
+    /// no `Box<dyn>` dispatch, no per-query allocation; `Branching` and
     /// `BranchingWith` are that loop at width 1, on the calling thread
     /// alone. The remaining oracle kinds go through the generic
     /// [`FtGreedy::run_with_oracle`] path.

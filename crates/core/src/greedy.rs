@@ -55,10 +55,8 @@ pub fn greedy_spanner_masked(graph: &Graph, stretch: u64, mask: &FaultMask) -> S
             continue;
         }
         let bound = e.weight().stretched(stretch);
-        // Query the spanner's flat CSR view: identical answers (same ids,
-        // same adjacency order), contiguous traversal.
         let within = engine
-            .dist_bounded(spanner.view(), e.u(), e.v(), bound, &spanner_mask)
+            .dist_bounded(spanner.graph(), e.u(), e.v(), bound, &spanner_mask)
             .is_some();
         if !within {
             spanner.push_edge(parent_id, e.u(), e.v(), e.weight());

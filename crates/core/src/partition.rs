@@ -20,9 +20,8 @@
 //!    dropped one — even between two boundary vertices — carries its
 //!    shard's drop certificate into every union (the "Intra-shard edge"
 //!    case below), so the stitch oracle could only answer "drop" again.
-//!    The union of the shard spanners is loaded into the stitch's view
-//!    in one bulk append ([`ParallelBranchingOracle::view_extend_edges`]),
-//!    one fold instead of one per few dozen edges.
+//!    The union of the shard spanners is pushed into the stitch's view
+//!    edge by edge ([`ParallelBranchingOracle::view_push_edge`]).
 //!
 //! Steps 2 and 3 share one keep loop, `FtGreedy::keep_pooled` (the
 //! pooled FT-greedy driver behind [`FtGreedy::run_pooled_with`]), which
@@ -246,10 +245,10 @@ impl<'a> PartitionedFtGreedy<'a> {
         let mut candidates = cross_edges;
         candidates.sort_by_key(|&e| (self.graph.weight(e), e));
         oracle.view_reset_with(n, landmarks);
-        oracle.view_extend_edges(union_kept.iter().map(|&id| {
+        for &id in &union_kept {
             let e = self.graph.edge(id);
-            (e.u(), e.v(), e.weight())
-        }));
+            oracle.view_push_edge(e.u(), e.v(), e.weight());
+        }
         FtGreedy::new(self.graph, self.stretch)
             .faults(self.faults)
             .model(self.model)

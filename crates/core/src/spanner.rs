@@ -1,15 +1,18 @@
 //! The spanner type: a subgraph with bookkeeping back to its parent.
 
 use spanner_faults::FaultSet;
-use spanner_graph::{EdgeId, FaultMask, Graph, IncrementalCsr, NodeId, Weight};
-use std::sync::OnceLock;
+use spanner_graph::{EdgeId, FaultMask, Graph, NodeId, Weight};
 
 /// A spanner of a parent graph: a subgraph on the same vertex set, with a
 /// per-edge mapping back to parent edge ids and the stretch it was built
 /// for.
 ///
 /// Spanner edge ids are dense in insertion (construction) order;
-/// [`Spanner::parent_edge`] translates them to the parent's ids.
+/// [`Spanner::parent_edge`] translates them to the parent's ids. The
+/// classic greedy grows [`Spanner::graph`] one kept edge at a time and
+/// runs its bounded searches on it directly; FT-greedy grows its
+/// oracle's shared `Graph` the same way and assembles the spanner once
+/// at the end.
 ///
 /// # Examples
 ///
@@ -26,14 +29,6 @@ use std::sync::OnceLock;
 #[derive(Clone, Debug)]
 pub struct Spanner {
     graph: Graph,
-    /// Flat CSR mirror of `graph`, materialized lazily on the first
-    /// [`Spanner::view`] call and from then on kept current by
-    /// `Spanner::push_edge`, so shortest-path-heavy construction loops
-    /// (the FT-greedy fault oracle, the classic greedy test) traverse
-    /// contiguous memory instead of the Vec-of-Vec adjacency — while
-    /// spanners that never query the view (baseline constructions,
-    /// clones held for bookkeeping) never pay for it.
-    view: OnceLock<IncrementalCsr>,
     parent_edges: Vec<EdgeId>,
     stretch: u64,
 }
@@ -59,7 +54,6 @@ impl Spanner {
         }
         Spanner {
             graph,
-            view: OnceLock::new(),
             parent_edges: ids,
             stretch,
         }
@@ -87,7 +81,6 @@ impl Spanner {
         }
         Spanner {
             graph,
-            view: OnceLock::new(),
             parent_edges: kept,
             stretch,
         }
@@ -98,14 +91,12 @@ impl Spanner {
     pub(crate) fn empty(parent: &Graph, stretch: u64) -> Self {
         Spanner {
             graph: Graph::new(parent.node_count()),
-            view: OnceLock::new(),
             parent_edges: Vec::new(),
             stretch,
         }
     }
 
-    /// Appends a parent edge to the spanner (construction order), keeping
-    /// the CSR view (if materialized) in lockstep with the graph.
+    /// Appends a parent edge to the spanner (construction order).
     pub(crate) fn push_edge(
         &mut self,
         parent_id: EdgeId,
@@ -114,10 +105,6 @@ impl Spanner {
         w: Weight,
     ) -> EdgeId {
         let id = self.graph.add_edge_unchecked(u, v, w);
-        if let Some(view) = self.view.get_mut() {
-            let view_id = view.push_edge(u, v, w);
-            debug_assert_eq!(id, view_id, "graph and view ids diverged");
-        }
         self.parent_edges.push(parent_id);
         id
     }
@@ -125,16 +112,6 @@ impl Spanner {
     /// The spanner as a graph (same vertex ids as the parent).
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// The spanner as a flat CSR view (same vertex and edge ids as
-    /// [`Spanner::graph`], same adjacency order). Built from the graph on
-    /// first call, then kept incremental by `Spanner::push_edge`; this
-    /// is what the construction hot loops run their bounded Dijkstras
-    /// over.
-    pub fn view(&self) -> &IncrementalCsr {
-        self.view
-            .get_or_init(|| IncrementalCsr::from_graph(&self.graph))
     }
 
     /// The stretch parameter the spanner was built for.

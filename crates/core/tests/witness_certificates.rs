@@ -24,7 +24,7 @@ use spanner_core::partition::PartitionedFtGreedy;
 use spanner_core::{FtGreedy, FtSpanner, OracleKind};
 use spanner_faults::FaultModel;
 use spanner_graph::generators::random_geometric;
-use spanner_graph::{DijkstraEngine, FaultMask, Graph, IncrementalCsr};
+use spanner_graph::{DijkstraEngine, FaultMask, Graph};
 
 const STRETCH: u64 = 3;
 
@@ -39,7 +39,7 @@ fn assert_witnesses_certify(label: &str, g: &Graph, ft: &FtSpanner, f: usize, mo
         kept.len(),
         "{label}: one witness per kept edge"
     );
-    let mut prefix = IncrementalCsr::new(g.node_count());
+    let mut prefix = Graph::new(g.node_count());
     let mut mask = FaultMask::with_capacity(g.node_count(), kept.len());
     let mut engine = DijkstraEngine::new();
     for (i, (&id, witness)) in kept.iter().zip(witnesses).enumerate() {
@@ -65,7 +65,7 @@ fn assert_witnesses_certify(label: &str, g: &Graph, ft: &FtSpanner, f: usize, mo
             "{edge}: witness {witness:?} leaves a path of weight ≤ {bound:?}"
         );
         witness.remove_from(&mut mask);
-        prefix.push_edge(u, v, e.weight());
+        prefix.add_edge_unchecked(u, v, e.weight());
     }
 }
 

@@ -59,9 +59,9 @@
 //!   the current fault set, maintained incrementally on push/pop — the
 //!   pre-PR-2 clone + sort of the fault vector per search node is gone.
 //!
-//! Queries are generic over [`GraphView`], so FT-greedy points the oracle
-//! at the spanner's flat [`IncrementalCsr`](spanner_graph::IncrementalCsr)
-//! view while one-off callers keep passing a [`Graph`]. The frozen
+//! Queries are generic over [`GraphView`]: FT-greedy points the oracle
+//! at the spanner [`Graph`] it grows, and any other layout of the same
+//! edges answers identically. The frozen
 //! pre-optimization implementation survives as
 //! [`crate::reference::ReferenceBranchingOracle`] and the equivalence
 //! property tests pin this oracle's output (spanner and witnesses) to it.
@@ -315,9 +315,9 @@ impl BranchingOracle {
     }
 
     /// Like [`FaultOracle::find_blocking_faults`] but generic over the
-    /// graph layout — FT-greedy points this at the spanner's incremental
-    /// CSR view so the whole oracle loop runs over flat memory — and
-    /// guided by `landmarks` when given (see the module docs).
+    /// graph layout — FT-greedy points this at the spanner [`Graph`] it
+    /// grows — and guided by `landmarks` when given (see the module
+    /// docs).
     ///
     /// `landmarks` must be a table built on a supergraph of `view` with
     /// `view`'s weights: the construction's parent graph, covering every

@@ -49,29 +49,28 @@
 //! # Sharing the view
 //!
 //! Helpers outlive any one query, so they cannot borrow the caller's
-//! graph: they share an [`IncrementalCsr`] spanner view, together with
-//! the [`Landmarks`] table of the construction's parent graph, behind an
-//! `RwLock`, and decide under its read guard. A construction starts with
-//! [`ParallelBranchingOracle::view_reset`], which takes the parent, builds
-//! its table once and empties the view, or with
-//! [`ParallelBranchingOracle::view_reset_with`], which takes a table the
-//! caller already has (a partitioned build hands each shard the input
-//! graph's table restricted to the shard); the caller grows the view with
-//! [`ParallelBranchingOracle::view_push_edge`] between batches (never
-//! while one is in flight: a batch returns only once every one of its
-//! queries is answered). Every query on the view, pooled or inline,
-//! is a guided [`BranchingOracle`] query (see the branching module
-//! docs): the view only ever holds parent edges, so the parent's table
-//! stays a consistent A* potential for the whole construction. Queries
+//! graph: they share the spanner grown so far, a plain [`Graph`],
+//! together with the [`Landmarks`] table of the construction's parent
+//! graph, behind an `RwLock`, and decide under its read guard. A
+//! construction starts with [`ParallelBranchingOracle::view_reset`],
+//! which takes the parent, builds its table once and empties the view,
+//! or with [`ParallelBranchingOracle::view_reset_with`], which takes a
+//! table the caller already has (a partitioned build hands each shard
+//! the input graph's table restricted to the shard); the caller grows
+//! the view with [`ParallelBranchingOracle::view_push_edge`] between
+//! batches (never while one is in flight: a batch returns only once
+//! every one of its queries is answered). Every query on the view,
+//! pooled or inline, is a guided [`BranchingOracle`] query (see the
+//! branching module docs): the view only ever holds parent edges, so the
+//! parent's table stays a consistent A* potential for the whole
+//! construction. Queries
 //! FT-greedy decides on the calling thread go through
 //! [`ParallelBranchingOracle::find_blocking_faults_in_view`]; the
 //! [`FaultOracle`] entry point is the same single-query decision over an
 //! arbitrary graph, unguided because that graph comes with no table.
 
 use crate::{BranchingConfig, BranchingOracle, FaultOracle, FaultSet, OracleQuery, OracleStats};
-use spanner_graph::{
-    EdgeId, Graph, GraphView, IncrementalCsr, Landmarks, NodeId, Potential, Weight,
-};
+use spanner_graph::{EdgeId, Graph, GraphView, Landmarks, NodeId, Potential, Weight};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -80,7 +79,7 @@ use std::thread::JoinHandle;
 /// so far and the landmark table of the parent graph it is a subgraph of.
 #[derive(Debug)]
 struct SharedView {
-    spanner: IncrementalCsr,
+    spanner: Graph,
     landmarks: Landmarks,
 }
 
@@ -196,7 +195,7 @@ impl ParallelBranchingOracle {
             stats: OracleStats::default(),
             shared: Arc::new(Shared {
                 view: RwLock::new(SharedView {
-                    spanner: IncrementalCsr::new(0),
+                    spanner: Graph::new(0),
                     landmarks: Landmarks::default(),
                 }),
                 round: Mutex::new(Round::default()),
@@ -228,8 +227,9 @@ impl ParallelBranchingOracle {
 
     /// Starts a construction over a parent with `node_count` vertices
     /// whose landmark table is `landmarks` (the A* potential of every
-    /// query until the next reset): resets the shared spanner view to
-    /// those vertices with no edges, and makes sure the helpers are up.
+    /// query until the next reset): replaces the shared spanner view with
+    /// an edgeless [`Graph`] on those vertices, and makes sure the helpers
+    /// are up.
     /// FT-greedy calls this once per construction, then grows the view
     /// with [`ParallelBranchingOracle::view_push_edge`].
     ///
@@ -240,7 +240,7 @@ impl ParallelBranchingOracle {
     pub fn view_reset_with(&mut self, node_count: usize, landmarks: Landmarks) {
         self.ensure_pool();
         let mut view = self.shared.view.write().expect("view lock");
-        view.spanner.reset(node_count);
+        view.spanner = Graph::new(node_count);
         view.landmarks = landmarks;
     }
 
@@ -251,23 +251,7 @@ impl ParallelBranchingOracle {
     pub fn view_push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
         let mut view = self.shared.view.write().expect("view lock");
         debug_assert_parent_edge(&view.landmarks, u, v, weight);
-        view.spanner.push_edge(u, v, weight)
-    }
-
-    /// Appends many edges to the shared spanner view at once, with one
-    /// fold of the view's append buffer instead of one per
-    /// `PENDING_REBUILD_LIMIT` edges (see
-    /// [`IncrementalCsr::extend_edges`]). The ids are the ones
-    /// [`ParallelBranchingOracle::view_push_edge`] would give edge by
-    /// edge, and every edge must be a parent edge in the same sense.
-    pub fn view_extend_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>) {
-        let mut view = self.shared.view.write().expect("view lock");
-        let SharedView { spanner, landmarks } = &mut *view;
-        spanner.extend_edges(
-            edges
-                .into_iter()
-                .inspect(|&(u, v, weight)| debug_assert_parent_edge(landmarks, u, v, weight)),
-        );
+        view.spanner.add_edge_unchecked(u, v, weight)
     }
 
     /// Decides one query against the shared spanner view on the calling
@@ -478,7 +462,9 @@ mod tests {
     /// Loads `g` into the oracle's shared view, as its own parent.
     fn load_view(o: &mut ParallelBranchingOracle, g: &Graph) {
         o.view_reset(g);
-        o.view_extend_edges(g.edges().map(|(_, e)| (e.u(), e.v(), e.weight())));
+        for (_, e) in g.edges() {
+            o.view_push_edge(e.u(), e.v(), e.weight());
+        }
     }
 
     #[test]
@@ -608,7 +594,7 @@ mod tests {
         for threads in [2, 4] {
             let mut o = ParallelBranchingOracle::new(threads);
             o.view_reset(&g);
-            let mut prefix = IncrementalCsr::new(g.node_count());
+            let mut prefix = Graph::new(g.node_count());
             let mut seq = BranchingOracle::new();
             let mut verdicts = Vec::new();
             let (mut keeps, mut drops) = (0, 0);
@@ -641,7 +627,7 @@ mod tests {
                 }
                 let e = g.edge(id);
                 o.view_push_edge(e.u(), e.v(), e.weight());
-                prefix.push_edge(e.u(), e.v(), e.weight());
+                prefix.add_edge_unchecked(e.u(), e.v(), e.weight());
             }
             assert!(keeps > 0 && drops > 0, "keeps {keeps}, drops {drops}");
             assert_eq!(o.stats().pool_spawns, 1);
@@ -690,24 +676,30 @@ mod tests {
 
     #[test]
     fn bulk_loaded_view_answers_like_one_grown_edge_by_edge() {
+        // A whole parent pushed into the pooled view answers every batch
+        // like a sequential oracle searching the parent graph itself
+        // under the same table: the view is that graph, id for id.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use spanner_graph::generators::erdos_renyi;
         let mut rng = StdRng::seed_from_u64(56);
         let g = erdos_renyi(40, 0.1, &mut rng);
-        let mut bulk = ParallelBranchingOracle::new(2);
-        load_view(&mut bulk, &g);
-        let mut grown = ParallelBranchingOracle::new(2);
-        grown.view_reset(&g);
+        let landmarks = Landmarks::build(&g);
+        let mut pooled = ParallelBranchingOracle::new(2);
+        pooled.view_reset(&g);
         for (id, e) in g.edges() {
-            assert_eq!(grown.view_push_edge(e.u(), e.v(), e.weight()), id);
+            assert_eq!(pooled.view_push_edge(e.u(), e.v(), e.weight()), id);
         }
         let queries: Vec<_> = (1..40)
             .flat_map(|v| [FaultModel::Vertex, FaultModel::Edge].map(|model| q(0, v, 3, 1, model)))
             .collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        bulk.find_blocking_faults_batch_in_view(&queries, &mut a);
-        grown.find_blocking_faults_batch_in_view(&queries, &mut b);
+        let mut a = Vec::new();
+        pooled.find_blocking_faults_batch_in_view(&queries, &mut a);
+        let mut seq = BranchingOracle::new();
+        let b: Vec<_> = queries
+            .iter()
+            .map(|&query| seq.find_blocking_faults_in(&g, Some(&landmarks), query))
+            .collect();
         assert_eq!(a, b);
         // Both verdicts occur, and some keeps need a fault.
         assert!(a.iter().any(Option::is_none));

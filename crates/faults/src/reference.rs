@@ -6,9 +6,9 @@
 //! `Vec<usize>` clones, collects branching candidates into fresh vectors,
 //! and runs its Dijkstras over the pointer-chasing [`Graph`] adjacency
 //! list. It exists for one job, **equivalence testing**: the optimized
-//! oracle (CSR view, reusable scratch, Zobrist memo, pooled candidate
-//! windows) must produce identical spanners *and witnesses*; the
-//! property tests in `spanner-core` pin that.
+//! oracle (reusable scratch, Zobrist memo, landmark-guided searches,
+//! pooled candidate windows) must produce identical spanners *and
+//! witnesses*; the property tests in `spanner-core` pin that.
 //!
 //! It deliberately keeps the old flat `packed + 1` stats charge for the
 //! packing probe (the accounting drift fixed in the live oracle), because

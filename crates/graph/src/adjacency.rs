@@ -1,14 +1,15 @@
 //! The [`GraphView`] abstraction: one adjacency contract, many layouts.
 //!
 //! The FT-greedy oracle loop issues up to `O(k^f)` bounded Dijkstras per
-//! candidate edge, and the structure those Dijkstras traverse changes as
-//! the spanner grows. [`Graph`](crate::Graph) is the growable
-//! Vec-of-Vec representation; [`IncrementalCsr`](crate::IncrementalCsr)
-//! is the cache-friendly flat layout the hot path prefers. Algorithms
-//! that only *read* adjacency ([`DijkstraEngine`](crate::DijkstraEngine),
-//! the max-flow queries in [`connectivity`](crate::connectivity)) are
-//! generic over this trait, so both layouts run through identical —
-//! monomorphized, allocation-free — code paths.
+//! candidate edge against the spanner as it grows, and the serving layer
+//! answers routes against the finished one. [`Graph`](crate::Graph) is
+//! the growable Vec-of-Vec representation the constructions search;
+//! [`FrozenCsr`](crate::FrozenCsr) is the packed read-only layout the
+//! serving path shares across threads. Algorithms that only *read*
+//! adjacency ([`DijkstraEngine`](crate::DijkstraEngine), the max-flow
+//! queries in [`connectivity`](crate::connectivity)) are generic over
+//! this trait, so both layouts run through identical — monomorphized,
+//! allocation-free — code paths.
 //!
 //! # Determinism contract
 //!

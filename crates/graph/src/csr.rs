@@ -1,479 +1,23 @@
-//! Compressed-sparse-row graph views, frozen and incremental.
+//! The compressed-sparse-row serving layout.
 //!
-//! [`Graph`] optimizes for growth (FT-greedy appends edges constantly);
-//! its `Vec<Vec<…>>` adjacency pays a pointer chase per vertex. Once a
-//! graph stops changing — verification sweeps, routing services, repeated
-//! audits — a CSR layout with all neighbors in one contiguous array is
-//! friendlier to the cache. [`CsrGraph`] is that view: immutable, same
-//! vertex/edge ids, with its own fault-masked bounded Dijkstra.
-//!
-//! [`IncrementalCsr`] covers the in-between case that dominates spanner
-//! construction: a graph that *grows* (one kept edge at a time) but is
-//! *queried* thousands of times between appends. It keeps a frozen CSR
-//! snapshot plus a small append buffer, folding the buffer back into the
-//! snapshot once it exceeds a fixed threshold, so queries stay within a
-//! few dozen extra scans of flat memory and appends stay amortized O(1).
-//!
-//! [`FrozenCsr`] is the end state of that life cycle: a construction has
-//! finished, the graph will never change again, and from now on it is
-//! only *served* — shared across query threads behind an `Arc`. Unlike
-//! [`CsrGraph`] it implements [`GraphView`] (so the generic
+//! [`Graph`] is the growable layout: spanner constructions append to it
+//! one kept edge at a time and search it between appends. Once a graph
+//! stops changing and is only *served* — shared across query threads
+//! behind an `Arc` — [`FrozenCsr`] takes over: one read-only snapshot
+//! with the same node and edge ids and the same neighbor order. It
+//! implements [`GraphView`] (so the generic
 //! [`DijkstraEngine`](crate::DijkstraEngine) runs over it unchanged, with
 //! identical tie-breaks), packs each adjacency slot's `(target, via-edge,
 //! weight)` into one contiguous record (one cache line touch per
 //! neighbor instead of three parallel-array touches), and is immutable by
-//! construction, hence trivially `Send + Sync`.
-//!
-//! The `substrate` bench compares the layouts on identical query
-//! workloads.
+//! construction, hence trivially `Send + Sync`. Its storage is either
+//! owned arrays or a [`ByteCsr`]: the same tables read in place from a
+//! validated shared byte buffer.
 
 use crate::adjacency::GraphView;
 use crate::bytes::{read_u32_at, read_u64_at, SharedBytes, BUFFER_ALIGN};
 use crate::io::binary::{self, BinaryError};
-use crate::{Dist, EdgeId, FaultMask, Graph, IndexedHeap, NodeId, Weight};
-
-/// An immutable CSR snapshot of a [`Graph`] (same node and edge ids).
-///
-/// # Examples
-///
-/// ```
-/// use spanner_graph::{csr::CsrGraph, generators, Dist, FaultMask, NodeId};
-///
-/// let g = generators::complete(8);
-/// let csr = CsrGraph::from_graph(&g);
-/// assert_eq!(csr.node_count(), 8);
-/// assert_eq!(csr.edge_count(), 28);
-/// let mask = FaultMask::for_graph(&g);
-/// let d = csr.dist_bounded(NodeId::new(0), NodeId::new(5), Dist::finite(3), &mask);
-/// assert_eq!(d, Some(Dist::finite(1)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct CsrGraph {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    via_edges: Vec<u32>,
-    weights: Vec<Weight>,
-    edge_count: usize,
-}
-
-impl CsrGraph {
-    /// Snapshots `graph` into CSR form.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(2 * graph.edge_count());
-        let mut via_edges = Vec::with_capacity(2 * graph.edge_count());
-        let mut weights = Vec::with_capacity(2 * graph.edge_count());
-        offsets.push(0);
-        for v in graph.nodes() {
-            for (to, eid) in graph.neighbors(v) {
-                targets.push(to.raw());
-                via_edges.push(eid.raw());
-                weights.push(graph.weight(eid));
-            }
-            offsets.push(targets.len() as u32);
-        }
-        CsrGraph {
-            offsets,
-            targets,
-            via_edges,
-            weights,
-            edge_count: graph.edge_count(),
-        }
-    }
-
-    /// Number of vertices.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of (undirected) edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Degree of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn degree(&self, node: NodeId) -> usize {
-        let i = node.index();
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
-    /// Iterates over `(neighbor, edge, weight)` triples of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn neighbors(
-        &self,
-        node: NodeId,
-    ) -> impl ExactSizeIterator<Item = (NodeId, EdgeId, Weight)> + '_ {
-        let lo = self.offsets[node.index()] as usize;
-        let hi = self.offsets[node.index() + 1] as usize;
-        (lo..hi).map(move |i| {
-            (
-                NodeId::from(self.targets[i]),
-                EdgeId::from(self.via_edges[i]),
-                self.weights[i],
-            )
-        })
-    }
-
-    /// Bounded fault-masked Dijkstra distance (same contract as
-    /// [`crate::DijkstraEngine::dist_bounded`]).
-    pub fn dist_bounded(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bound: Dist,
-        mask: &FaultMask,
-    ) -> Option<Dist> {
-        if mask.is_vertex_faulted(src) || mask.is_vertex_faulted(dst) {
-            return None;
-        }
-        let n = self.node_count();
-        let mut dist = vec![Dist::INFINITE; n];
-        let mut heap = IndexedHeap::new(n);
-        dist[src.index()] = Dist::ZERO;
-        heap.push_or_decrease(src.index(), 0u64);
-        while let Some((v, dv)) = heap.pop() {
-            let dv = Dist::finite(dv);
-            if v == dst.index() {
-                return (dv <= bound).then_some(dv);
-            }
-            if dv > bound {
-                return None;
-            }
-            for (to, eid, w) in self.neighbors(NodeId::new(v)) {
-                if !mask.allows(to, eid) {
-                    continue;
-                }
-                let cand = dv + w;
-                if cand <= bound && cand < dist[to.index()] {
-                    dist[to.index()] = cand;
-                    heap.push_or_decrease(to.index(), cand.value().expect("finite"));
-                }
-            }
-        }
-        None
-    }
-
-    /// Fault-masked single-source distances (unbounded).
-    pub fn sssp(&self, src: NodeId, mask: &FaultMask) -> Vec<Dist> {
-        let n = self.node_count();
-        let mut dist = vec![Dist::INFINITE; n];
-        if mask.is_vertex_faulted(src) {
-            return dist;
-        }
-        let mut heap = IndexedHeap::new(n);
-        dist[src.index()] = Dist::ZERO;
-        heap.push_or_decrease(src.index(), 0u64);
-        while let Some((v, dv)) = heap.pop() {
-            let dv = Dist::finite(dv);
-            for (to, eid, w) in self.neighbors(NodeId::new(v)) {
-                if !mask.allows(to, eid) {
-                    continue;
-                }
-                let cand = dv + w;
-                if cand < dist[to.index()] {
-                    dist[to.index()] = cand;
-                    heap.push_or_decrease(to.index(), cand.value().expect("finite"));
-                }
-            }
-        }
-        dist
-    }
-}
-
-impl From<&Graph> for CsrGraph {
-    fn from(graph: &Graph) -> Self {
-        CsrGraph::from_graph(graph)
-    }
-}
-
-/// How many appended edges [`IncrementalCsr`] tolerates before folding
-/// them back into the frozen CSR arrays. Traversals scan the whole append
-/// buffer once per visited vertex, so the buffer is kept small; rebuilds
-/// reuse the existing allocations and cost O(n + m).
-const PENDING_REBUILD_LIMIT: usize = 32;
-
-/// A growable CSR view: a frozen snapshot plus a bounded append buffer.
-///
-/// Node and edge ids match the [`Graph`] the view mirrors (edges get dense
-/// ids in append order). [`IncrementalCsr::push_edge`] is amortized O(1);
-/// neighbor iteration touches the frozen contiguous slice for the vertex
-/// plus at most `PENDING_REBUILD_LIMIT` buffered entries. This is the
-/// structure the FT-greedy oracle hot loop runs its Dijkstras over.
-///
-/// Neighbor order follows the [`GraphView`] determinism contract
-/// (increasing edge id), so traversals over the view tie-break exactly
-/// like traversals over the mirrored [`Graph`].
-///
-/// # Examples
-///
-/// ```
-/// use spanner_graph::{GraphView, IncrementalCsr, NodeId, Weight};
-///
-/// let mut view = IncrementalCsr::new(3);
-/// view.push_edge(NodeId::new(0), NodeId::new(1), Weight::UNIT);
-/// view.push_edge(NodeId::new(1), NodeId::new(2), Weight::UNIT);
-/// assert_eq!(view.edge_count(), 2);
-/// let mut around_one = Vec::new();
-/// view.for_each_neighbor(NodeId::new(1), |to, _, _| around_one.push(to.index()));
-/// assert_eq!(around_one, vec![0, 2]);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalCsr {
-    node_count: usize,
-    /// Frozen CSR arrays covering edge ids `0..frozen`.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    via_edges: Vec<u32>,
-    csr_weights: Vec<Weight>,
-    frozen: usize,
-    /// Per-edge stores covering *all* edges (frozen and pending alike).
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    edge_w: Vec<Weight>,
-    /// Rebuild counter (exposed for the scratch-reuse regression tests).
-    rebuilds: u64,
-    /// Reused cursor array for counting-sort rebuilds.
-    cursor: Vec<u32>,
-}
-
-impl IncrementalCsr {
-    /// Creates an empty view over `node_count` isolated vertices.
-    pub fn new(node_count: usize) -> Self {
-        IncrementalCsr {
-            node_count,
-            offsets: vec![0; node_count + 1],
-            ..IncrementalCsr::default()
-        }
-    }
-
-    /// Builds a view mirroring `graph` (same node and edge ids), fully
-    /// frozen into CSR form.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let mut view = IncrementalCsr::new(graph.node_count());
-        view.sync_from_graph(graph);
-        view
-    }
-
-    /// Resets to `node_count` isolated vertices, keeping allocations.
-    pub fn reset(&mut self, node_count: usize) {
-        self.node_count = node_count;
-        self.offsets.clear();
-        self.offsets.resize(node_count + 1, 0);
-        self.targets.clear();
-        self.via_edges.clear();
-        self.csr_weights.clear();
-        self.frozen = 0;
-        self.edge_u.clear();
-        self.edge_v.clear();
-        self.edge_w.clear();
-    }
-
-    /// Re-mirrors `graph` from scratch (reusing allocations) and freezes
-    /// the whole edge set into CSR form. Used by oracles that accept an
-    /// arbitrary [`Graph`] per query and must resynchronize their view.
-    pub fn sync_from_graph(&mut self, graph: &Graph) {
-        self.reset(graph.node_count());
-        self.extend_edges(graph.edges().map(|(_, e)| (e.u(), e.v(), e.weight())));
-    }
-
-    /// Appends an edge, returning its dense id. Amortized O(1): every
-    /// `PENDING_REBUILD_LIMIT` appends trigger an O(n + m) fold of the
-    /// append buffer into the frozen arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range or `u == v`. Duplicates are
-    /// not detected (mirroring [`Graph::add_edge_unchecked`]).
-    pub fn push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        let id = self.append(u, v, weight);
-        if self.pending_len() > PENDING_REBUILD_LIMIT {
-            self.rebuild();
-        }
-        id
-    }
-
-    /// Appends every edge of `edges` in order, then folds the append
-    /// buffer once. Edge ids, endpoints and neighbor order are exactly
-    /// those of [`IncrementalCsr::push_edge`] called edge by edge, for
-    /// one O(n + m) fold instead of one per `PENDING_REBUILD_LIMIT`
-    /// edges: the way to load a large edge set before querying.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`IncrementalCsr::push_edge`].
-    pub fn extend_edges(&mut self, edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>) {
-        for (u, v, weight) in edges {
-            self.append(u, v, weight);
-        }
-        if self.pending_len() > 0 {
-            self.rebuild();
-        }
-    }
-
-    /// Pushes one edge onto the append buffer without folding.
-    fn append(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        assert!(
-            u.index() < self.node_count && v.index() < self.node_count,
-            "edge endpoint out of range"
-        );
-        assert!(u != v, "self-loop at {u}");
-        let id = EdgeId::new(self.edge_u.len());
-        self.edge_u.push(u.raw());
-        self.edge_v.push(v.raw());
-        self.edge_w.push(weight);
-        id
-    }
-
-    /// Folds the append buffer into the frozen CSR arrays (counting sort
-    /// by endpoint, filling in edge-id order so per-node neighbor lists
-    /// stay sorted by edge id). Reuses all allocations.
-    fn rebuild(&mut self) {
-        self.rebuilds += 1;
-        let n = self.node_count;
-        let m = self.edge_u.len();
-        self.cursor.clear();
-        self.cursor.resize(n, 0);
-        for i in 0..m {
-            self.cursor[self.edge_u[i] as usize] += 1;
-            self.cursor[self.edge_v[i] as usize] += 1;
-        }
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.offsets.push(0);
-        let mut running = 0u32;
-        for v in 0..n {
-            running += self.cursor[v];
-            self.offsets.push(running);
-        }
-        self.targets.clear();
-        self.targets.resize(2 * m, 0);
-        self.via_edges.clear();
-        self.via_edges.resize(2 * m, 0);
-        self.csr_weights.clear();
-        self.csr_weights.resize(2 * m, Weight::UNIT);
-        // Reuse `cursor` as per-node write positions.
-        self.cursor.copy_from_slice(&self.offsets[..n]);
-        for i in 0..m {
-            let (u, v, w) = (self.edge_u[i], self.edge_v[i], self.edge_w[i]);
-            let pu = self.cursor[u as usize] as usize;
-            self.targets[pu] = v;
-            self.via_edges[pu] = i as u32;
-            self.csr_weights[pu] = w;
-            self.cursor[u as usize] += 1;
-            let pv = self.cursor[v as usize] as usize;
-            self.targets[pv] = u;
-            self.via_edges[pv] = i as u32;
-            self.csr_weights[pv] = w;
-            self.cursor[v as usize] += 1;
-        }
-        self.frozen = m;
-    }
-
-    /// Number of buffer folds performed so far (a reuse diagnostic: after
-    /// warm-up the count advances once per `PENDING_REBUILD_LIMIT`
-    /// appends, never per query).
-    pub fn rebuild_count(&self) -> u64 {
-        self.rebuilds
-    }
-
-    /// Number of edges still in the append buffer (bounded by
-    /// `PENDING_REBUILD_LIMIT`).
-    pub fn pending_len(&self) -> usize {
-        self.edge_u.len() - self.frozen
-    }
-
-    /// Finalizes this view into an immutable [`FrozenCsr`] (folding any
-    /// pending appends into the packed layout). The view itself is left
-    /// untouched; freezing is the hand-off point from construction to
-    /// serving.
-    pub fn freeze(&self) -> FrozenCsr {
-        FrozenCsr::from_view(self)
-    }
-}
-
-impl GraphView for IncrementalCsr {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        self.edge_u.len()
-    }
-
-    #[inline]
-    fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        (
-            NodeId::from(self.edge_u[edge.index()]),
-            NodeId::from(self.edge_v[edge.index()]),
-        )
-    }
-
-    #[inline]
-    fn edge_weight(&self, edge: EdgeId) -> Weight {
-        self.edge_w[edge.index()]
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, node: NodeId, mut f: impl FnMut(NodeId, EdgeId, Weight)) {
-        let i = node.index();
-        assert!(i < self.node_count, "node out of range");
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        for p in lo..hi {
-            f(
-                NodeId::from(self.targets[p]),
-                EdgeId::from(self.via_edges[p]),
-                self.csr_weights[p],
-            );
-        }
-        let node = node.raw();
-        for e in self.frozen..self.edge_u.len() {
-            if self.edge_u[e] == node {
-                f(NodeId::from(self.edge_v[e]), EdgeId::new(e), self.edge_w[e]);
-            } else if self.edge_v[e] == node {
-                f(NodeId::from(self.edge_u[e]), EdgeId::new(e), self.edge_w[e]);
-            }
-        }
-    }
-
-    fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        assert!(
-            u.index() < self.node_count && v.index() < self.node_count,
-            "node out of range"
-        );
-        let lo = self.offsets[u.index()] as usize;
-        let hi = self.offsets[u.index() + 1] as usize;
-        for p in lo..hi {
-            if self.targets[p] == v.raw() {
-                return Some(EdgeId::from(self.via_edges[p]));
-            }
-        }
-        for e in self.frozen..self.edge_u.len() {
-            if (self.edge_u[e] == u.raw() && self.edge_v[e] == v.raw())
-                || (self.edge_u[e] == v.raw() && self.edge_v[e] == u.raw())
-            {
-                return Some(EdgeId::new(e));
-            }
-        }
-        None
-    }
-}
-
-impl From<&Graph> for IncrementalCsr {
-    fn from(graph: &Graph) -> Self {
-        IncrementalCsr::from_graph(graph)
-    }
-}
+use crate::{EdgeId, Graph, NodeId, Weight};
 
 /// One packed adjacency slot of a [`FrozenCsr`]: the neighbor, the edge
 /// crossed to reach it, and that edge's weight, side by side so a
@@ -756,8 +300,8 @@ impl ByteCsr {
 
 /// A read-only, cache-packed CSR snapshot — the serving layout.
 ///
-/// Built once from any [`GraphView`] (a [`Graph`], an [`IncrementalCsr`]
-/// via [`IncrementalCsr::freeze`], …) with the same node and edge ids and
+/// Built once from any [`GraphView`] (usually a finished [`Graph`]) with
+/// the same node and edge ids and
 /// the same neighbor order, so traversals over the frozen layout
 /// tie-break exactly like traversals over the source. The structure is
 /// immutable after construction and holds no interior mutability, so it
@@ -1102,87 +646,9 @@ fn frozen_csr_is_send_sync() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra, generators};
+    use crate::{dijkstra, generators, Dist, FaultMask};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn structure_matches_source() {
-        let g = generators::petersen();
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for v in g.nodes() {
-            assert_eq!(csr.degree(v), g.degree(v));
-            let from_graph: Vec<(NodeId, EdgeId)> = g.neighbors(v).collect();
-            let from_csr: Vec<(NodeId, EdgeId)> =
-                csr.neighbors(v).map(|(n, e, _)| (n, e)).collect();
-            assert_eq!(from_graph, from_csr);
-        }
-    }
-
-    #[test]
-    fn sssp_matches_engine_on_random_graphs() {
-        let mut rng = StdRng::seed_from_u64(71);
-        for _ in 0..10 {
-            let g = generators::erdos_renyi(40, 0.15, &mut rng);
-            let csr = CsrGraph::from_graph(&g);
-            let mask = FaultMask::for_graph(&g);
-            let mut engine = dijkstra::DijkstraEngine::new();
-            for s in [0usize, 7, 20] {
-                assert_eq!(
-                    csr.sssp(NodeId::new(s), &mask),
-                    engine.sssp(&g, NodeId::new(s), &mask)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_queries_match_under_faults() {
-        let mut rng = StdRng::seed_from_u64(72);
-        let g = generators::erdos_renyi(30, 0.2, &mut rng);
-        let csr = CsrGraph::from_graph(&g);
-        let mut mask = FaultMask::for_graph(&g);
-        mask.fault_vertex(NodeId::new(3));
-        if g.edge_count() > 0 {
-            mask.fault_edge(EdgeId::new(0));
-        }
-        let mut engine = dijkstra::DijkstraEngine::new();
-        for bound in [1u64, 2, 4, 50] {
-            for (u, v) in [(0usize, 1usize), (2, 29), (5, 17)] {
-                assert_eq!(
-                    csr.dist_bounded(NodeId::new(u), NodeId::new(v), Dist::finite(bound), &mask),
-                    engine.dist_bounded(
-                        &g,
-                        NodeId::new(u),
-                        NodeId::new(v),
-                        Dist::finite(bound),
-                        &mask
-                    ),
-                    "bound {bound} pair ({u},{v})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_distances_preserved() {
-        let g =
-            Graph::from_weighted_edges(4, [(0, 1, 5), (1, 2, 2), (0, 3, 1), (3, 2, 3)]).unwrap();
-        let csr = CsrGraph::from_graph(&g);
-        let mask = FaultMask::for_graph(&g);
-        let d = csr.sssp(NodeId::new(0), &mask);
-        assert_eq!(d[2], Dist::finite(4)); // 0-3-2
-        assert_eq!(d[1], Dist::finite(5));
-    }
-
-    #[test]
-    fn from_ref_conversion() {
-        let g = generators::cycle(5);
-        let csr: CsrGraph = (&g).into();
-        assert_eq!(csr.edge_count(), 5);
-    }
 
     fn view_neighbors(view: &impl GraphView, v: NodeId) -> Vec<(NodeId, EdgeId, Weight)> {
         let mut out = Vec::new();
@@ -1191,141 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_view_tracks_growing_graph() {
-        // Grow a graph and its view in lockstep; adjacency must agree at
-        // every step — including mid-buffer, straddling rebuilds.
-        let mut rng = StdRng::seed_from_u64(91);
-        let g = generators::erdos_renyi(30, 0.25, &mut rng);
-        let mut mirror = Graph::new(30);
-        let mut view = IncrementalCsr::new(30);
-        for (i, (_, e)) in g.edges().enumerate() {
-            mirror.add_edge_unchecked(e.u(), e.v(), e.weight());
-            let id = view.push_edge(e.u(), e.v(), e.weight());
-            assert_eq!(id.index(), i);
-            if i % 7 == 0 || i + 1 == g.edge_count() {
-                assert_eq!(view.edge_count(), mirror.edge_count());
-                for v in mirror.nodes() {
-                    assert_eq!(
-                        view_neighbors(&view, v),
-                        view_neighbors(&mirror, v),
-                        "adjacency diverged at vertex {v} after {} edges",
-                        i + 1
-                    );
-                }
-            }
-        }
-        assert!(view.rebuild_count() > 0, "workload should cross the limit");
-        assert!(view.pending_len() <= 32);
-    }
-
-    #[test]
-    fn bulk_append_matches_edge_by_edge_with_one_fold() {
-        // Seed both views with a few edges (leaving some pending), then
-        // append the rest edge by edge to one and in bulk to the other.
-        let mut rng = StdRng::seed_from_u64(93);
-        let g = generators::erdos_renyi(40, 0.2, &mut rng);
-        let edges: Vec<_> = g.edges().map(|(_, e)| (e.u(), e.v(), e.weight())).collect();
-        assert!(edges.len() > 3 * 32, "workload must span several folds");
-        let (head, tail) = edges.split_at(5);
-        let mut one_by_one = IncrementalCsr::new(40);
-        let mut bulk = IncrementalCsr::new(40);
-        for &(u, v, w) in head {
-            one_by_one.push_edge(u, v, w);
-            bulk.push_edge(u, v, w);
-        }
-        for &(u, v, w) in tail {
-            one_by_one.push_edge(u, v, w);
-        }
-        let folds = bulk.rebuild_count();
-        bulk.extend_edges(tail.iter().copied());
-        assert_eq!(bulk.rebuild_count(), folds + 1, "one fold for the batch");
-        assert_eq!(bulk.pending_len(), 0);
-        assert!(one_by_one.rebuild_count() > folds + 1);
-        assert_eq!(bulk.edge_count(), one_by_one.edge_count());
-        for i in 0..edges.len() {
-            let id = EdgeId::new(i);
-            assert_eq!(bulk.edge_endpoints(id), one_by_one.edge_endpoints(id));
-            assert_eq!(bulk.edge_weight(id), one_by_one.edge_weight(id));
-        }
-        for v in g.nodes() {
-            let order = view_neighbors(&bulk, v);
-            assert!(order.windows(2).all(|w| w[0].1 < w[1].1), "by edge id");
-            assert_eq!(order, view_neighbors(&one_by_one, v), "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn incremental_view_endpoints_weights_find_edge() {
-        let g =
-            Graph::from_weighted_edges(4, [(0, 1, 5), (1, 2, 2), (0, 3, 1), (3, 2, 3)]).unwrap();
-        let view = IncrementalCsr::from_graph(&g);
-        for (id, e) in g.edges() {
-            assert_eq!(view.edge_endpoints(id), e.endpoints());
-            assert_eq!(view.edge_weight(id), e.weight());
-        }
-        for u in g.nodes() {
-            for v in g.nodes() {
-                if u != v {
-                    assert_eq!(view.find_edge(u, v), g.contains_edge(u, v));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_view_dijkstra_matches_graph_under_faults() {
-        let mut rng = StdRng::seed_from_u64(92);
-        let g = generators::erdos_renyi(40, 0.12, &mut rng);
-        let mut view = IncrementalCsr::new(40);
-        for (_, e) in g.edges() {
-            view.push_edge(e.u(), e.v(), e.weight());
-        }
-        let mut mask = FaultMask::for_graph(&g);
-        mask.fault_vertex(NodeId::new(5));
-        if g.edge_count() > 2 {
-            mask.fault_edge(EdgeId::new(2));
-        }
-        let mut engine = dijkstra::DijkstraEngine::new();
-        for (src, dst) in [(0usize, 39usize), (3, 17), (11, 30)] {
-            for bound in [2u64, 5, 100] {
-                assert_eq!(
-                    engine.dist_bounded(
-                        &view,
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        Dist::finite(bound),
-                        &mask
-                    ),
-                    engine.dist_bounded(
-                        &g,
-                        NodeId::new(src),
-                        NodeId::new(dst),
-                        Dist::finite(bound),
-                        &mask
-                    ),
-                    "pair ({src},{dst}) bound {bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_view_reset_reuses() {
-        let g = generators::cycle(6);
-        let mut view = IncrementalCsr::from_graph(&g);
-        view.reset(3);
-        assert_eq!(GraphView::node_count(&view), 3);
-        assert_eq!(GraphView::edge_count(&view), 0);
-        view.push_edge(NodeId::new(0), NodeId::new(2), Weight::UNIT);
-        assert_eq!(view_neighbors(&view, NodeId::new(0)).len(), 1);
-    }
-
-    #[test]
     fn frozen_view_mirrors_source_adjacency() {
         let mut rng = StdRng::seed_from_u64(93);
         let g = generators::erdos_renyi(30, 0.2, &mut rng);
-        let inc = IncrementalCsr::from_graph(&g);
-        for frozen in [FrozenCsr::from_view(&g), inc.freeze(), (&g).into()] {
+        for frozen in [FrozenCsr::from_view(&g), (&g).into()] {
             assert_eq!(GraphView::node_count(&frozen), g.node_count());
             assert_eq!(GraphView::edge_count(&frozen), g.edge_count());
             for v in g.nodes() {
@@ -1337,29 +672,6 @@ mod tests {
                 assert_eq!(frozen.edge_weight(id), e.weight());
             }
         }
-    }
-
-    #[test]
-    fn frozen_view_includes_pending_appends() {
-        // Freeze mid-buffer: edges still in the append buffer must land
-        // in the packed layout too, in the same edge-id order.
-        let mut view = IncrementalCsr::new(5);
-        let mut mirror = Graph::new(5);
-        for (u, v) in [(0usize, 1usize), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)] {
-            view.push_edge(NodeId::new(u), NodeId::new(v), Weight::UNIT);
-            mirror.add_edge_unchecked(NodeId::new(u), NodeId::new(v), Weight::UNIT);
-        }
-        assert!(view.pending_len() > 0, "buffer must be mid-flight");
-        let frozen = view.freeze();
-        assert_eq!(GraphView::edge_count(&frozen), 6);
-        for v in mirror.nodes() {
-            assert_eq!(view_neighbors(&frozen, v), view_neighbors(&mirror, v));
-        }
-        assert_eq!(
-            frozen.find_edge(NodeId::new(1), NodeId::new(3)),
-            Some(EdgeId::new(5))
-        );
-        assert_eq!(frozen.find_edge(NodeId::new(0), NodeId::new(2)), None);
     }
 
     #[test]
@@ -1394,19 +706,6 @@ mod tests {
                 assert_eq!(over_frozen, over_graph, "pair ({src},{dst}) bound {bound}");
             }
         }
-    }
-
-    #[test]
-    fn incremental_sync_from_graph_mirrors() {
-        let g = generators::grid(3, 4);
-        let mut view = IncrementalCsr::new(1);
-        view.sync_from_graph(&g);
-        assert_eq!(GraphView::node_count(&view), g.node_count());
-        assert_eq!(GraphView::edge_count(&view), g.edge_count());
-        for v in g.nodes() {
-            assert_eq!(view_neighbors(&view, v), view_neighbors(&g, v));
-        }
-        assert_eq!(view.pending_len(), 0, "sync must freeze everything");
     }
 
     // ── CsrStorage / in-place payload) coverage ────────────────────

@@ -17,8 +17,8 @@
 //! # Scratch-reuse contract
 //!
 //! The engine is generic over [`GraphView`], so the same monomorphized
-//! loop serves both the growable [`Graph`](crate::Graph) and the flat
-//! [`IncrementalCsr`](crate::IncrementalCsr) layouts. Two rules keep the
+//! loop serves both the growable [`Graph`](crate::Graph) and the frozen
+//! [`FrozenCsr`](crate::FrozenCsr) layouts. Two rules keep the
 //! hot path allocation-free:
 //!
 //! 1. **Engine scratch grows, never shrinks.** `prepare` resizes the

@@ -317,7 +317,7 @@ impl RadixHeap {
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi, grid, random_geometric, with_uniform_weights};
-    use crate::{DijkstraEngine, Dist, EdgeId, FaultMask, FrozenCsr, Graph, IncrementalCsr};
+    use crate::{DijkstraEngine, Dist, EdgeId, FaultMask, FrozenCsr, Graph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -441,17 +441,7 @@ mod tests {
     fn assert_kernel_matches_engine(g: &Graph, what: &str) {
         let table = Landmarks::build(g);
         assert_eq!(table, engine_table(g), "{what}");
-        // Every view of the same edges builds the same table, the
-        // incremental one with some edges still in its append buffer.
-        let mut incremental = IncrementalCsr::new(g.node_count());
-        for (_, e) in g.edges() {
-            incremental.push_edge(e.u(), e.v(), e.weight());
-        }
-        assert_eq!(
-            Landmarks::build(&incremental),
-            table,
-            "{what}: IncrementalCsr"
-        );
+        // The frozen layout of the same edges builds the same table.
         assert_eq!(
             Landmarks::build(&FrozenCsr::from(g)),
             table,
