@@ -354,7 +354,7 @@ pub struct PartitionReport {
     /// Wall time of the boundary stitch phase; it reuses `G`'s table from
     /// the build phase and builds none.
     pub stitch_secs: f64,
-    /// Worker-pool spawns across all phases: 1 at every width above 1,
+    /// Pool spawns across all phases: 1 at every width above 1,
     /// since every shard and the stitch share one oracle, and 0 at
     /// width 1, which spawns no helper.
     pub pool_spawns: u64,

@@ -46,6 +46,9 @@ pub enum RouteError {
         /// The query target.
         to: NodeId,
     },
+    /// The pair was submitted through a session of a server over a
+    /// different artifact, whose fault view does not apply here.
+    ForeignSession,
 }
 
 /// Every stable [`RouteError`] code, one per variant; pinned together
@@ -54,6 +57,7 @@ pub const ROUTE_ERROR_CODES: &[&str] = &[
     "route/invalid-endpoint",
     "route/endpoint-failed",
     "route/unreachable",
+    "route/foreign-session",
 ];
 
 impl RouteError {
@@ -66,6 +70,7 @@ impl RouteError {
             RouteError::InvalidEndpoint(_) => "route/invalid-endpoint",
             RouteError::EndpointFailed(_) => "route/endpoint-failed",
             RouteError::Unreachable { .. } => "route/unreachable",
+            RouteError::ForeignSession => "route/foreign-session",
         }
     }
 }
@@ -78,6 +83,7 @@ impl std::fmt::Display for RouteError {
             RouteError::Unreachable { from, to } => {
                 write!(f, "no surviving route from {from} to {to}")
             }
+            RouteError::ForeignSession => write!(f, "session of a server over another artifact"),
         }
     }
 }

@@ -9,8 +9,8 @@
 //!   point over one `Arc<FrozenSpanner>`. It owns the cross-tenant
 //!   state: an intern table of fault views keyed by their Zobrist
 //!   [`SetFingerprint`] (the construction-side memo machinery, now
-//!   shared via [`spanner_faults::fingerprint`]), the worker pool for
-//!   pooled batches, and the serving counters ([`ServerStats`]).
+//!   shared via [`spanner_faults::fingerprint`]), the pool for pooled
+//!   batches, and the serving counters ([`ServerStats`]).
 //! * [`EpochView`] — one immutable fault view: the materialized
 //!   [`FaultMask`] plus its fingerprint, shared as `Arc<EpochView>`.
 //!   Tenants asking for the same fault set get the *same* view (warm
@@ -66,40 +66,41 @@
 //! ([`RouteError::InvalidEndpoint`]), then endpoints alive
 //! ([`RouteError::EndpointFailed`]) — so no id from a caller reaches an
 //! array index unchecked, and a bad pair in a pooled batch gets its
-//! error in its own slot instead of killing a worker.
+//! error in its own slot instead of killing a helper.
 //!
-//! # Worker pool and the `threads = 0` convention
+//! # The pool and the `threads = 0` convention
 //!
-//! The pool lives on the server, not on any engine or handle, so every
-//! session sharing the server shares one set of workers.
+//! Pooled batches run on one [`spanner_graph::pool::Pool`] on the
+//! server, so every session shares one set of helpers.
 //! [`EpochServer::with_threads`] is **the** place the thread convention
-//! is defined: `0` means *auto* (one worker per available CPU,
-//! `std::thread::available_parallelism`), `1` means sequential (pooled
-//! entry points degrade to the sequential batch), `n ≥ 2` means exactly
-//! `n` workers. Workers spawn lazily on the first pooled batch and are
-//! joined when the last server clone / handle drops.
+//! is defined: `0` means *auto* (one thread per available CPU), `1`
+//! means sequential (pooled entry points serve the sequential batch),
+//! and `n ≥ 2` means the calling thread plus `n − 1` helpers. A pooled
+//! batch is cut into `CHUNKS_PER_THREAD` chunks per thread, which the
+//! caller claims with its own scratch like any helper; each chunk goes
+//! through `serve_batch`, so per-source sharing within a chunk is kept.
 //!
 //! # Scratch-reuse contract
 //!
 //! The engine-layer contract carries over: views are built once and
-//! shared; each handle owns one Dijkstra engine + path scratch for its
-//! lifetime ([`EpochHandle::step`] moves them to the successor epoch);
-//! pool workers own theirs for the pool's lifetime; nothing in scratch
-//! can leak into answers because every path funnels through the same
-//! `route_one` / `serve_batch` implementations the sequential reference
-//! uses.
+//! shared; each handle and each coalescer owns one Dijkstra engine +
+//! path scratch for its lifetime ([`EpochHandle::step`] moves them to the
+//! successor epoch) and works its share of its own pooled batches with
+//! it; pool helpers own theirs for the pool's lifetime; nothing in
+//! scratch can leak into answers because every path funnels through the
+//! same `route_one` / `serve_batch` implementations the sequential
+//! reference uses.
 
 use crate::frozen::MappedSpanner;
 use crate::routing::{Route, RouteError};
 use crate::FrozenSpanner;
 use spanner_faults::fingerprint::{component_hash, SetFingerprint};
 use spanner_faults::{FaultModel, FaultSet};
+use spanner_graph::pool::{Job, Pool, Share};
 use spanner_graph::{DijkstraEngine, Dist, EdgeId, FaultMask, NodeId, PathScratch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Serves one pair against the frozen artifact under `mask`.
 ///
@@ -194,7 +195,8 @@ const FULL_SEARCH_MIN_TARGETS: usize = 16;
 /// other pair one A* query through [`route_one`]. Both return the
 /// canonical route, so answers are bit-identical to serving every pair
 /// through [`route_one`] (pinned by the property tests). Shared by the
-/// sequential batch path, the coalescer, and every pool worker.
+/// sequential batch path, the coalescer, and every chunk of a pooled
+/// batch.
 pub(crate) fn serve_batch(
     frozen: &FrozenSpanner,
     engine: &mut DijkstraEngine,
@@ -298,85 +300,42 @@ pub struct ServerStats {
     pub delta_component_ops: u64,
 }
 
-/// One pooled-batch work item: a chunk of pairs, the view to serve them
-/// under, and the submitting batch's private result channel (each batch
-/// owns its channel, so concurrent handles can never interleave
-/// answers).
-struct PoolJob {
-    chunk: usize,
-    pairs: Vec<(NodeId, NodeId)>,
+/// The search scratch one serving participant keeps for its lifetime: a
+/// session, a coalescer, or a pool helper.
+#[derive(Debug, Default)]
+struct Scratch {
+    engine: DijkstraEngine,
+    path: PathScratch,
+}
+
+/// The answers to one chunk of a pooled batch.
+type ChunkAnswers = Vec<Result<Route, RouteError>>;
+
+/// One pooled batch: its pairs, cut into chunks that participants claim
+/// whole, and the view to serve them under.
+struct PooledBatch {
+    frozen: Arc<FrozenSpanner>,
     view: Arc<EpochView>,
-    results: mpsc::Sender<(usize, Vec<Result<Route, RouteError>>)>,
+    pairs: Vec<(NodeId, NodeId)>,
+    chunk: usize,
 }
 
-/// The server's shared worker pool: spawned lazily on the first pooled
-/// batch, joined when the server's last owner drops.
-struct WorkerPool {
-    /// `Option` so `Drop` can close the queue before joining.
-    jobs: Mutex<Option<mpsc::Sender<PoolJob>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl WorkerPool {
-    fn spawn(frozen: &Arc<FrozenSpanner>, threads: usize) -> WorkerPool {
-        let (job_tx, job_rx) = mpsc::channel::<PoolJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let jobs = Arc::clone(&job_rx);
-            let frozen = Arc::clone(frozen);
-            workers.push(std::thread::spawn(move || {
-                // One Dijkstra engine + path scratch per worker, alive
-                // for the pool's lifetime: scratch persists across every
-                // batch of every tenant.
-                let mut engine = DijkstraEngine::new();
-                let mut path = PathScratch::new();
-                loop {
-                    let job = {
-                        let rx = jobs.lock().expect("job queue lock");
-                        match rx.recv() {
-                            Ok(job) => job,
-                            Err(_) => return, // pool dropped
-                        }
-                    };
-                    let answers =
-                        serve_batch(&frozen, &mut engine, &mut path, &job.view.mask, &job.pairs);
-                    // A submitter that gave up (dropped its receiver) is
-                    // not an error for the pool.
-                    let _ = job.results.send((job.chunk, answers));
-                }
-            }));
-        }
-        WorkerPool {
-            jobs: Mutex::new(Some(job_tx)),
-            workers: Mutex::new(workers),
-        }
+impl Job<Scratch, ChunkAnswers> for PooledBatch {
+    fn items(&self) -> usize {
+        self.pairs.chunks(self.chunk).len()
     }
 
-    /// True iff some worker thread has exited (used as the liveness
-    /// check while draining a batch).
-    fn any_worker_dead(&self) -> bool {
-        self.workers
-            .lock()
-            .expect("worker list lock")
-            .iter()
-            .any(|h| h.is_finished())
+    fn work(&self, scratch: &mut Scratch, share: &mut Share<'_, ChunkAnswers>) {
+        let Scratch { engine, path } = scratch;
+        share.answer_each(|i| {
+            let chunk = self.pairs.chunks(self.chunk).nth(i).expect("claimed");
+            serve_batch(&self.frozen, engine, path, &self.view.mask, chunk)
+        });
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close the queue; workers exit their loop, then join them.
-        self.jobs.lock().expect("job queue lock").take();
-        for handle in self.workers.lock().expect("worker list lock").drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Chunks outstanding per worker in a pooled batch (finer than one chunk
-/// per thread so an unlucky chunk of long queries cannot straggle the
-/// whole batch).
+/// Chunks per thread in a pooled batch (finer than one chunk per thread
+/// so an unlucky chunk of long queries cannot straggle the whole batch).
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// The shared cross-tenant serving state behind every [`EpochServer`]
@@ -386,9 +345,9 @@ struct ServerInner {
     /// Intern table: fingerprint key → live view. `Weak` so retired
     /// views are collectable; dead entries are pruned on misses.
     views: Mutex<HashMap<(u64, u64, u64), Weak<EpochView>>>,
-    /// Requested worker count (`0` = auto; resolved at pool spawn).
+    /// Pool width, the caller included (see [`EpochServer::with_threads`]).
     threads: AtomicUsize,
-    pool: Mutex<Option<Arc<WorkerPool>>>,
+    pool: OnceLock<Pool<Scratch, ChunkAnswers>>,
     epochs_opened: AtomicU64,
     views_built: AtomicU64,
     views_shared: AtomicU64,
@@ -396,28 +355,6 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    /// The worker count pooled batches will use (resolving the auto
-    /// convention; see [`EpochServer::with_threads`]).
-    fn resolved_threads(&self) -> usize {
-        match self.threads.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-
-    /// The shared pool, spawned on first use at the resolved width.
-    fn ensure_pool(self: &Arc<Self>) -> Arc<WorkerPool> {
-        let mut guard = self.pool.lock().expect("pool lock");
-        if let Some(pool) = guard.as_ref() {
-            return Arc::clone(pool);
-        }
-        let pool = Arc::new(WorkerPool::spawn(&self.frozen, self.resolved_threads()));
-        *guard = Some(Arc::clone(&pool));
-        pool
-    }
-
     /// Interns `view` under its fingerprint, returning the canonical
     /// `Arc` (an already-live equal view wins). Dead entries under other
     /// keys are pruned opportunistically when the table has accumulated
@@ -469,7 +406,7 @@ impl std::fmt::Debug for ServerInner {
 /// the module docs for the session model).
 ///
 /// Cloning is cheap (an `Arc` bump) and every clone serves the same
-/// intern table, worker pool and counters. The server itself never
+/// intern table, pool and counters. The server itself never
 /// routes: it hands out [`EpochHandle`] sessions, which do.
 ///
 /// # Examples
@@ -518,7 +455,7 @@ impl EpochServer {
                 frozen,
                 views: Mutex::new(HashMap::new()),
                 threads: AtomicUsize::new(1),
-                pool: Mutex::new(None),
+                pool: OnceLock::new(),
                 epochs_opened: AtomicU64::new(0),
                 views_built: AtomicU64::new(0),
                 views_shared: AtomicU64::new(0),
@@ -538,22 +475,26 @@ impl EpochServer {
         EpochServer::new(Arc::new(mapped.into_inner()))
     }
 
-    /// Sets the shared worker-pool width for pooled batches. **This is
-    /// the thread-count convention, defined once:** `0` = auto (one
-    /// worker per available CPU), `1` = sequential (pooled entry points
-    /// degrade to the sequential batch, no workers spawned), `n ≥ 2` =
-    /// exactly `n` workers. Workers spawn lazily on the first pooled
-    /// batch and serve every session of this server.
+    /// Sets the shared pool width for pooled batches. **This is the
+    /// thread-count convention, defined once:** `0` = auto (one thread
+    /// per available CPU), `1` = sequential (pooled entry points degrade
+    /// to the sequential batch, no helper spawned), `n ≥ 2` = the calling
+    /// thread plus `n − 1` helpers. Helpers spawn lazily on the first
+    /// pooled batch and serve every session of this server.
     ///
     /// # Panics
     ///
-    /// Panics if the pool already started working (workers bake the
-    /// artifact and width in at spawn time).
+    /// Panics if the pool already started working (its width is fixed
+    /// at the first pooled batch).
     pub fn with_threads(self, threads: usize) -> Self {
         assert!(
-            self.inner.pool.lock().expect("pool lock").is_none(),
+            self.inner.pool.get().is_none(),
             "configure the server before its first pooled batch"
         );
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         self.inner.threads.store(threads, Ordering::Relaxed);
         self
     }
@@ -616,8 +557,7 @@ impl EpochServer {
         EpochHandle {
             inner: Arc::clone(&self.inner),
             view: self.inner.open_view(mask),
-            engine: DijkstraEngine::new(),
-            path: PathScratch::new(),
+            scratch: Scratch::default(),
         }
     }
 }
@@ -710,8 +650,7 @@ impl EpochDelta {
 pub struct EpochHandle {
     inner: Arc<ServerInner>,
     view: Arc<EpochView>,
-    engine: DijkstraEngine,
-    path: PathScratch,
+    scratch: Scratch,
 }
 
 impl EpochHandle {
@@ -745,14 +684,8 @@ impl EpochHandle {
     /// while at most `f` components are down and the parent stays
     /// connected).
     pub fn route(&mut self, from: NodeId, to: NodeId) -> Result<Route, RouteError> {
-        route_one(
-            &self.inner.frozen,
-            &mut self.engine,
-            &mut self.path,
-            &self.view.mask,
-            from,
-            to,
-        )
+        let Scratch { engine, path } = &mut self.scratch;
+        route_one(&self.inner.frozen, engine, path, &self.view.mask, from, to)
     }
 
     /// Costs `from → to` in this epoch without extracting the path — no
@@ -762,13 +695,8 @@ impl EpochHandle {
     ///
     /// Same contract as [`EpochHandle::route`].
     pub fn route_cost(&mut self, from: NodeId, to: NodeId) -> Result<Dist, RouteError> {
-        pair_search(
-            &self.inner.frozen,
-            &mut self.engine,
-            &self.view.mask,
-            from,
-            to,
-        )
+        let engine = &mut self.scratch.engine;
+        pair_search(&self.inner.frozen, engine, &self.view.mask, from, to)
     }
 
     /// Serves a whole batch against this epoch, one answer per pair in
@@ -777,30 +705,22 @@ impl EpochHandle {
     /// An invalid, failed or unreachable pair yields its error in its
     /// own slot without disturbing the rest of the batch.
     pub fn route_batch(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<Route, RouteError>> {
-        serve_batch(
-            &self.inner.frozen,
-            &mut self.engine,
-            &mut self.path,
-            &self.view.mask,
-            pairs,
-        )
+        let Scratch { engine, path } = &mut self.scratch;
+        serve_batch(&self.inner.frozen, engine, path, &self.view.mask, pairs)
     }
 
-    /// Like [`EpochHandle::route_batch`], fanned out over the server's
-    /// shared worker pool — and bit-identical to it: same routes, edges,
-    /// distances and errors, in the same order, regardless of thread
-    /// count, scheduling, or how many other sessions are pooling batches
-    /// at the same time (each batch drains its own private result
-    /// channel).
+    /// Like [`EpochHandle::route_batch`], shared between the calling
+    /// thread, which works its share with this session's scratch, and
+    /// the server's pool helpers — and bit-identical to it: same routes,
+    /// edges, distances and errors, in the same order, regardless of
+    /// thread count, scheduling, or how many other sessions are pooling
+    /// batches at the same time (each batch owns its claim cursor and
+    /// its answers).
     pub fn par_route_batch(
         &mut self,
         pairs: &[(NodeId, NodeId)],
     ) -> Vec<Result<Route, RouteError>> {
-        let threads = self.inner.resolved_threads();
-        if threads <= 1 || pairs.len() <= 1 {
-            return self.route_batch(pairs);
-        }
-        pooled_batch(&self.inner, &self.view, threads, pairs)
+        serve_pooled(&self.inner, &self.view, &mut self.scratch, pairs)
     }
 
     /// Opens a *sibling* session whose fault view differs from this one
@@ -814,8 +734,7 @@ impl EpochHandle {
         EpochHandle {
             inner: Arc::clone(&self.inner),
             view: derive_view(&self.inner, &self.view, delta),
-            engine: DijkstraEngine::new(),
-            path: PathScratch::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -917,55 +836,33 @@ fn derive_view(
     inner.intern(EpochView { mask, fingerprint })
 }
 
-/// Fans one batch over the shared pool and reassembles the answers in
-/// input order. The batch owns its result channel, so any number of
-/// concurrent batches (from any sessions) share the workers without
-/// interleaving.
-fn pooled_batch(
-    inner: &Arc<ServerInner>,
+/// Serves one batch under `view`: with [`serve_batch`] on the calling
+/// thread when the server is sequential or the batch holds one pair, and
+/// otherwise on the server's pool, where the caller claims chunks with
+/// its own `scratch` like any helper and the answers come back in input
+/// order. Each batch owns its claim cursor and answers, so concurrent
+/// batches (from any sessions) share the helpers without interleaving.
+fn serve_pooled(
+    inner: &ServerInner,
     view: &Arc<EpochView>,
-    threads: usize,
+    scratch: &mut Scratch,
     pairs: &[(NodeId, NodeId)],
 ) -> Vec<Result<Route, RouteError>> {
-    let pool = inner.ensure_pool();
-    let (result_tx, result_rx) = mpsc::channel();
-    let chunk_size = pairs.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    let mut chunks = 0usize;
-    {
-        let jobs = pool.jobs.lock().expect("job queue lock");
-        let jobs = jobs.as_ref().expect("pool alive while server lives");
-        for (chunk, slice) in pairs.chunks(chunk_size).enumerate() {
-            jobs.send(PoolJob {
-                chunk,
-                pairs: slice.to_vec(),
-                view: Arc::clone(view),
-                results: result_tx.clone(),
-            })
-            .expect("batch pool alive");
-            chunks += 1;
-        }
+    let threads = inner.threads.load(Ordering::Relaxed);
+    if threads <= 1 || pairs.len() <= 1 {
+        let Scratch { engine, path } = scratch;
+        return serve_batch(&inner.frozen, engine, path, &view.mask, pairs);
     }
-    drop(result_tx);
-    let mut records: Vec<(usize, Vec<Result<Route, RouteError>>)> = Vec::with_capacity(chunks);
-    while records.len() < chunks {
-        // recv_timeout + liveness check rather than a bare recv: if a
-        // worker dies mid-chunk (panic), its answer never arrives but
-        // the channel stays open through the survivors — a bare recv
-        // would hang the serving loop instead of failing loudly.
-        match result_rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(record) => records.push(record),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                assert!(!pool.any_worker_dead(), "a batch worker died mid-query");
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                panic!("batch pool shut down mid-query");
-            }
-        }
-    }
-    records.sort_by_key(|(chunk, _)| *chunk);
-    records
+    let job = PooledBatch {
+        frozen: Arc::clone(&inner.frozen),
+        view: Arc::clone(view),
+        pairs: pairs.to_vec(),
+        chunk: pairs.len().div_ceil(threads * CHUNKS_PER_THREAD),
+    };
+    let pool = inner.pool.get_or_init(|| Pool::new(threads));
+    pool.run(scratch, Arc::new(job))
         .into_iter()
-        .flat_map(|(_, answers)| answers)
+        .flatten()
         .collect()
 }
 
@@ -997,8 +894,9 @@ struct CoalescedGroup {
 /// `submit` never routes, so a front-end thread can drain a request
 /// queue cheaply and `flush` at its own cadence — the async-friendly
 /// shape without an async runtime. When the server's pool is configured
-/// (threads ≥ 2), each coalesced per-view bundle is fanned over the
-/// shared workers.
+/// (threads ≥ 2), each coalesced per-view bundle is one pooled batch:
+/// the flushing thread works its share with the coalescer's own scratch
+/// while the server's helpers take the rest.
 ///
 /// # Examples
 ///
@@ -1023,12 +921,11 @@ struct CoalescedGroup {
 /// ```
 pub struct BatchCoalescer {
     inner: Arc<ServerInner>,
-    engine: DijkstraEngine,
-    path: PathScratch,
+    scratch: Scratch,
     groups: Vec<CoalescedGroup>,
     /// Per submission: (group index, offset into the group's pairs,
-    /// pair count).
-    submissions: Vec<(usize, usize, usize)>,
+    /// pair count); no group for a foreign session.
+    submissions: Vec<(Option<usize>, usize, usize)>,
 }
 
 impl BatchCoalescer {
@@ -1036,8 +933,7 @@ impl BatchCoalescer {
     pub fn new(server: &EpochServer) -> Self {
         BatchCoalescer {
             inner: Arc::clone(&server.inner),
-            engine: DijkstraEngine::new(),
-            path: PathScratch::new(),
+            scratch: Scratch::default(),
             groups: Vec::new(),
             submissions: Vec::new(),
         }
@@ -1045,25 +941,25 @@ impl BatchCoalescer {
 
     /// Enqueues one session's batch (no routing happens here). The
     /// returned [`Ticket`] indexes the next [`BatchCoalescer::flush`]'s
-    /// answer vector.
+    /// answer vector. A session of a server over another artifact fails
+    /// closed: each of its pairs gets [`RouteError::ForeignSession`].
     pub fn submit(&mut self, session: &EpochHandle, pairs: &[(NodeId, NodeId)]) -> Ticket {
-        debug_assert!(
-            Arc::ptr_eq(&self.inner.frozen, &session.inner.frozen),
-            "session belongs to a different server"
-        );
-        let view = &session.view;
-        let group = match self.groups.iter().position(|g| Arc::ptr_eq(&g.view, view)) {
-            Some(i) => i,
-            None => {
-                self.groups.push(CoalescedGroup {
-                    view: Arc::clone(view),
-                    pairs: Vec::new(),
+        let mut offset = 0;
+        let group = Arc::ptr_eq(&self.inner.frozen, &session.inner.frozen).then(|| {
+            let view = &session.view;
+            let group = (self.groups.iter())
+                .position(|g| Arc::ptr_eq(&g.view, view))
+                .unwrap_or_else(|| {
+                    self.groups.push(CoalescedGroup {
+                        view: Arc::clone(view),
+                        pairs: Vec::new(),
+                    });
+                    self.groups.len() - 1
                 });
-                self.groups.len() - 1
-            }
-        };
-        let offset = self.groups[group].pairs.len();
-        self.groups[group].pairs.extend_from_slice(pairs);
+            offset = self.groups[group].pairs.len();
+            self.groups[group].pairs.extend_from_slice(pairs);
+            group
+        });
         self.submissions.push((group, offset, pairs.len()));
         Ticket(self.submissions.len() - 1)
     }
@@ -1080,36 +976,21 @@ impl BatchCoalescer {
     }
 
     /// Serves every pending submission — one pass per distinct view,
-    /// pooled when the server has workers configured — and returns the
-    /// per-submission answers, indexed by [`Ticket::index`]. Resets the
-    /// coalescer for the next round.
+    /// pooled (this thread plus the server's helpers) when the server is
+    /// configured wider than one thread — and returns the per-submission
+    /// answers, indexed by [`Ticket::index`]. Resets the coalescer for
+    /// the next round.
     pub fn flush(&mut self) -> Vec<Vec<Result<Route, RouteError>>> {
-        let threads = self.inner.resolved_threads();
-        let group_answers: Vec<Vec<Result<Route, RouteError>>> = self
-            .groups
-            .iter()
-            .map(|group| {
-                if threads > 1 && group.pairs.len() > 1 {
-                    pooled_batch(&self.inner, &group.view, threads, &group.pairs)
-                } else {
-                    serve_batch(
-                        &self.inner.frozen,
-                        &mut self.engine,
-                        &mut self.path,
-                        &group.view.mask,
-                        &group.pairs,
-                    )
-                }
+        let group_answers: Vec<_> = (self.groups.drain(..))
+            .map(|group| serve_pooled(&self.inner, &group.view, &mut self.scratch, &group.pairs))
+            .collect();
+        self.submissions
+            .drain(..)
+            .map(|(group, offset, len)| match group {
+                Some(group) => group_answers[group][offset..offset + len].to_vec(),
+                None => vec![Err(RouteError::ForeignSession); len],
             })
-            .collect();
-        let answers = self
-            .submissions
-            .iter()
-            .map(|&(group, offset, len)| group_answers[group][offset..offset + len].to_vec())
-            .collect();
-        self.groups.clear();
-        self.submissions.clear();
-        answers
+            .collect()
     }
 }
 
@@ -1389,6 +1270,37 @@ mod tests {
         let mut front = BatchCoalescer::new(&server);
         let ticket = front.submit(&handle, &pairs);
         assert_eq!(front.flush()[ticket.index()], expected);
+    }
+
+    #[test]
+    fn a_foreign_session_fails_closed_in_the_coalescer() {
+        // Two servers over two artifacts of the same graph: a session of
+        // the second must not be served under the first's artifact, in
+        // any build profile, and must not disturb the native submissions.
+        let server = EpochServer::new(artifact(8, 1)).with_threads(2);
+        let other = EpochServer::new(artifact(8, 1));
+        let pairs = all_pairs(8);
+        let mut native = server.epoch(&FaultSet::vertices([NodeId::new(3)]));
+        let foreign = other.epoch(&FaultSet::vertices([NodeId::new(3)]));
+        let mut front = BatchCoalescer::new(&server);
+        let before = front.submit(&native, &pairs);
+        let alien = front.submit(&foreign, &pairs);
+        let after = front.submit(&native, &pairs[..3]);
+        assert_eq!(front.pending(), 3);
+        assert_eq!(
+            front.pending_views(),
+            1,
+            "the foreign view is not coalesced"
+        );
+        let answers = front.flush();
+        assert_eq!(answers[alien.index()].len(), pairs.len());
+        for answer in &answers[alien.index()] {
+            assert_eq!(answer, &Err(RouteError::ForeignSession));
+            assert_eq!(answer.as_ref().unwrap_err().code(), "route/foreign-session");
+        }
+        let expected = native.route_batch(&pairs);
+        assert_eq!(answers[before.index()], expected);
+        assert_eq!(answers[after.index()], expected[..3]);
     }
 
     #[test]

@@ -33,6 +33,7 @@ const SNAPSHOT: &[&str] = &[
     "artifact/unknown-section",
     "artifact/witnesses-detached",
     "route/endpoint-failed",
+    "route/foreign-session",
     "route/invalid-endpoint",
     "route/unreachable",
 ];
@@ -90,6 +91,7 @@ fn constructed_codes() -> BTreeSet<&'static str> {
             from: NodeId::new(0),
             to: NodeId::new(1),
         },
+        RouteError::ForeignSession,
     ];
     let mut codes = BTreeSet::new();
     codes.extend(binary.iter().map(BinaryError::code));

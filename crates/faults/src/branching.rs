@@ -166,7 +166,7 @@ impl BranchingOracle {
     }
 
     /// Replaces the configuration, keeping the scratch (the pooled
-    /// oracle's workers run each job under the configuration it carries).
+    /// oracle's helpers run each batch under the configuration it carries).
     pub(crate) fn set_config(&mut self, config: BranchingConfig) {
         self.config = config;
     }

@@ -17,7 +17,7 @@
 //!   FT-greedy actually uses);
 //! * [`ParallelBranchingOracle`] — the same branching queries a batch at
 //!   a time against one shared spanner view, decided by the calling
-//!   thread and persistent helper threads together (FT-greedy's
+//!   thread and helpers of the one [`spanner_graph::pool`] (FT-greedy's
 //!   branching paths decide their candidates with it);
 //! * [`HittingSetOracle`] — an independent exact formulation via explicit
 //!   short-path enumeration ([`paths`]) and hitting-set branch & bound,

@@ -26,17 +26,11 @@
 //!
 //! # How a batch runs
 //!
-//! An oracle of width `t` spawns `t − 1` helper threads (none at
-//! `t = 1`), once, on first use. A batch is published once: its
-//! queries, an atomic claim cursor and a completion count. The calling
-//! thread then claims and decides queries exactly as the helpers do, so
-//! `t` threads work on `t` CPUs and nobody waits on a message per
-//! query. Helpers sleep on a condition variable between batches; each
-//! one hands its answers and work counters back once per batch, and the
-//! last one to finish wakes the caller if it is still waiting. A helper
-//! that wakes late finds the cursor exhausted and goes back to sleep. A
-//! helper that panics marks the pool dead, and the batch fails loudly
-//! instead of waiting for an answer that never comes.
+//! Batches run on a [`spanner_graph::pool::Pool`] of width `t`: the
+//! caller decides queries with its own oracle alongside `t − 1` helper
+//! threads, each with one sequential [`BranchingOracle`] for life, which
+//! hand their answers and work counters back once per batch. A helper
+//! that wakes late finds the batch's cursor exhausted.
 //!
 //! # Determinism
 //!
@@ -70,10 +64,9 @@
 //! arbitrary graph, unguided because that graph comes with no table.
 
 use crate::{BranchingConfig, BranchingOracle, FaultOracle, FaultSet, OracleQuery, OracleStats};
+use spanner_graph::pool::{Job, Pool, Share};
 use spanner_graph::{EdgeId, Graph, GraphView, Landmarks, NodeId, Potential, Weight};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// What every query of one construction runs against: the spanner grown
 /// so far and the landmark table of the parent graph it is a subgraph of.
@@ -89,60 +82,30 @@ impl SharedView {
     }
 }
 
-/// One published batch: its queries, the configuration they run under,
-/// and the cursor every participant claims query indices from.
-#[derive(Debug)]
-struct Batch {
+/// One batch of queries against the shared view, and the work counters
+/// its helpers hand back.
+struct QueryBatch {
+    view: Arc<RwLock<SharedView>>,
     queries: Vec<OracleQuery>,
     config: BranchingConfig,
-    next: AtomicUsize,
+    helper_stats: Mutex<OracleStats>,
 }
 
-impl Batch {
-    /// The next unclaimed query index, or `None` once all are claimed.
-    fn claim(&self) -> Option<usize> {
-        // Relaxed: the cursor publishes no data (the queries reach every
-        // participant through the round mutex); atomicity alone makes
-        // each index go to exactly one claimant.
-        let index = self.next.fetch_add(1, Ordering::Relaxed);
-        (index < self.queries.len()).then_some(index)
+impl Job<BranchingOracle, Option<FaultSet>> for QueryBatch {
+    fn items(&self) -> usize {
+        self.queries.len()
     }
-}
 
-/// The batch in flight and what the helpers have handed back for it.
-#[derive(Debug, Default)]
-struct Round {
-    /// Bumped once per published batch; a helper remembers the last one
-    /// it saw.
-    epoch: u64,
-    /// The batch in flight (`None` between batches).
-    batch: Option<Arc<Batch>>,
-    /// Queries of the batch in flight answered so far, by anyone.
-    done: usize,
-    /// Helper answers for the batch in flight.
-    answers: Vec<(usize, Option<FaultSet>)>,
-    /// Helper work counters for the batch in flight.
-    stats: OracleStats,
-    /// A helper panicked: no batch can complete any more.
-    dead: bool,
-    /// The oracle is being dropped: helpers exit.
-    shutdown: bool,
-}
+    fn work(&self, oracle: &mut BranchingOracle, share: &mut Share<'_, Option<FaultSet>>) {
+        oracle.set_config(self.config);
+        let view = self.view.read().expect("view lock");
+        share.answer_each(|index| view.decide(oracle, self.queries[index]));
+    }
 
-/// State shared by the caller and its helpers.
-#[derive(Debug)]
-struct Shared {
-    view: RwLock<SharedView>,
-    round: Mutex<Round>,
-    /// Signalled when a batch is published or the pool shuts down.
-    published: Condvar,
-    /// Signalled when the last answer of a batch is in, or a helper dies.
-    finished: Condvar,
-}
-
-impl Shared {
-    fn round(&self) -> MutexGuard<'_, Round> {
-        self.round.lock().expect("pool round lock")
+    fn hand_back(&self, helper: &mut BranchingOracle) {
+        let mut stats = self.helper_stats.lock().expect("helper stats lock");
+        stats.absorb(helper.stats());
+        helper.reset_stats();
     }
 }
 
@@ -171,15 +134,13 @@ impl Shared {
 /// ```
 #[derive(Debug)]
 pub struct ParallelBranchingOracle {
-    threads: usize,
     /// The caller's own oracle: single queries, and its share of every
     /// batch.
     inline: BranchingOracle,
     /// Counters absorbed from the helpers, plus the pool's own.
     stats: OracleStats,
-    shared: Arc<Shared>,
-    /// `threads − 1` helpers once spawned; always empty at width 1.
-    helpers: Vec<JoinHandle<()>>,
+    view: Arc<RwLock<SharedView>>,
+    pool: Pool<BranchingOracle, Option<FaultSet>>,
 }
 
 impl ParallelBranchingOracle {
@@ -190,19 +151,13 @@ impl ParallelBranchingOracle {
     /// oracle first costs nothing.
     pub fn new(threads: usize) -> Self {
         ParallelBranchingOracle {
-            threads: threads.max(1),
             inline: BranchingOracle::new(),
             stats: OracleStats::default(),
-            shared: Arc::new(Shared {
-                view: RwLock::new(SharedView {
-                    spanner: Graph::new(0),
-                    landmarks: Landmarks::default(),
-                }),
-                round: Mutex::new(Round::default()),
-                published: Condvar::new(),
-                finished: Condvar::new(),
-            }),
-            helpers: Vec::new(),
+            view: Arc::new(RwLock::new(SharedView {
+                spanner: Graph::new(0),
+                landmarks: Landmarks::default(),
+            })),
+            pool: Pool::new(threads),
         }
     }
 
@@ -215,7 +170,7 @@ impl ParallelBranchingOracle {
 
     /// The number of threads a batch is decided on, the caller included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.width()
     }
 
     /// Starts a construction over `parent`: builds `parent`'s landmark
@@ -238,8 +193,8 @@ impl ParallelBranchingOracle {
     /// supergraph and [`Landmarks::restrict`]ed to the parent's vertices,
     /// as a partitioned build does for its shards.
     pub fn view_reset_with(&mut self, node_count: usize, landmarks: Landmarks) {
-        self.ensure_pool();
-        let mut view = self.shared.view.write().expect("view lock");
+        self.stats.pool_spawns += u64::from(self.pool.spawn());
+        let mut view = self.view.write().expect("view lock");
         view.spanner = Graph::new(node_count);
         view.landmarks = landmarks;
     }
@@ -249,7 +204,7 @@ impl ParallelBranchingOracle {
     /// be an edge of the parent given to the last
     /// [`ParallelBranchingOracle::view_reset`], with its weight.
     pub fn view_push_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        let mut view = self.shared.view.write().expect("view lock");
+        let mut view = self.view.write().expect("view lock");
         debug_assert_parent_edge(&view.landmarks, u, v, weight);
         view.spanner.add_edge_unchecked(u, v, weight)
     }
@@ -257,7 +212,7 @@ impl ParallelBranchingOracle {
     /// Decides one query against the shared spanner view on the calling
     /// thread.
     pub fn find_blocking_faults_in_view(&mut self, query: OracleQuery) -> Option<FaultSet> {
-        let guard = self.shared.view.read().expect("view lock");
+        let guard = self.view.read().expect("view lock");
         guard.decide(&mut self.inline, query)
     }
 
@@ -274,43 +229,16 @@ impl ParallelBranchingOracle {
         queries: &[OracleQuery],
         verdicts: &mut Vec<Option<FaultSet>>,
     ) {
-        self.ensure_pool();
-        verdicts.clear();
-        verdicts.resize(queries.len(), None);
-        let batch = Arc::new(Batch {
+        self.stats.pool_spawns += u64::from(self.pool.spawn());
+        let batch = Arc::new(QueryBatch {
+            view: Arc::clone(&self.view),
             queries: queries.to_vec(),
             config: self.inline.config(),
-            next: AtomicUsize::new(0),
+            helper_stats: Mutex::new(OracleStats::default()),
         });
-        {
-            let mut round = self.shared.round();
-            round.epoch += 1;
-            round.batch = Some(Arc::clone(&batch));
-            round.done = 0;
-        }
-        self.shared.published.notify_all();
-        let mut mine = 0;
-        {
-            let view = self.shared.view.read().expect("view lock");
-            while let Some(index) = batch.claim() {
-                verdicts[index] = view.decide(&mut self.inline, queries[index]);
-                mine += 1;
-            }
-        }
-        let mut round = self.shared.round();
-        round.done += mine;
-        while round.done < queries.len() && !round.dead {
-            round = self.shared.finished.wait(round).expect("pool round lock");
-        }
-        if round.dead {
-            drop(round);
-            panic!("a pool helper died mid-batch");
-        }
-        round.batch = None;
-        for (index, found) in round.answers.drain(..) {
-            verdicts[index] = found;
-        }
-        self.stats.absorb(std::mem::take(&mut round.stats));
+        *verdicts = self.pool.run(&mut self.inline, Arc::clone(&batch));
+        self.stats
+            .absorb(*batch.helper_stats.lock().expect("helper stats lock"));
     }
 
     /// Records `count` batch verdicts the caller threw away because an
@@ -318,80 +246,6 @@ impl ParallelBranchingOracle {
     /// ([`OracleStats::speculative_rechecks`]).
     pub fn note_speculative_rechecks(&mut self, count: usize) {
         self.stats.speculative_rechecks += count as u64;
-    }
-
-    /// Spawns the `threads − 1` persistent helpers on first use (none at
-    /// width 1).
-    fn ensure_pool(&mut self) {
-        if self.threads == 1 || !self.helpers.is_empty() {
-            return;
-        }
-        self.stats.pool_spawns += 1;
-        self.helpers = (1..self.threads)
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || help(&shared))
-            })
-            .collect();
-    }
-}
-
-/// A helper's life: wait for a batch, claim and decide its queries under
-/// the view's read guard, hand the answers back once, repeat until
-/// shutdown. Its one sequential oracle lives as long as the pool, so its
-/// scratch persists across every query of every construction.
-fn help(shared: &Shared) {
-    /// Marks the pool dead if the helper unwinds, so the caller fails
-    /// the batch instead of waiting for answers that never come.
-    struct DeathNotice<'a>(&'a Shared);
-    impl Drop for DeathNotice<'_> {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                let mut round = self.0.round.lock().unwrap_or_else(PoisonError::into_inner);
-                round.dead = true;
-                self.0.finished.notify_all();
-            }
-        }
-    }
-    let _notice = DeathNotice(shared);
-    let mut oracle = BranchingOracle::new();
-    let mut answers = Vec::new();
-    let mut seen = 0;
-    loop {
-        let batch = {
-            let mut round = shared.round();
-            while round.epoch == seen && !round.shutdown {
-                round = shared.published.wait(round).expect("pool round lock");
-            }
-            if round.shutdown {
-                return;
-            }
-            seen = round.epoch;
-            match &round.batch {
-                Some(batch) => Arc::clone(batch),
-                // Woke after the batch was already answered.
-                None => continue,
-            }
-        };
-        oracle.set_config(batch.config);
-        {
-            let view = shared.view.read().expect("view lock");
-            while let Some(index) = batch.claim() {
-                answers.push((index, view.decide(&mut oracle, batch.queries[index])));
-            }
-        }
-        if answers.is_empty() {
-            continue;
-        }
-        let stats = oracle.stats();
-        oracle.reset_stats();
-        let mut round = shared.round();
-        round.done += answers.len();
-        round.answers.append(&mut answers);
-        round.stats.absorb(stats);
-        if round.done == batch.queries.len() {
-            shared.finished.notify_one();
-        }
     }
 }
 
@@ -403,21 +257,6 @@ fn debug_assert_parent_edge(landmarks: &Landmarks, u: NodeId, v: NodeId, weight:
         landmarks.potential_to(v).estimate(u) <= weight.get(),
         "{u}-{v} (weight {weight}) is no edge of the parent the table was built on"
     );
-}
-
-impl Drop for ParallelBranchingOracle {
-    fn drop(&mut self) {
-        self.shared
-            .round
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .shutdown = true;
-        self.shared.published.notify_all();
-        for helper in self.helpers.drain(..) {
-            // A helper that panicked already failed its batch.
-            let _ = helper.join();
-        }
-    }
 }
 
 impl FaultOracle for ParallelBranchingOracle {
@@ -646,12 +485,9 @@ mod tests {
         // must then panic on the calling thread within a deadline — a
         // dead helper fails the batch instead of leaving the caller
         // waiting for its answer — and dropping the oracle must not hang.
-        use std::sync::mpsc;
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
         for threads in [1usize, 2, 4] {
-            let (alive, exited) = mpsc::channel::<()>();
             let batch = std::thread::spawn(move || {
-                let _alive = alive;
                 let g = spanner_graph::generators::complete(30);
                 let mut o = ParallelBranchingOracle::new(threads).with_config(BranchingConfig {
                     use_packing: false,
@@ -662,11 +498,15 @@ mod tests {
                 queries[0].v = NodeId::new(1);
                 o.find_blocking_faults_batch_in_view(&queries, &mut Vec::new());
             });
-            assert_eq!(
-                exited.recv_timeout(Duration::from_secs(60)),
-                Err(mpsc::RecvTimeoutError::Disconnected),
-                "threads={threads}: the batch hung"
-            );
+            // The thread finishes only once the oracle is dropped too.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !batch.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "threads={threads}: the batch hung"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
             assert!(
                 batch.join().is_err(),
                 "threads={threads}: the batch did not panic"

@@ -307,7 +307,7 @@ impl ByteCsr {
 /// immutable after construction and holds no interior mutability, so it
 /// is `Send + Sync` and cheap to share across query threads behind an
 /// `Arc` — this is what the freeze-and-serve read path
-/// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its workers.
+/// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its threads.
 ///
 /// The arrays behind a `FrozenCsr` live in a [`CsrStorage`]: either
 /// owned `Vec`s, or borrowed slices of a shared aligned buffer ([`FrozenCsr::from_bytes`]) so a replica can serve

@@ -16,7 +16,8 @@
 //!   experiment harness, including Cartesian products for the lower-bound
 //!   construction.
 //! * Supporting structures: [`BitSet`], [`IndexedHeap`], [`UnionFind`],
-//!   [`subgraph`] extraction, [`bfs`] utilities, and [`dot`] export.
+//!   [`subgraph`] extraction, [`bfs`] utilities, [`dot`] export, and the
+//!   worker [`pool`] pooled construction and serving share.
 //!
 //! # Example
 //!
@@ -71,6 +72,7 @@ pub mod io;
 pub mod landmarks;
 pub mod mst;
 pub mod partition;
+pub mod pool;
 pub mod subgraph;
 pub mod transform;
 

@@ -33,8 +33,10 @@
 //!   artifact re-encodes to the exact bytes on disk. `--in-place` opens
 //!   the file zero-copy — `mmap(2)` where the platform has it, an
 //!   aligned heap copy otherwise — and serves straight out of the
-//!   buffer through the same gates. CI runs build → inspect → serve as
-//!   separate processes on every push.
+//!   buffer through the same gates. `--threads T` (1 to 256, default 2)
+//!   is the pooled server's width: the calling thread plus `T − 1`
+//!   helpers. CI runs build → inspect → serve as separate processes on
+//!   every push.
 //! * `replay` re-decodes every entry of one or more fuzz-corpus
 //!   directories (`fuzz/corpus/`, `fuzz/crashes/`) under the decode
 //!   contract — fail-closed, deterministic, canonical — and verifies
@@ -74,6 +76,11 @@ const USAGE: &str = "usage: spanner-artifact build [--family geometric|complete|
        spanner-artifact inspect PATH
        spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B] [--threads T] [--seed S]
        spanner-artifact replay DIR...";
+
+/// The largest `serve --threads` accepted: the pooled server runs the
+/// calling thread plus `threads − 1` helpers, so a larger value would
+/// only ask the OS for threads the batches cannot use.
+const MAX_SERVE_THREADS: usize = 256;
 
 /// The graph the `build` subcommand constructs over.
 enum GraphSpec {
@@ -252,6 +259,9 @@ fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     if args.epochs == 0 || args.batch == 0 || args.threads == 0 {
         return Err("--epochs, --batch and --threads must be positive".into());
     }
+    if args.threads > MAX_SERVE_THREADS {
+        return Err(format!("--threads must be at most {MAX_SERVE_THREADS}"));
+    }
     Ok(Parsed::Run(Command::Serve(args)))
 }
 
@@ -284,7 +294,7 @@ fn build_graph(spec: &GraphSpec) -> Result<Graph, String> {
 }
 
 /// The construction `build` ships and `serve` re-runs to cross-check an
-/// artifact: FT-greedy on the pooled oracle, one worker per logical CPU.
+/// artifact: FT-greedy on the pooled oracle, one thread per logical CPU.
 /// Its output is the sequential greedy's, bit for bit, at any width.
 fn construct(g: &Graph, stretch: u64, faults: usize, model: FaultModel) -> FtSpanner {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -15,11 +15,11 @@
 //!   artifact: the failure set is applied **once** per epoch, the batch
 //!   served against the interned fault view;
 //! * `par` — the same server's pooled batch entry point
-//!   ([`EpochHandle::par_route_batch`](spanner_core::EpochHandle::par_route_batch)),
-//!   persistent workers, answers reassembled in input order.
+//!   ([`EpochHandle::par_route_batch`](spanner_core::EpochHandle::par_route_batch)):
+//!   the caller and the server's pool helpers claim chunks, in order.
 //!
 //! Grid: failure scenario (`clear` / `random-f` / `witness-replay`) ×
-//! fault budget × batch size, at a fixed worker-pool width. Every cell
+//! fault budget × batch size, at a fixed pool width. Every cell
 //! first asserts all three paths returned **bit-identical answers**
 //! (routes, edges, distances, errors — the property the proptest suite
 //! pins), then reports queries/second and speedups vs the router
@@ -166,7 +166,7 @@ fn measure(
 }
 
 /// Runs the scenario × budget × batch sweep and returns every cell.
-/// `threads` is the pooled path's worker count; `repeats` the min-of-N
+/// `threads` is the pooled path's width; `repeats` the min-of-N
 /// methodology.
 pub fn sweep(ctx: &ExperimentContext, threads: usize, repeats: usize) -> Vec<ThroughputCell> {
     let n = ctx.pick(24, 64, 96);
@@ -218,7 +218,7 @@ pub fn sweep(ctx: &ExperimentContext, threads: usize, repeats: usize) -> Vec<Thr
                 });
 
                 // Path 3: pooled epoch batches over a shared server.
-                // Warm the pool outside the timed region (worker spawn
+                // Warm the pool outside the timed region (helper spawn
                 // is a one-off cost).
                 let pooled = EpochServer::new(Arc::clone(&frozen)).with_threads(threads);
                 let _ = pooled

@@ -19,8 +19,8 @@
 //!   `route_batch` calls against the shared interned views;
 //! * `coalesced` — the [`BatchCoalescer`] front-end: every tenant
 //!   submits its batch, one `flush` serves each distinct fault view in
-//!   a single amortized pass (pooled over the server's worker pool when
-//!   `threads > 1`).
+//!   a single amortized pass (pooled on the server's pool when
+//!   `threads > 1`, the flushing thread included).
 //!
 //! Grid: tenants × serving threads × batch size at a fixed budget
 //! `f = 1`. Every cell asserts all three strategies returned
@@ -60,7 +60,7 @@ pub struct TenantsCell {
     pub tenants: usize,
     /// Distinct fault views among the tenants (`max(1, tenants/2)`).
     pub views: usize,
-    /// OS threads (shared path) / worker-pool width (coalesced path).
+    /// OS threads (shared path) / pool width (coalesced path).
     pub threads: usize,
     /// Queries per tenant.
     pub batch: usize,
@@ -268,7 +268,7 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<TenantsCell> {
 
                 // Strategy 3: the coalescer — every tenant submits,
                 // one flush serves each distinct view in one pass,
-                // pooled when the server has workers. Warm the pool
+                // pooled when the server has helpers. Warm the pool
                 // outside the timed region (spawn is a one-off cost).
                 let pooled = EpochServer::new(Arc::clone(&frozen)).with_threads(threads);
                 let _ = serve_coalesced(&pooled, &plan[..1]);

@@ -101,3 +101,37 @@ fn every_bench_binary_rejects_a_check_flag_without_a_value() {
         "scenarios: expected the shared needs-a-value diagnostic, got: {stderr:?}"
     );
 }
+
+#[test]
+fn serve_rejects_an_oversized_thread_count_before_opening_anything() {
+    // Parsing fails before any artifact is opened (the path need not
+    // exist), so no thread is ever asked for.
+    for threads in ["257", "1000000"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_spanner-artifact"),
+            &["serve", "no-such-artifact.vfts", "--threads", threads],
+        );
+        assert!(
+            !out.status.success(),
+            "--threads {threads} must be rejected"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("spanner-artifact: ")
+                && stderr.contains("--threads must be at most 256"),
+            "--threads {threads}: expected the bound on stderr, got: {stderr:?}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "--threads {threads}: a usage reminder must accompany the rejection"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "--threads {threads}: must not panic: {stderr:?}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "--threads {threads}: stdout must stay empty"
+        );
+    }
+}
