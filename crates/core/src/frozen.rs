@@ -22,8 +22,19 @@
 //!
 //! Freeze from either layer: [`Spanner::freeze`](crate::Spanner::freeze)
 //! seals the subgraph alone; [`FtSpanner::freeze`](crate::FtSpanner::freeze)
-//! additionally records the parent handle, budget, model and witnesses
+//! additionally records the parent graph, budget, model and witnesses
 //! (the metadata adversarial replay and stretch audits feed on).
+//!
+//! # One representation
+//!
+//! An artifact always lives in its canonical `VFTSPANR` bytes (below)
+//! and reads every table in place from them. Freezing writes the
+//! section payloads, seals them into one aligned buffer and loads that
+//! buffer through the same validation [`FrozenSpanner::open`] runs, so
+//! a freshly frozen artifact, a decoded one and one opened over a
+//! mapped file differ only in where their bytes came from. The parent
+//! graph is decoded from its section on first use; witness records are
+//! read one at a time.
 //!
 //! # Persistence: build once, serve many
 //!
@@ -34,7 +45,8 @@
 //! [`spanner_graph::io::binary`]; byte-level spec in
 //! `docs/ARTIFACT_FORMAT.md`) and [`FrozenSpanner::decode`] loads it
 //! back — in another process, on another machine — without re-running
-//! FT-greedy. Everything a serving replica needs travels in the bytes:
+//! FT-greedy. Encoding re-frames `META` from the parsed fields and
+//! re-emits every other section from its validated bytes. Everything a serving replica needs travels in the bytes:
 //! the packed adjacency, stretch/budget/model metadata, the witness
 //! map, both parent↔spanner edge translation tables (the inverse stored
 //! rather than re-derived, so decode's allocations stay bounded by the
@@ -212,112 +224,48 @@ fn inconsistent(context: &'static str, detail: String) -> ArtifactError {
 /// Sentinel in the parent→spanner edge map for "not kept".
 const NOT_KEPT: u32 = u32::MAX;
 
-/// The spanner↔parent edge translation tables: owned `Vec`s (freeze) or
-/// in-place reads over a shared buffer (decode and open).
-/// Both store the forward table (spanner edge → parent edge id) and the
-/// precomputed inverse, in the same canonical byte format.
+/// The spanner↔parent edge translation tables, read in place from the
+/// `PARENT_EDGES` section: the forward table (spanner edge → parent edge
+/// id) and the precomputed inverse.
 #[derive(Clone, Debug)]
-enum TranslationTables {
-    Owned {
-        parent_edges: Vec<EdgeId>,
-        spanner_of_parent: Vec<u32>,
-    },
-    Bytes {
-        bytes: SharedBytes,
-        /// Absolute section range inside `bytes` (raw re-encode).
-        at: usize,
-        len: usize,
-        fwd_count: usize,
-        inv_count: usize,
-    },
+struct TranslationTables {
+    bytes: SharedBytes,
+    /// Absolute section range inside `bytes` (raw re-encode).
+    at: usize,
+    len: usize,
+    fwd_count: usize,
+    inv_count: usize,
 }
 
 impl TranslationTables {
-    fn fwd_len(&self) -> usize {
-        match self {
-            TranslationTables::Owned { parent_edges, .. } => parent_edges.len(),
-            TranslationTables::Bytes { fwd_count, .. } => *fwd_count,
-        }
-    }
-
     /// Parent edge id of spanner edge `i`. Panics if `i` is out of range.
     fn fwd(&self, i: usize) -> EdgeId {
-        match self {
-            TranslationTables::Owned { parent_edges, .. } => parent_edges[i],
-            TranslationTables::Bytes {
-                bytes,
-                at,
-                fwd_count,
-                ..
-            } => {
-                assert!(i < *fwd_count, "spanner edge out of range");
-                EdgeId::from(read_u32_at(bytes.as_slice(), at + 8 + 4 * i))
-            }
-        }
-    }
-
-    fn inv_len(&self) -> usize {
-        match self {
-            TranslationTables::Owned {
-                spanner_of_parent, ..
-            } => spanner_of_parent.len(),
-            TranslationTables::Bytes { inv_count, .. } => *inv_count,
-        }
+        assert!(i < self.fwd_count, "spanner edge out of range");
+        EdgeId::from(read_u32_at(self.bytes.as_slice(), self.at + 8 + 4 * i))
     }
 
     /// Inverse slot of parent edge `s` (`NOT_KEPT` when not kept).
     /// Panics if `s` is out of range.
     fn inv(&self, s: usize) -> u32 {
-        match self {
-            TranslationTables::Owned {
-                spanner_of_parent, ..
-            } => spanner_of_parent[s],
-            TranslationTables::Bytes {
-                bytes,
-                at,
-                fwd_count,
-                inv_count,
-                ..
-            } => {
-                assert!(s < *inv_count, "parent edge slot out of range");
-                read_u32_at(bytes.as_slice(), at + 16 + 4 * fwd_count + 4 * s)
-            }
-        }
+        assert!(s < self.inv_count, "parent edge slot out of range");
+        read_u32_at(
+            self.bytes.as_slice(),
+            self.at + 16 + 4 * self.fwd_count + 4 * s,
+        )
     }
 
-    /// The canonical `PARENT_EDGES` section payload.
-    fn payload(&self) -> Vec<u8> {
-        match self {
-            TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            } => {
-                let mut out =
-                    Vec::with_capacity(16 + 4 * (parent_edges.len() + spanner_of_parent.len()));
-                put_u64(&mut out, parent_edges.len() as u64);
-                for id in parent_edges {
-                    put_u32(&mut out, id.raw());
-                }
-                put_u64(&mut out, spanner_of_parent.len() as u64);
-                for own in spanner_of_parent {
-                    put_u32(&mut out, *own);
-                }
-                out
-            }
-            TranslationTables::Bytes { bytes, at, len, .. } => {
-                bytes.as_slice()[*at..*at + *len].to_vec()
-            }
-        }
+    /// The raw `PARENT_EDGES` section payload.
+    fn payload(&self) -> &[u8] {
+        &self.bytes.as_slice()[self.at..self.at + self.len]
     }
 }
 
-/// Where the parent graph lives: absent, held (freeze), or raw section
-/// bytes decoded lazily on first use and memoized — clones share the
-/// memo cell, so one decode serves every handle.
+/// Where the parent graph lives: absent, or raw section bytes decoded
+/// lazily on first use and memoized — clones share the memo cell, so one
+/// decode serves every handle.
 #[derive(Clone, Debug)]
 enum ParentStore {
     None,
-    Eager(Arc<Graph>),
     Lazy {
         bytes: SharedBytes,
         at: usize,
@@ -326,17 +274,16 @@ enum ParentStore {
     },
 }
 
-/// Where the witness map lives: held (freeze), raw fixed-stride section
-/// bytes read in place, or detached at build time (routing-only
-/// replica). A bytes store reads single records on demand and decodes
-/// the full map only when [`FrozenSpanner::witnesses`] forces it
-/// (memoized, shared across clones).
+/// Where the witness map lives: raw fixed-stride section bytes read in
+/// place, or detached at build time (routing-only replica). A bytes
+/// store reads single records on demand and decodes the full map only
+/// when [`FrozenSpanner::witnesses`] forces it (memoized, shared across
+/// clones).
 ///
 /// The `touched` counter meters witness-section bytes actually read,
 /// shared across clones like the memo cell.
 #[derive(Clone, Debug)]
 enum WitnessStore {
-    Eager(Vec<FaultSet>),
     Bytes {
         bytes: SharedBytes,
         /// Witness section range inside `bytes`.
@@ -387,45 +334,67 @@ impl FrozenSpanner {
     /// witnesses); the artifact [`Spanner::freeze`](crate::Spanner::freeze)
     /// builds.
     pub fn from_spanner(spanner: &Spanner) -> Self {
-        FrozenSpanner::assemble(spanner, None, None, FaultModel::Vertex, Vec::new())
+        FrozenSpanner::assemble(spanner, None, None, FaultModel::Vertex, &[])
     }
 
     /// Seals a spanner together with its construction metadata; the
     /// artifact [`FtSpanner::freeze`](crate::FtSpanner::freeze) builds.
     ///
+    /// Writes the section payloads [`FrozenSpanner::encode`] emits, seals
+    /// them into one aligned buffer and loads that buffer the way
+    /// [`FrozenSpanner::open`] does, so a freshly frozen artifact is
+    /// validated exactly like one read from disk and serves from the same
+    /// in-place representation.
+    ///
     /// # Panics
     ///
     /// Panics unless every witness holds at most `budget` ids (none
     /// without a budget) in `model` — the bound the fixed-stride witness
-    /// section is laid out by.
+    /// section is laid out by — and there is one witness per spanner edge
+    /// or none.
     pub(crate) fn assemble(
         spanner: &Spanner,
-        parent: Option<Arc<Graph>>,
+        parent: Option<&Graph>,
         budget: Option<usize>,
         model: FaultModel,
-        witnesses: Vec<FaultSet>,
+        witnesses: &[FaultSet],
     ) -> Self {
         let f = budget.unwrap_or(0);
         assert!(
             witnesses.iter().all(|w| w.model() == model && w.len() <= f),
             "every witness must hold at most f = {f} ids in the {model} model"
         );
-        let parent_edges = spanner.parent_edge_ids().to_vec();
-        let spanner_of_parent =
-            inverse_translation(parent.as_ref().map(|p| p.edge_count()), &parent_edges);
-        FrozenSpanner {
-            csr: FrozenCsr::from_view(spanner.graph()),
-            parent: parent.map_or(ParentStore::None, ParentStore::Eager),
-            tables: TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            },
+        let graph = spanner.graph();
+        let meta = MetaFields {
             stretch: spanner.stretch(),
-            budget,
             model,
-            witnesses: WitnessStore::Eager(witnesses),
-            landmarks: Arc::default(),
+            budget,
+            node_count: graph.node_count(),
+            edge_count: graph.edge_count(),
+        };
+        let mut adjacency = Vec::new();
+        FrozenCsr::write_view(graph, &mut adjacency);
+        let mut w = ContainerWriter::new(ARTIFACT_MAGIC, 0);
+        w.section(SECTION_META, meta_payload(&meta));
+        w.section(SECTION_SPANNER, adjacency);
+        // Both translation directions travel in the bytes. The inverse
+        // is derivable from the forward table, but *storing* it is what
+        // keeps decode's allocations bounded by the input: its length is
+        // then guarded against the bytes actually present, where a
+        // re-derived table would be sized by an attacker-controlled
+        // maximum id.
+        w.section(
+            SECTION_PARENT_EDGES,
+            tables_payload(parent.map(Graph::edge_count), spanner.parent_edge_ids()),
+        );
+        w.section(SECTION_WITNESSES, witness_payload(witnesses, f));
+        if let Some(parent) = parent {
+            let mut payload = Vec::new();
+            binary::write_view_payload(parent, &mut payload);
+            w.section(SECTION_PARENT, payload);
         }
+        Self::load(SharedBytes::from_vec(w.finish()))
+            .unwrap_or_else(|e| panic!("a freshly sealed artifact must validate: {e}"))
     }
 
     /// The packed adjacency queries run over.
@@ -436,8 +405,9 @@ impl FrozenSpanner {
     /// The landmark table single-pair serving runs A* on (see
     /// [`spanner_graph::landmarks`]). Built from the unfaulted adjacency
     /// on first use, then memoized and shared by every clone; it is a pure
-    /// function of the adjacency, so owned and in-place artifacts of the
-    /// same bytes build identical tables. Never part of the encoding.
+    /// function of the adjacency, so every artifact of the same bytes
+    /// (frozen, decoded or opened) builds an identical table. Never part
+    /// of the encoding.
     pub fn landmarks(&self) -> &Landmarks {
         self.landmarks.get_or_init(|| Landmarks::build(&self.csr))
     }
@@ -469,12 +439,6 @@ impl FrozenSpanner {
         self.model
     }
 
-    /// Whether this artifact serves its packed tables in place from a
-    /// shared buffer (the [`FrozenSpanner::open`] path).
-    pub fn is_in_place(&self) -> bool {
-        self.csr.is_in_place()
-    }
-
     /// Whether the witness section was detached at build time
     /// (routing-only replica).
     pub fn witnesses_detached(&self) -> bool {
@@ -484,32 +448,33 @@ impl FrozenSpanner {
     /// Witness-section bytes this artifact has actually read so far:
     /// exactly one `4 + 4f`-byte record per
     /// [`FrozenSpanner::witnesses_for`] lookup, plus the whole section
-    /// once when [`FrozenSpanner::witnesses`] forces the full map. Always
-    /// 0 for held or detached stores — the meter exists for the in-place
-    /// serving path, where "how many bytes did that lookup fault in" is
-    /// the quantity worth watching.
+    /// once when [`FrozenSpanner::witnesses`] forces the full map; 0 on a
+    /// routing-only replica, which reads none. Every artifact — frozen,
+    /// decoded or opened — reads its witnesses from the section bytes,
+    /// so "how many bytes did that lookup fault in" means the same on
+    /// each.
     pub fn witness_bytes_touched(&self) -> u64 {
         match &self.witnesses {
             WitnessStore::Bytes { touched, .. } => touched.load(Ordering::Relaxed),
-            _ => 0,
+            WitnessStore::Detached => 0,
         }
     }
 
     /// The parent graph handle, when the artifact carries one.
     ///
-    /// On an artifact loaded via [`FrozenSpanner::open`] the parent
-    /// section is decoded (and fully cross-checked against the spanner)
-    /// on first use, then memoized — including a memoized failure.
+    /// The parent section is decoded (and fully cross-checked against
+    /// the spanner) on first use, then memoized — including a memoized
+    /// failure.
     ///
     /// # Errors
     ///
     /// [`ArtifactError`] when the lazily-decoded parent section is
-    /// corrupt or contradicts the spanner sections. Artifacts built in
-    /// process or decoded eagerly never fail here.
+    /// corrupt or contradicts the spanner sections. Artifacts decoded
+    /// eagerly, and artifacts frozen against the parent their spanner
+    /// was built from, never fail here.
     pub fn parent(&self) -> Result<Option<&Arc<Graph>>, ArtifactError> {
         match &self.parent {
             ParentStore::None => Ok(None),
-            ParentStore::Eager(g) => Ok(Some(g)),
             ParentStore::Lazy {
                 bytes,
                 at,
@@ -533,8 +498,7 @@ impl FrozenSpanner {
     /// The recorded witness fault sets, indexed by spanner edge id
     /// (empty when frozen from a bare spanner).
     ///
-    /// On an artifact read from bytes the witness section is decoded on
-    /// first use, then memoized.
+    /// The witness section is decoded on first use, then memoized.
     ///
     /// # Errors
     ///
@@ -542,7 +506,6 @@ impl FrozenSpanner {
     /// otherwise an [`ArtifactError`] when a witness record is corrupt.
     pub fn witnesses(&self) -> Result<&[FaultSet], ArtifactError> {
         match &self.witnesses {
-            WitnessStore::Eager(w) => Ok(w),
             WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
             WitnessStore::Bytes {
                 bytes,
@@ -571,11 +534,10 @@ impl FrozenSpanner {
 
     /// The witness fault set of one spanner edge.
     ///
-    /// On an artifact read from bytes this reads and validates exactly
-    /// edge `edge`'s `4 + 4f`-byte record — O(f) per call, no up-front
-    /// scan, nothing memoized. An artifact carrying no witness map
-    /// (frozen from a bare [`Spanner`]) answers with an empty set in the
-    /// artifact's fault model.
+    /// Reads and validates exactly edge `edge`'s `4 + 4f`-byte record —
+    /// O(f) per call, no up-front scan, nothing memoized. An artifact
+    /// carrying no witness map (frozen from a bare [`Spanner`]) answers
+    /// with an empty set in the artifact's fault model.
     ///
     /// # Errors
     ///
@@ -592,10 +554,6 @@ impl FrozenSpanner {
         }
         match &self.witnesses {
             WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
-            WitnessStore::Eager(sets) => Ok(sets
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| FaultSet::empty(self.model))),
             WitnessStore::Bytes { count: 0, .. } => Ok(FaultSet::empty(self.model)),
             WitnessStore::Bytes {
                 bytes,
@@ -673,7 +631,7 @@ impl FrozenSpanner {
 
     /// All kept parent edge ids, in spanner edge-id order.
     pub fn parent_edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.tables.fwd_len()).map(move |i| self.tables.fwd(i))
+        (0..self.tables.fwd_count).map(move |i| self.tables.fwd(i))
     }
 
     /// The spanner copy of a parent edge, if it was kept (O(1), unlike
@@ -681,7 +639,7 @@ impl FrozenSpanner {
     /// [`Spanner`] would need).
     pub fn spanner_edge_of_parent(&self, parent_edge: EdgeId) -> Option<EdgeId> {
         let s = parent_edge.index();
-        if s >= self.tables.inv_len() {
+        if s >= self.tables.inv_count {
             return None;
         }
         match self.tables.inv(s) {
@@ -707,13 +665,15 @@ impl FrozenSpanner {
     }
 }
 
-/// Builds the parent→spanner inverse of a `parent_edges` table: one slot
-/// per parent edge id (the parent's edge count when the handle is
-/// available, otherwise just enough to cover the referenced ids),
-/// `NOT_KEPT` where the parent edge did not survive. Decoding never
-/// derives the table: `validate_tables` proves the stored inverse equal
-/// to it in place, so allocations stay bounded by the input.
-fn inverse_translation(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]) -> Vec<u32> {
+/// Serializes the canonical `PARENT_EDGES` section payload: the forward
+/// table (`count u64`, then one parent edge id per spanner edge) and its
+/// inverse (`slots u64`, then one spanner edge id or `NOT_KEPT` per
+/// parent edge id). The inverse has one slot per parent edge when the
+/// parent's edge count is known, otherwise just enough to cover the
+/// referenced ids. Loading never derives the inverse: `validate_tables`
+/// proves the stored one equal to it in place, so allocations stay
+/// bounded by the input.
+fn tables_payload(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]) -> Vec<u8> {
     let slots = parent_edge_count.unwrap_or(0).max(
         parent_edges
             .iter()
@@ -725,7 +685,16 @@ fn inverse_translation(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]
     for (own, parent_id) in parent_edges.iter().enumerate() {
         spanner_of_parent[parent_id.index()] = own as u32;
     }
-    spanner_of_parent
+    let mut out = Vec::with_capacity(16 + 4 * (parent_edges.len() + slots));
+    put_u64(&mut out, parent_edges.len() as u64);
+    for id in parent_edges {
+        put_u32(&mut out, id.raw());
+    }
+    put_u64(&mut out, slots as u64);
+    for own in spanner_of_parent {
+        put_u32(&mut out, own);
+    }
+    out
 }
 
 /// The fields of a parsed `META` section.
@@ -735,6 +704,21 @@ struct MetaFields {
     budget: Option<usize>,
     node_count: usize,
     edge_count: usize,
+}
+
+/// Serializes the 34-byte `META` payload.
+fn meta_payload(meta: &MetaFields) -> Vec<u8> {
+    let mut out = Vec::with_capacity(34);
+    put_u64(&mut out, meta.stretch);
+    out.push(match meta.model {
+        FaultModel::Vertex => 0,
+        FaultModel::Edge => 1,
+    });
+    out.push(meta.budget.is_some() as u8);
+    put_u64(&mut out, meta.budget.unwrap_or(0) as u64);
+    put_u64(&mut out, meta.node_count as u64);
+    put_u64(&mut out, meta.edge_count as u64);
+    out
 }
 
 /// Parses the 34-byte `META` payload.
@@ -953,7 +937,7 @@ fn validate_tables(
             format!("inverse has {inv_count} slots, canonical is {max_fwd_plus1}"),
         ));
     }
-    Ok(TranslationTables::Bytes {
+    Ok(TranslationTables {
         bytes: bytes.clone(),
         at,
         len,
@@ -990,61 +974,29 @@ impl FrozenSpanner {
             0
         };
         let mut w = ContainerWriter::new(ARTIFACT_MAGIC, flags);
-        w.section(SECTION_META, self.meta_payload());
-        let mut spanner = Vec::with_capacity(self.csr.payload_len());
-        self.csr.write_payload(&mut spanner);
-        w.section(SECTION_SPANNER, spanner);
-        // Both translation directions travel in the bytes. The inverse
-        // is derivable from the forward table, but *storing* it is what
-        // keeps decode's allocations bounded by the input: its length is
-        // then guarded against the bytes actually present, where a
-        // re-derived table would be sized by an attacker-controlled
-        // maximum id.
-        w.section(SECTION_PARENT_EDGES, self.tables.payload());
-        // Sections held as raw (validated) bytes are re-emitted as they
-        // are, so re-encoding never forces a decode and stays canonical.
-        match &self.witnesses {
-            WitnessStore::Eager(sets) => {
-                w.section(
-                    SECTION_WITNESSES,
-                    witness_payload(sets, self.budget.unwrap_or(0)),
-                );
-            }
-            WitnessStore::Bytes { bytes, at, len, .. } => {
-                w.section(
-                    SECTION_WITNESSES,
-                    bytes.as_slice()[*at..*at + *len].to_vec(),
-                );
-            }
-            WitnessStore::Detached => {}
+        // META is re-framed from the parsed fields and every other
+        // section re-emitted from its validated bytes, so re-encoding
+        // never forces a decode and stays canonical.
+        let meta = MetaFields {
+            stretch: self.stretch,
+            model: self.model,
+            budget: self.budget,
+            node_count: self.node_count(),
+            edge_count: self.edge_count(),
+        };
+        w.section(SECTION_META, meta_payload(&meta));
+        w.section(SECTION_SPANNER, self.csr.payload().to_vec());
+        w.section(SECTION_PARENT_EDGES, self.tables.payload().to_vec());
+        if let WitnessStore::Bytes { bytes, at, len, .. } = &self.witnesses {
+            w.section(
+                SECTION_WITNESSES,
+                bytes.as_slice()[*at..*at + *len].to_vec(),
+            );
         }
-        match &self.parent {
-            ParentStore::None => {}
-            ParentStore::Eager(parent) => {
-                let mut payload = Vec::new();
-                binary::write_view_payload(parent.as_ref(), &mut payload);
-                w.section(SECTION_PARENT, payload);
-            }
-            ParentStore::Lazy { bytes, at, len, .. } => {
-                w.section(SECTION_PARENT, bytes.as_slice()[*at..*at + *len].to_vec());
-            }
+        if let ParentStore::Lazy { bytes, at, len, .. } = &self.parent {
+            w.section(SECTION_PARENT, bytes.as_slice()[*at..*at + *len].to_vec());
         }
         w.finish()
-    }
-
-    /// The 34-byte `META` section payload.
-    fn meta_payload(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(34);
-        put_u64(&mut meta, self.stretch);
-        meta.push(match self.model {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        meta.push(self.budget.is_some() as u8);
-        put_u64(&mut meta, self.budget.unwrap_or(0) as u64);
-        put_u64(&mut meta, self.node_count() as u64);
-        put_u64(&mut meta, self.edge_count() as u64);
-        meta
     }
 
     /// The identity: a copy of this artifact, which already has the only
@@ -1081,15 +1033,26 @@ impl FrozenSpanner {
     /// sections. No input, however hostile, can cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<FrozenSpanner, ArtifactError> {
         let frozen = Self::load(SharedBytes::copy_aligned(bytes))?;
-        // Force (and memoize) the lazy sections so decode() means "the
-        // whole file is valid". A detached witness store is not an
-        // invalid file.
-        frozen.parent()?;
-        match frozen.witnesses() {
-            Ok(_) | Err(ArtifactError::WitnessesDetached) => {}
-            Err(e) => return Err(e),
-        }
+        frozen.force_sections()?;
         Ok(frozen)
+    }
+
+    /// Decodes (and memoizes) the sections [`FrozenSpanner::open`] leaves
+    /// lazy — the parent graph and every witness record — so success
+    /// means "the whole artifact is valid", as after
+    /// [`FrozenSpanner::decode`]. A detached witness section is not a
+    /// defect.
+    ///
+    /// # Errors
+    ///
+    /// The [`ArtifactError`] of the first corrupt section: the parent's,
+    /// then the first bad witness record's.
+    pub fn force_sections(&self) -> Result<(), ArtifactError> {
+        self.parent()?;
+        match self.witnesses() {
+            Ok(_) | Err(ArtifactError::WitnessesDetached) => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Opens an artifact **in place**: the packed adjacency and
@@ -1237,17 +1200,17 @@ impl FrozenSpanner {
         }
         // Canonical inverse size when a parent travels with the
         // artifact: one slot per parent edge.
-        if self.tables.inv_len() != parent.edge_count() {
+        if self.tables.inv_count != parent.edge_count() {
             return Err(inconsistent(
                 "parent-edge table",
                 format!(
                     "inverse has {} slots, parent has {} edges",
-                    self.tables.inv_len(),
+                    self.tables.inv_count,
                     parent.edge_count()
                 ),
             ));
         }
-        for own in 0..self.tables.fwd_len() {
+        for own in 0..self.tables.fwd_count {
             let parent_id = self.tables.fwd(own);
             if parent_id.index() >= parent.edge_count() {
                 return Err(inconsistent(
@@ -1341,9 +1304,7 @@ mod tests {
 
     /// The in-place CSR payload of a frozen adjacency.
     fn csr_payload(csr: &FrozenCsr) -> Vec<u8> {
-        let mut out = Vec::new();
-        csr.write_payload(&mut out);
-        out
+        csr.payload().to_vec()
     }
 
     #[test]
@@ -1405,7 +1366,6 @@ mod tests {
         let bytes = frozen.encode();
         let decoded = FrozenSpanner::decode(&bytes).unwrap();
         let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes)).unwrap();
-        assert!(opened.is_in_place());
         assert_eq!(decoded.landmarks(), opened.landmarks());
         assert_eq!(frozen.landmarks(), opened.landmarks());
         // The table is never encoded: building it leaves the bytes alone.

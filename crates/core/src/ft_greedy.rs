@@ -407,16 +407,16 @@ impl FtSpanner {
 
     /// Seals the construction into an immutable
     /// [`FrozenSpanner`](crate::FrozenSpanner) serving artifact carrying
-    /// the full metadata: a handle on `parent` (cloned once, shared via
-    /// `Arc` from then on), the fault budget and model it was built for,
-    /// and the recorded witness fault sets.
+    /// the full metadata: `parent` (written into the artifact's bytes and
+    /// decoded back on first use), the fault budget and model it was
+    /// built for, and the recorded witness fault sets.
     pub fn freeze(&self, parent: &Graph) -> crate::FrozenSpanner {
         crate::FrozenSpanner::assemble(
             &self.spanner,
-            Some(std::sync::Arc::new(parent.clone())),
+            Some(parent),
             Some(self.faults),
             self.model,
-            self.witnesses.clone(),
+            &self.witnesses,
         )
     }
 }

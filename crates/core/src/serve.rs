@@ -923,9 +923,10 @@ pub struct BatchCoalescer {
     inner: Arc<ServerInner>,
     scratch: Scratch,
     groups: Vec<CoalescedGroup>,
-    /// Per submission: (group index, offset into the group's pairs,
-    /// pair count); no group for a foreign session.
-    submissions: Vec<(Option<usize>, usize, usize)>,
+    /// Per submission: (group index, pair count); no group for a
+    /// foreign session. A group's submissions hold consecutive runs of
+    /// its pairs, in submission order.
+    submissions: Vec<(Option<usize>, usize)>,
 }
 
 impl BatchCoalescer {
@@ -944,7 +945,6 @@ impl BatchCoalescer {
     /// answer vector. A session of a server over another artifact fails
     /// closed: each of its pairs gets [`RouteError::ForeignSession`].
     pub fn submit(&mut self, session: &EpochHandle, pairs: &[(NodeId, NodeId)]) -> Ticket {
-        let mut offset = 0;
         let group = Arc::ptr_eq(&self.inner.frozen, &session.inner.frozen).then(|| {
             let view = &session.view;
             let group = (self.groups.iter())
@@ -956,11 +956,10 @@ impl BatchCoalescer {
                     });
                     self.groups.len() - 1
                 });
-            offset = self.groups[group].pairs.len();
             self.groups[group].pairs.extend_from_slice(pairs);
             group
         });
-        self.submissions.push((group, offset, pairs.len()));
+        self.submissions.push((group, pairs.len()));
         Ticket(self.submissions.len() - 1)
     }
 
@@ -981,13 +980,17 @@ impl BatchCoalescer {
     /// answers, indexed by [`Ticket::index`]. Resets the coalescer for
     /// the next round.
     pub fn flush(&mut self) -> Vec<Vec<Result<Route, RouteError>>> {
-        let group_answers: Vec<_> = (self.groups.drain(..))
-            .map(|group| serve_pooled(&self.inner, &group.view, &mut self.scratch, &group.pairs))
+        // Each submission moves its answers out of its group's vector:
+        // walking submissions in order takes every group's runs in order.
+        let mut group_answers: Vec<_> = (self.groups.drain(..))
+            .map(|group| {
+                serve_pooled(&self.inner, &group.view, &mut self.scratch, &group.pairs).into_iter()
+            })
             .collect();
         self.submissions
             .drain(..)
-            .map(|(group, offset, len)| match group {
-                Some(group) => group_answers[group][offset..offset + len].to_vec(),
+            .map(|(group, len)| match group {
+                Some(group) => group_answers[group].by_ref().take(len).collect(),
                 None => vec![Err(RouteError::ForeignSession); len],
             })
             .collect()

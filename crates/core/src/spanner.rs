@@ -157,8 +157,10 @@ impl Spanner {
     }
 
     /// Seals this spanner into an immutable, `Send + Sync`
-    /// [`FrozenSpanner`](crate::FrozenSpanner) serving artifact: packed
-    /// CSR adjacency, O(1) parent-edge translation, shareable via `Arc`.
+    /// [`FrozenSpanner`](crate::FrozenSpanner) serving artifact: the
+    /// packed CSR adjacency and O(1) parent-edge translation, sealed into
+    /// the artifact's canonical bytes and read in place, shareable via
+    /// `Arc`.
     /// Construction metadata (parent handle, budget, witnesses) is only
     /// recorded by [`FtSpanner::freeze`](crate::FtSpanner::freeze); a bare
     /// spanner has none to give.

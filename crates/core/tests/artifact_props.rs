@@ -255,3 +255,56 @@ fn open_rejects_an_offset_by_one_buffer() {
     let err = FrozenSpanner::open(shared).unwrap_err();
     assert_eq!(err.code(), "artifact/misaligned-section", "{err}");
 }
+
+/// The bytes `freeze(..).encode()` writes are pinned across changes to
+/// how an artifact is sealed: a few fixed instances and the word-wise
+/// FNV digest of their encodings. A change to these digests is a format
+/// change (rebuild every artifact, bump `FORMAT_VERSION`), never a
+/// refactor.
+#[test]
+fn encoded_bytes_match_their_golden_digests() {
+    use spanner_core::greedy_spanner;
+    use spanner_graph::generators::{complete, grid, petersen};
+    use spanner_graph::io::binary::fnv1a64_words;
+
+    let k8 = complete(8);
+    let vertex = FtGreedy::new(&k8, 3).faults(1).run().freeze(&k8);
+    let mesh = grid(4, 5);
+    let edge = FtGreedy::new(&mesh, 3)
+        .faults(2)
+        .model(FaultModel::Edge)
+        .run()
+        .freeze(&mesh);
+    let bare = greedy_spanner(&petersen(), 3).freeze();
+    let detached = vertex.detach_witnesses();
+    for (what, frozen, digest, len) in [
+        (
+            "complete(8), f = 1, vertex",
+            &vertex,
+            0xbdb5_f5c2_bf08_63d0u64,
+            1632,
+        ),
+        (
+            "grid(4, 5), f = 2, edge",
+            &edge,
+            0xd0ac_af21_8c51_3cca,
+            2944,
+        ),
+        ("bare greedy petersen", &bare, 0x8226_9087_da14_1072, 1096),
+        (
+            "detached complete(8)",
+            &detached,
+            0xd7ed_35a5_875a_0770,
+            1496,
+        ),
+    ] {
+        let bytes = frozen.encode();
+        assert_eq!(bytes.len(), len, "{what}");
+        assert_eq!(
+            fnv1a64_words(&bytes),
+            digest,
+            "{what}: {:#018x}",
+            fnv1a64_words(&bytes)
+        );
+    }
+}

@@ -1,16 +1,20 @@
 //! Zero-copy serving must be invisible in the answers.
 //!
-//! The `VFTSPANR` layout is read in place: [`FrozenSpanner::open`]
-//! borrows the packed adjacency straight out of an aligned byte buffer
-//! ([`MappedSpanner`]) instead of decoding it into owned tables. These
-//! property tests pin the whole point of that machinery: across random
-//! weighted graphs, both fault models, and budgets `f ∈ {0, 1, 2}`,
-//! a server over the **mapped** artifact answers every epoch'd
-//! `route_batch` and `par_route_batch` bit-identically (routes, edges,
-//! distances, errors) to a server over the same artifact **eagerly
-//! decoded** — and so does the routing-only detached-witness variant,
+//! Every artifact is read in place from its `VFTSPANR` bytes: a freshly
+//! frozen one from the buffer `freeze` sealed, a decoded one from an
+//! aligned heap copy with its lazy sections forced, and an opened one
+//! ([`FrozenSpanner::open`] → [`MappedSpanner`]) from whatever buffer the
+//! caller supplies. These property tests pin that the source of the
+//! bytes never shows: across random weighted graphs, both fault models,
+//! and budgets `f ∈ {0, 1, 2}`, a server over the **mapped** artifact
+//! answers every epoch'd `route_batch` and `par_route_batch`
+//! bit-identically (routes, edges, distances, errors) to a server over
+//! the same artifact **decoded**, and to one over the freshly frozen
+//! artifact — and so does the routing-only detached-witness variant,
 //! whose answers cannot depend on the witness section it no longer
 //! carries.
+//!
+//! [`MappedSpanner`]: spanner_core::frozen::MappedSpanner
 
 use proptest::prelude::*;
 use spanner_core::routing::{Route, RouteError};
@@ -68,7 +72,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn mapped_artifact_serves_bit_identically_to_owned_decode(
+    fn mapped_artifact_serves_bit_identically_to_decode(
         g in arb_graph(9, 4),
         f in 0usize..3,
         edge_model in any::<bool>(),
@@ -76,20 +80,21 @@ proptest! {
     ) {
         let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
         let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
-        let bytes = ft.freeze(&g).encode();
+        let frozen = Arc::new(ft.freeze(&g));
+        let bytes = frozen.encode();
 
-        let owned = Arc::new(FrozenSpanner::decode(&bytes).expect("own encoding must decode"));
+        let decoded = Arc::new(FrozenSpanner::decode(&bytes).expect("own encoding must decode"));
         let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))
             .expect("own encoding must open in place");
-        prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
 
         // The detached routing-only replica: same bytes minus witnesses.
-        let detached_bytes = owned.detach_witnesses().encode();
+        let detached_bytes = decoded.detach_witnesses().encode();
         let detached = FrozenSpanner::open(SharedBytes::copy_aligned(&detached_bytes))
             .expect("detached artifact must open in place");
         prop_assert!(detached.witnesses_detached());
 
-        let served_owned = EpochServer::new(Arc::clone(&owned)).with_threads(3);
+        let served_decoded = EpochServer::new(Arc::clone(&decoded)).with_threads(3);
+        let served_frozen = EpochServer::new(frozen).with_threads(3);
         let served_mapped = EpochServer::from_mapped(mapped).with_threads(3);
         let served_detached = EpochServer::from_mapped(detached).with_threads(3);
 
@@ -108,7 +113,12 @@ proptest! {
         };
         let pairs = all_pairs(g.node_count());
         for failures in &[random_set, FaultSet::empty(model)] {
-            let (seq, pooled) = serve_both(&served_owned, failures, &pairs);
+            let (seq, pooled) = serve_both(&served_decoded, failures, &pairs);
+            prop_assert_eq!(
+                &serve_both(&served_frozen, failures, &pairs),
+                &(seq.clone(), pooled.clone()),
+                "frozen serving diverged under epoch {}", failures
+            );
             prop_assert_eq!(
                 &serve_both(&served_mapped, failures, &pairs),
                 &(seq.clone(), pooled.clone()),

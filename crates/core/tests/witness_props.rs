@@ -8,12 +8,13 @@
 //! pin the contracts that make the layout trustworthy:
 //!
 //! * **round-trip** — across random graphs, both fault models, and
-//!   budgets `f ∈ {0, 1, 2}`, the owned decode and the zero-copy open
-//!   answer `witnesses_for(e)` equal to the construction for every
-//!   edge, and both re-encode byte-identically;
-//! * **one record per lookup** — the bytes-touched meter grows by
-//!   exactly `4 + 4f` per `witnesses_for`, and by the section length
-//!   when `witnesses()` forces the full map;
+//!   budgets `f ∈ {0, 1, 2}`, the frozen artifact, its decode and its
+//!   zero-copy open answer `witnesses_for(e)` equal to the construction
+//!   for every edge, and the last two re-encode byte-identically;
+//! * **one record per lookup** — on a freshly frozen artifact and on an
+//!   opened one alike, the bytes-touched meter grows by exactly
+//!   `4 + 4f` per `witnesses_for`, and by the section length when
+//!   `witnesses()` forces the full map;
 //! * **hostile input** — every truncation and every bit flip is a typed
 //!   error, and directed probes (an overflowing budget, a length above
 //!   f, a dirty unused slot, unsorted or duplicate ids, an id out of
@@ -94,23 +95,25 @@ proptest! {
         edge_model in any::<bool>(),
     ) {
         let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
-        let frozen = FtGreedy::new(&g, 3).faults(f).model(model).run().freeze(&g);
-        let expected = frozen.witnesses().unwrap().to_vec();
+        let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
+        let frozen = ft.freeze(&g);
+        let expected = ft.witnesses();
+        prop_assert_eq!(frozen.witnesses().unwrap(), expected);
         let bytes = frozen.encode();
         let (_, w_len) = section_range(&bytes, SECTION_WITNESSES);
         prop_assert_eq!(w_len, 8 + expected.len() * (4 + 4 * f), "one stride per edge");
 
-        let owned = FrozenSpanner::decode(&bytes).expect("own encoding must decode");
-        prop_assert_eq!(owned.encode(), bytes.clone(), "owned re-encode must be byte-identical");
-        prop_assert_eq!(owned.witnesses().unwrap(), expected.as_slice());
+        let decoded = FrozenSpanner::decode(&bytes).expect("own encoding must decode");
+        prop_assert_eq!(decoded.encode(), bytes.clone(), "decoded re-encode must be byte-identical");
+        prop_assert_eq!(decoded.witnesses().unwrap(), expected);
 
         let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))
             .expect("own encoding must open in place");
-        prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
         for (e, wanted) in expected.iter().enumerate() {
             let id = EdgeId::new(e);
             prop_assert_eq!(&mapped.witnesses_for(id).unwrap(), wanted, "edge {} (mapped)", e);
-            prop_assert_eq!(&owned.witnesses_for(id).unwrap(), wanted, "edge {} (owned)", e);
+            prop_assert_eq!(&decoded.witnesses_for(id).unwrap(), wanted, "edge {} (decoded)", e);
+            prop_assert_eq!(&frozen.witnesses_for(id).unwrap(), wanted, "edge {} (frozen)", e);
         }
         prop_assert_eq!(mapped.encode(), bytes, "mapped re-encode must be byte-identical");
     }
@@ -120,35 +123,38 @@ proptest! {
 fn each_lookup_touches_exactly_one_record() {
     let g = spanner_graph::generators::complete(8);
     for f in 0..3usize {
-        let bytes = FtGreedy::new(&g, 3).faults(f).run().freeze(&g).encode();
+        let frozen = FtGreedy::new(&g, 3).faults(f).run().freeze(&g);
+        let bytes = frozen.encode();
         let (_, w_len) = section_range(&bytes, SECTION_WITNESSES);
         let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes)).unwrap();
-        assert_eq!(
-            mapped.witness_bytes_touched(),
-            0,
-            "open must not read records"
-        );
-        let stride = (4 + 4 * f) as u64;
-        for (n, e) in [3usize, 0, 3, mapped.edge_count() - 1]
-            .into_iter()
-            .enumerate()
-        {
-            mapped.witnesses_for(EdgeId::new(e)).unwrap();
+        for (what, artifact) in [("frozen", frozen), ("opened", mapped.into_inner())] {
             assert_eq!(
-                mapped.witness_bytes_touched(),
-                (n as u64 + 1) * stride,
-                "f={f}: lookup {n} must read one {stride}-byte record"
+                artifact.witness_bytes_touched(),
+                0,
+                "f={f} ({what}): sealing, encoding and opening read no records"
             );
+            let stride = (4 + 4 * f) as u64;
+            for (n, e) in [3usize, 0, 3, artifact.edge_count() - 1]
+                .into_iter()
+                .enumerate()
+            {
+                artifact.witnesses_for(EdgeId::new(e)).unwrap();
+                assert_eq!(
+                    artifact.witness_bytes_touched(),
+                    (n as u64 + 1) * stride,
+                    "f={f} ({what}): lookup {n} must read one {stride}-byte record"
+                );
+            }
+            let before = artifact.witness_bytes_touched();
+            assert_eq!(artifact.witnesses().unwrap().len(), artifact.edge_count());
+            assert_eq!(
+                artifact.witness_bytes_touched(),
+                before + w_len as u64,
+                "f={f} ({what}): forcing the map reads the whole section once"
+            );
+            artifact.witnesses().unwrap();
+            assert_eq!(artifact.witness_bytes_touched(), before + w_len as u64);
         }
-        let before = mapped.witness_bytes_touched();
-        assert_eq!(mapped.witnesses().unwrap().len(), mapped.edge_count());
-        assert_eq!(
-            mapped.witness_bytes_touched(),
-            before + w_len as u64,
-            "f={f}: forcing the map reads the whole section once"
-        );
-        mapped.witnesses().unwrap();
-        assert_eq!(mapped.witness_bytes_touched(), before + w_len as u64);
     }
 }
 

@@ -65,6 +65,17 @@ impl SharedBytes {
         SharedBytes::from_source(Arc::new(AlignedBytes::copy_from(bytes)))
     }
 
+    /// Takes ownership of `bytes` without copying when its base already
+    /// sits on a [`BUFFER_ALIGN`] boundary, and falls back to
+    /// [`SharedBytes::copy_aligned`] otherwise.
+    pub fn from_vec(bytes: Vec<u8>) -> Self {
+        if bytes.as_ptr() as usize % BUFFER_ALIGN == 0 {
+            SharedBytes::from_source(Arc::new(bytes))
+        } else {
+            SharedBytes::copy_aligned(&bytes)
+        }
+    }
+
     /// The shared bytes.
     pub fn as_slice(&self) -> &[u8] {
         self.source.as_ref().as_ref()
@@ -180,6 +191,25 @@ mod tests {
             assert!(shared.is_aligned(), "len {len} copy must be aligned");
             assert_eq!(shared.len(), len);
             assert_eq!(shared.is_empty(), len == 0);
+        }
+    }
+
+    #[test]
+    fn from_vec_is_aligned_and_keeps_an_aligned_buffer() {
+        for len in [0usize, 1, 9, 4096] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let base = data.as_ptr();
+            let shared = SharedBytes::from_vec(data.clone());
+            assert_eq!(shared.as_slice(), &data[..]);
+            assert!(shared.is_aligned(), "len {len} must come out aligned");
+            if len > 0 && base as usize % BUFFER_ALIGN == 0 {
+                let again = SharedBytes::from_vec(data);
+                assert_eq!(
+                    again.as_slice().as_ptr(),
+                    base,
+                    "an aligned Vec is not copied"
+                );
+            }
         }
     }
 

@@ -7,27 +7,22 @@
 //! with the same node and edge ids and the same neighbor order. It
 //! implements [`GraphView`] (so the generic
 //! [`DijkstraEngine`](crate::DijkstraEngine) runs over it unchanged, with
-//! identical tie-breaks), packs each adjacency slot's `(target, via-edge,
-//! weight)` into one contiguous record (one cache line touch per
-//! neighbor instead of three parallel-array touches), and is immutable by
-//! construction, hence trivially `Send + Sync`. Its storage is either
-//! owned arrays or a [`ByteCsr`]: the same tables read in place from a
-//! validated shared byte buffer.
+//! identical tie-breaks) and is immutable by construction, hence
+//! trivially `Send + Sync`.
+//!
+//! A `FrozenCsr` has one representation: the in-place CSR payload (a
+//! header, the offset table, one packed `(target, via-edge, weight)`
+//! record per adjacency slot — one cache line touch per neighbor instead
+//! of three parallel-array touches — then the edge list), validated once
+//! and read in place from a shared byte buffer.
+//! [`FrozenCsr::from_view`] writes that payload for any view and reads
+//! it back; [`FrozenCsr::from_bytes`] reads it from an artifact, mapped
+//! or copied.
 
 use crate::adjacency::GraphView;
 use crate::bytes::{read_u32_at, read_u64_at, SharedBytes, BUFFER_ALIGN};
-use crate::io::binary::{self, BinaryError};
+use crate::io::binary::{self, put_u32, put_u64, BinaryError};
 use crate::{EdgeId, Graph, NodeId, Weight};
-
-/// One packed adjacency slot of a [`FrozenCsr`]: the neighbor, the edge
-/// crossed to reach it, and that edge's weight, side by side so a
-/// traversal touches one record instead of three parallel arrays.
-#[derive(Clone, Copy, Debug)]
-struct PackedAdj {
-    to: u32,
-    via: u32,
-    weight: Weight,
-}
 
 /// Byte width of the in-place CSR payload header (`node_count u64,
 /// edge_count u64`).
@@ -43,52 +38,49 @@ pub const CSR_EDGE_RECORD_LEN: usize = 16;
 
 // Compile-time layout asserts: the on-disk record widths the in-place
 // reader and the writer both assume, pinned against the field widths
-// they are built from. `PackedAdj` (the owned layout) mirrors the
-// packed on-disk record byte for byte in width, which is what makes the
-// owned and borrowed storages interchangeable cache-wise.
+// they are built from.
 const _: () = assert!(CSR_PAYLOAD_HEADER_LEN == 8 + 8);
 const _: () = assert!(CSR_ADJ_RECORD_LEN == 4 + 4 + 8);
 const _: () = assert!(CSR_EDGE_RECORD_LEN == 4 + 4 + 8);
-const _: () = assert!(std::mem::size_of::<PackedAdj>() == CSR_ADJ_RECORD_LEN);
 const _: () = assert!(std::mem::size_of::<u32>() == 4 && std::mem::size_of::<u64>() == 8);
 
-/// The storage a [`FrozenCsr`] serves from: either owned `Vec`s built
-/// by a freeze, or borrowed slices of a shared byte buffer validated by
-/// [`FrozenCsr::from_bytes`] — the zero-copy open path.
+/// A read-only, cache-packed CSR snapshot — the serving layout.
 ///
-/// Every [`GraphView`] method on [`FrozenCsr`] dispatches over this
-/// enum, so `DijkstraEngine` and every other view consumer runs
-/// unchanged (and tie-breaks identically) over both representations.
+/// Built once from any [`GraphView`] (usually a finished [`Graph`]) with
+/// the same node and edge ids and
+/// the same neighbor order, so traversals over the frozen layout
+/// tie-break exactly like traversals over the source. The structure is
+/// immutable after construction and holds no interior mutability, so it
+/// is `Send + Sync` and cheap to share across query threads behind an
+/// `Arc` — this is what the freeze-and-serve read path
+/// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its threads.
+///
+/// The tables are read in place from a validated shared byte buffer
+/// (see the module docs), so a replica serves straight off an mmap'd
+/// artifact without rebuilding anything. Holding a clone of the buffer
+/// keeps the bytes alive; every read decodes fixed-width little-endian
+/// fields at offsets the validator proved in bounds.
+///
+/// # Examples
+///
+/// ```
+/// use spanner_graph::{
+///     csr::FrozenCsr, generators, DijkstraEngine, Dist, FaultMask, GraphView, NodeId,
+/// };
+///
+/// let g = generators::complete(8);
+/// let frozen = FrozenCsr::from_view(&g);
+/// let mask = FaultMask::with_capacity(8, frozen.edge_count());
+/// let mut engine = DijkstraEngine::new();
+/// let d = engine.dist_bounded(&frozen, NodeId::new(0), NodeId::new(5), Dist::finite(3), &mask);
+/// assert_eq!(d, Some(Dist::finite(1)));
+/// ```
 #[derive(Clone, Debug)]
-pub enum CsrStorage {
-    /// Heap-owned arrays (the result of [`FrozenCsr::from_view`] or
-    /// [`FrozenCsr::materialize`]).
-    Owned(OwnedCsr),
-    /// Slices of a shared, aligned byte buffer read in place.
-    Borrowed(ByteCsr),
-}
-
-/// Owned CSR arrays (the classic freeze output).
-#[derive(Clone, Debug)]
-pub struct OwnedCsr {
-    node_count: usize,
-    offsets: Vec<u32>,
-    adj: Vec<PackedAdj>,
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    edge_w: Vec<Weight>,
-}
-
-/// A validated in-place view over an in-place CSR payload inside a shared
-/// byte buffer. Holding a clone of the buffer keeps the bytes alive;
-/// all reads decode fixed-width little-endian fields at offsets the
-/// validator proved in bounds.
-#[derive(Clone, Debug)]
-pub struct ByteCsr {
+pub struct FrozenCsr {
     bytes: SharedBytes,
     node_count: usize,
     edge_count: usize,
-    /// Absolute section range inside `bytes` (for canonical re-encode).
+    /// Absolute payload range inside `bytes` (for canonical re-encode).
     start: usize,
     len: usize,
     /// Absolute offsets of the three packed tables inside `bytes`.
@@ -97,37 +89,91 @@ pub struct ByteCsr {
     edges_at: usize,
 }
 
-impl ByteCsr {
-    #[inline]
-    fn data(&self) -> &[u8] {
-        self.bytes.as_slice()
+impl FrozenCsr {
+    /// Snapshots any graph view into the packed frozen layout (same node
+    /// and edge ids, same neighbor order): writes the view's in-place CSR
+    /// payload ([`FrozenCsr::write_view`]) and reads it back through the
+    /// validator [`FrozenCsr::from_bytes`] uses. Parallel edges are kept,
+    /// as the view has them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view breaks the [`GraphView`] contract (a neighbor
+    /// order other than increasing edge id, a self-loop).
+    pub fn from_view<V: GraphView>(view: &V) -> Self {
+        let mut payload = Vec::new();
+        FrozenCsr::write_view(view, &mut payload);
+        let len = payload.len();
+        FrozenCsr::validate(SharedBytes::from_vec(payload), 0, len)
+            .expect("a graph view's own CSR payload is well formed")
     }
 
-    /// The raw section bytes this view was validated over.
-    fn section(&self) -> &[u8] {
-        &self.data()[self.start..self.start + self.len]
+    /// Serializes any graph view as the in-place CSR payload: `node_count
+    /// u64, edge_count u64`, the `(n + 1) × u32` offset table zero-padded
+    /// to an 8-byte boundary, the `2m` packed adjacency records, then the
+    /// `m` edge records — all fixed-width little-endian, readable back in
+    /// place by [`FrozenCsr::from_bytes`]. Canonical: one view, one byte
+    /// string.
+    pub fn write_view<V: GraphView>(view: &V, out: &mut Vec<u8>) {
+        let base = out.len();
+        let (n, m) = (view.node_count(), view.edge_count());
+        out.reserve(payload_len(n, m));
+        put_u64(out, n as u64);
+        put_u64(out, m as u64);
+        let offsets_at = out.len();
+        out.resize(offsets_at + binary::align8(4 * (n + 1)), 0);
+        let adj_at = out.len();
+        for v in 0..n {
+            view.for_each_neighbor(NodeId::new(v), |to, via, w| {
+                put_u32(out, to.raw());
+                put_u32(out, via.raw());
+                put_u64(out, w.get());
+            });
+            let slots = ((out.len() - adj_at) / CSR_ADJ_RECORD_LEN) as u32;
+            let at = offsets_at + 4 * (v + 1);
+            out[at..at + 4].copy_from_slice(&slots.to_le_bytes());
+        }
+        for e in 0..m {
+            let id = EdgeId::new(e);
+            let (u, v) = view.edge_endpoints(id);
+            put_u32(out, u.raw());
+            put_u32(out, v.raw());
+            put_u64(out, view.edge_weight(id).get());
+        }
+        debug_assert_eq!(out.len() - base, payload_len(n, m));
     }
 
-    #[inline]
-    fn offset(&self, data: &[u8], i: usize) -> usize {
-        read_u32_at(data, self.offsets_at + 4 * i) as usize
-    }
-
-    /// Validates an in-place CSR payload at `bytes[start..start + len]` and
-    /// returns an in-place view over it.
+    /// Opens an in-place CSR payload **in place**: validates the section at
+    /// `bytes[start..start + len]` and returns a `FrozenCsr` that reads
+    /// the buffer instead of rebuilding `Vec`s. O(n + m) validation
+    /// scans, O(n) scratch, zero per-record materialization.
     ///
     /// The checks, in order: 8-byte alignment of the payload's actual
     /// address ([`BinaryError::MisalignedSection`]), header presence,
     /// node/edge counts bounded by the bytes present (the same
-    /// proportionality guard as the graph-payload reader, so a hostile header
-    /// cannot size an allocation), exact payload length for the claimed
-    /// counts, zero padding, offset monotonicity, per-slot agreement of
-    /// the adjacency table with its canonical derivation from the edge
-    /// list (so a crafted adjacency cannot smuggle in edges the edge
-    /// list does not carry), simple-graph invariants (no self-loops, no
-    /// duplicate edges, positive weights). O(n + m) time, O(n) scratch,
-    /// and no allocation sized by unvalidated input.
-    fn validate(bytes: SharedBytes, start: usize, len: usize) -> Result<ByteCsr, BinaryError> {
+    /// proportionality guard as the graph-payload reader, so a hostile
+    /// header cannot size an allocation), exact payload length for the
+    /// claimed counts, zero padding, offset monotonicity, per-slot
+    /// agreement of the adjacency table with its canonical derivation
+    /// from the edge list (so a crafted adjacency cannot smuggle in edges
+    /// the edge list does not carry), simple-graph invariants (no
+    /// self-loops, no duplicate edges, positive weights).
+    ///
+    /// # Errors
+    ///
+    /// A typed [`BinaryError`] for any structural defect, including
+    /// [`BinaryError::MisalignedSection`] when the payload's actual
+    /// address misses the 8-byte alignment the in-place tables require.
+    /// Hostile input cannot cause a panic or an unbounded allocation.
+    pub fn from_bytes(bytes: SharedBytes, start: usize, len: usize) -> Result<Self, BinaryError> {
+        let csr = FrozenCsr::validate(bytes, start, len)?;
+        csr.reject_parallel_edges()?;
+        Ok(csr)
+    }
+
+    /// Every check [`FrozenCsr::from_bytes`] makes but the one against
+    /// parallel edges.
+    fn validate(bytes: SharedBytes, start: usize, len: usize) -> Result<FrozenCsr, BinaryError> {
         let malformed =
             |context: &'static str, detail: String| BinaryError::Malformed { context, detail };
         let end =
@@ -268,24 +314,7 @@ impl ByteCsr {
                 next[a] += 1;
             }
         }
-        // Every slot is consumed: each vertex contributed next[a] - off(a)
-        // slots, the sums match off(n) == 2m, and no vertex overran, so
-        // the per-vertex counts agree exactly. Duplicate edges remain:
-        // they derive consistently, so detect them per vertex run.
-        let mut mark = vec![u32::MAX; n];
-        for a in 0..n {
-            for slot in off(a)..off(a + 1) {
-                let to = read_u32_at(sect, adj_rel + slot * CSR_ADJ_RECORD_LEN) as usize;
-                if mark[to] == a as u32 {
-                    return Err(malformed(
-                        "csr adjacency",
-                        format!("duplicate edge between vertices {a} and {to}"),
-                    ));
-                }
-                mark[to] = a as u32;
-            }
-        }
-        Ok(ByteCsr {
+        Ok(FrozenCsr {
             bytes,
             node_count: n,
             edge_count: m,
@@ -296,209 +325,44 @@ impl ByteCsr {
             edges_at: start + edges_rel,
         })
     }
-}
 
-/// A read-only, cache-packed CSR snapshot — the serving layout.
-///
-/// Built once from any [`GraphView`] (usually a finished [`Graph`]) with
-/// the same node and edge ids and
-/// the same neighbor order, so traversals over the frozen layout
-/// tie-break exactly like traversals over the source. The structure is
-/// immutable after construction and holds no interior mutability, so it
-/// is `Send + Sync` and cheap to share across query threads behind an
-/// `Arc` — this is what the freeze-and-serve read path
-/// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its threads.
-///
-/// The arrays behind a `FrozenCsr` live in a [`CsrStorage`]: either
-/// owned `Vec`s, or borrowed slices of a shared aligned buffer ([`FrozenCsr::from_bytes`]) so a replica can serve
-/// straight off an mmap'd artifact without rebuilding anything.
-///
-/// # Examples
-///
-/// ```
-/// use spanner_graph::{
-///     csr::FrozenCsr, generators, DijkstraEngine, Dist, FaultMask, GraphView, NodeId,
-/// };
-///
-/// let g = generators::complete(8);
-/// let frozen = FrozenCsr::from_view(&g);
-/// let mask = FaultMask::with_capacity(8, frozen.edge_count());
-/// let mut engine = DijkstraEngine::new();
-/// let d = engine.dist_bounded(&frozen, NodeId::new(0), NodeId::new(5), Dist::finite(3), &mask);
-/// assert_eq!(d, Some(Dist::finite(1)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct FrozenCsr {
-    storage: CsrStorage,
-}
-
-impl FrozenCsr {
-    /// Snapshots any graph view into the packed frozen layout (same node
-    /// and edge ids, same neighbor order), owned storage.
-    pub fn from_view<V: GraphView>(view: &V) -> Self {
-        let n = view.node_count();
-        let m = view.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * m);
-        offsets.push(0);
-        for v in 0..n {
-            view.for_each_neighbor(NodeId::new(v), |to, eid, w| {
-                adj.push(PackedAdj {
-                    to: to.raw(),
-                    via: eid.raw(),
-                    weight: w,
-                });
+    /// Rejects parallel edges. Every adjacency slot derives from the edge
+    /// list (checked by the validator), so a duplicate shows up as one
+    /// neighbor named twice in a vertex's run.
+    fn reject_parallel_edges(&self) -> Result<(), BinaryError> {
+        let mut mark = vec![u32::MAX; self.node_count];
+        for a in 0..self.node_count {
+            let mut duplicate = None;
+            self.for_each_neighbor(NodeId::new(a), |to, _, _| {
+                if mark[to.index()] == a as u32 {
+                    duplicate.get_or_insert(to);
+                }
+                mark[to.index()] = a as u32;
             });
-            offsets.push(adj.len() as u32);
-        }
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        let mut edge_w = Vec::with_capacity(m);
-        for e in 0..m {
-            let (u, v) = view.edge_endpoints(EdgeId::new(e));
-            edge_u.push(u.raw());
-            edge_v.push(v.raw());
-            edge_w.push(view.edge_weight(EdgeId::new(e)));
-        }
-        FrozenCsr {
-            storage: CsrStorage::Owned(OwnedCsr {
-                node_count: n,
-                offsets,
-                adj,
-                edge_u,
-                edge_v,
-                edge_w,
-            }),
-        }
-    }
-
-    /// Opens an in-place CSR payload **in place**: validates the section at
-    /// `bytes[start..start + len]` (alignment, counts, ranges,
-    /// adjacency/edge-list agreement — see the checked validator's
-    /// docs) and returns a `FrozenCsr` whose storage borrows the buffer
-    /// instead of rebuilding `Vec`s. O(n + m) validation scans, O(n)
-    /// scratch, zero per-record materialization.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`BinaryError`] for any structural defect, including
-    /// [`BinaryError::MisalignedSection`] when the payload's actual
-    /// address misses the 8-byte alignment the in-place tables require.
-    /// Hostile input cannot cause a panic or an unbounded allocation.
-    pub fn from_bytes(bytes: SharedBytes, start: usize, len: usize) -> Result<Self, BinaryError> {
-        Ok(FrozenCsr {
-            storage: CsrStorage::Borrowed(ByteCsr::validate(bytes, start, len)?),
-        })
-    }
-
-    /// The storage this snapshot serves from.
-    pub fn storage(&self) -> &CsrStorage {
-        &self.storage
-    }
-
-    /// Whether this snapshot reads its tables in place from a shared
-    /// buffer (as opposed to owned heap arrays).
-    pub fn is_in_place(&self) -> bool {
-        matches!(self.storage, CsrStorage::Borrowed(_))
-    }
-
-    /// Copies this snapshot into owned storage (a no-op clone when it
-    /// already is owned). Useful to drop the backing buffer.
-    pub fn materialize(&self) -> FrozenCsr {
-        match &self.storage {
-            CsrStorage::Owned(_) => self.clone(),
-            CsrStorage::Borrowed(_) => {
-                let n = self.node_count();
-                let m = self.edge_count();
-                let mut offsets = Vec::with_capacity(n + 1);
-                let mut adj = Vec::with_capacity(2 * m);
-                offsets.push(0);
-                for v in 0..n {
-                    self.for_each_neighbor(NodeId::new(v), |to, eid, w| {
-                        adj.push(PackedAdj {
-                            to: to.raw(),
-                            via: eid.raw(),
-                            weight: w,
-                        });
-                    });
-                    offsets.push(adj.len() as u32);
-                }
-                let mut edge_u = Vec::with_capacity(m);
-                let mut edge_v = Vec::with_capacity(m);
-                let mut edge_w = Vec::with_capacity(m);
-                for e in 0..m {
-                    let (u, v) = self.edge_endpoints(EdgeId::new(e));
-                    edge_u.push(u.raw());
-                    edge_v.push(v.raw());
-                    edge_w.push(self.edge_weight(EdgeId::new(e)));
-                }
-                FrozenCsr {
-                    storage: CsrStorage::Owned(OwnedCsr {
-                        node_count: n,
-                        offsets,
-                        adj,
-                        edge_u,
-                        edge_v,
-                        edge_w,
-                    }),
-                }
+            if let Some(to) = duplicate {
+                return Err(BinaryError::Malformed {
+                    context: "csr adjacency",
+                    detail: format!("duplicate edge between vertices {a} and {to}"),
+                });
             }
         }
+        Ok(())
     }
 
-    /// Exact byte length of this snapshot's in-place CSR payload.
-    pub fn payload_len(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                CSR_PAYLOAD_HEADER_LEN
-                    + binary::align8(4 * (o.node_count + 1))
-                    + 2 * o.edge_u.len() * CSR_ADJ_RECORD_LEN
-                    + o.edge_u.len() * CSR_EDGE_RECORD_LEN
-            }
-            CsrStorage::Borrowed(b) => b.len,
-        }
+    #[inline]
+    fn data(&self) -> &[u8] {
+        self.bytes.as_slice()
     }
 
-    /// Serializes this snapshot as the in-place CSR payload: `node_count u64,
-    /// edge_count u64`, the `(n + 1) × u32` offset table zero-padded to
-    /// an 8-byte boundary, the `2m` packed adjacency records, then the
-    /// `m` edge records — all fixed-width little-endian, readable back
-    /// in place by [`FrozenCsr::from_bytes`]. Canonical: one snapshot,
-    /// one byte string.
-    pub fn write_payload(&self, out: &mut Vec<u8>) {
-        if let CsrStorage::Borrowed(b) = &self.storage {
-            // Validated borrowed bytes are already canonical.
-            out.extend_from_slice(b.section());
-            return;
-        }
-        let base = out.len();
-        let n = self.node_count();
-        let m = self.edge_count();
-        binary::put_u64(out, n as u64);
-        binary::put_u64(out, m as u64);
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                for &off in &o.offsets {
-                    binary::put_u32(out, off);
-                }
-                out.resize(
-                    base + CSR_PAYLOAD_HEADER_LEN + binary::align8(4 * (n + 1)),
-                    0,
-                );
-                for slot in &o.adj {
-                    binary::put_u32(out, slot.to);
-                    binary::put_u32(out, slot.via);
-                    binary::put_u64(out, slot.weight.get());
-                }
-                for e in 0..m {
-                    binary::put_u32(out, o.edge_u[e]);
-                    binary::put_u32(out, o.edge_v[e]);
-                    binary::put_u64(out, o.edge_w[e].get());
-                }
-            }
-            CsrStorage::Borrowed(_) => unreachable!("handled above"),
-        }
-        debug_assert_eq!(out.len() - base, self.payload_len());
+    #[inline]
+    fn offset(&self, data: &[u8], i: usize) -> usize {
+        read_u32_at(data, self.offsets_at + 4 * i) as usize
+    }
+
+    /// The in-place CSR payload this snapshot reads: canonical, so it is
+    /// also this snapshot's encoding.
+    pub fn payload(&self) -> &[u8] {
+        &self.data()[self.start..self.start + self.len]
     }
 
     /// Degree of `node`.
@@ -508,123 +372,79 @@ impl FrozenCsr {
     /// Panics if `node` is out of range.
     pub fn degree(&self, node: NodeId) -> usize {
         let i = node.index();
-        match &self.storage {
-            CsrStorage::Owned(o) => (o.offsets[i + 1] - o.offsets[i]) as usize,
-            CsrStorage::Borrowed(b) => {
-                assert!(i < b.node_count, "node out of range");
-                let data = b.data();
-                b.offset(data, i + 1) - b.offset(data, i)
-            }
-        }
+        assert!(i < self.node_count, "node out of range");
+        let data = self.data();
+        self.offset(data, i + 1) - self.offset(data, i)
     }
+}
+
+/// Exact byte length of the in-place CSR payload of `n` nodes and `m`
+/// edges.
+fn payload_len(n: usize, m: usize) -> usize {
+    CSR_PAYLOAD_HEADER_LEN
+        + binary::align8(4 * (n + 1))
+        + 2 * m * CSR_ADJ_RECORD_LEN
+        + m * CSR_EDGE_RECORD_LEN
 }
 
 impl GraphView for FrozenCsr {
     #[inline]
     fn node_count(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.node_count,
-            CsrStorage::Borrowed(b) => b.node_count,
-        }
+        self.node_count
     }
 
     #[inline]
     fn edge_count(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.edge_u.len(),
-            CsrStorage::Borrowed(b) => b.edge_count,
-        }
+        self.edge_count
     }
 
     #[inline]
     fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        match &self.storage {
-            CsrStorage::Owned(o) => (
-                NodeId::from(o.edge_u[edge.index()]),
-                NodeId::from(o.edge_v[edge.index()]),
-            ),
-            CsrStorage::Borrowed(b) => {
-                assert!(edge.index() < b.edge_count, "edge out of range");
-                let at = b.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
-                let data = b.data();
-                (
-                    NodeId::from(read_u32_at(data, at)),
-                    NodeId::from(read_u32_at(data, at + 4)),
-                )
-            }
-        }
+        assert!(edge.index() < self.edge_count, "edge out of range");
+        let at = self.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
+        let data = self.data();
+        (
+            NodeId::from(read_u32_at(data, at)),
+            NodeId::from(read_u32_at(data, at + 4)),
+        )
     }
 
     #[inline]
     fn edge_weight(&self, edge: EdgeId) -> Weight {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.edge_w[edge.index()],
-            CsrStorage::Borrowed(b) => {
-                assert!(edge.index() < b.edge_count, "edge out of range");
-                let at = b.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
-                Weight::new(read_u64_at(b.data(), at + 8)).expect("validated nonzero weight")
-            }
-        }
+        assert!(edge.index() < self.edge_count, "edge out of range");
+        let at = self.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
+        Weight::new(read_u64_at(self.data(), at + 8)).expect("validated nonzero weight")
     }
 
     #[inline]
     fn for_each_neighbor(&self, node: NodeId, mut f: impl FnMut(NodeId, EdgeId, Weight)) {
         let i = node.index();
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                assert!(i < o.node_count, "node out of range");
-                let lo = o.offsets[i] as usize;
-                let hi = o.offsets[i + 1] as usize;
-                for slot in &o.adj[lo..hi] {
-                    f(NodeId::from(slot.to), EdgeId::from(slot.via), slot.weight);
-                }
-            }
-            CsrStorage::Borrowed(b) => {
-                assert!(i < b.node_count, "node out of range");
-                let data = b.data();
-                let lo = b.offset(data, i);
-                let hi = b.offset(data, i + 1);
-                for slot in lo..hi {
-                    let at = b.adj_at + slot * CSR_ADJ_RECORD_LEN;
-                    f(
-                        NodeId::from(read_u32_at(data, at)),
-                        EdgeId::from(read_u32_at(data, at + 4)),
-                        Weight::new(read_u64_at(data, at + 8)).expect("validated nonzero weight"),
-                    );
-                }
-            }
+        assert!(i < self.node_count, "node out of range");
+        let data = self.data();
+        let lo = self.offset(data, i);
+        let hi = self.offset(data, i + 1);
+        for slot in lo..hi {
+            let at = self.adj_at + slot * CSR_ADJ_RECORD_LEN;
+            f(
+                NodeId::from(read_u32_at(data, at)),
+                EdgeId::from(read_u32_at(data, at + 4)),
+                Weight::new(read_u64_at(data, at + 8)).expect("validated nonzero weight"),
+            );
         }
     }
 
     fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                assert!(
-                    u.index() < o.node_count && v.index() < o.node_count,
-                    "node out of range"
-                );
-                let lo = o.offsets[u.index()] as usize;
-                let hi = o.offsets[u.index() + 1] as usize;
-                o.adj[lo..hi]
-                    .iter()
-                    .find(|slot| slot.to == v.raw())
-                    .map(|slot| EdgeId::from(slot.via))
-            }
-            CsrStorage::Borrowed(b) => {
-                assert!(
-                    u.index() < b.node_count && v.index() < b.node_count,
-                    "node out of range"
-                );
-                let data = b.data();
-                let lo = b.offset(data, u.index());
-                let hi = b.offset(data, u.index() + 1);
-                (lo..hi).find_map(|slot| {
-                    let at = b.adj_at + slot * CSR_ADJ_RECORD_LEN;
-                    (read_u32_at(data, at) == v.raw())
-                        .then(|| EdgeId::from(read_u32_at(data, at + 4)))
-                })
-            }
-        }
+        assert!(
+            u.index() < self.node_count && v.index() < self.node_count,
+            "node out of range"
+        );
+        let data = self.data();
+        let lo = self.offset(data, u.index());
+        let hi = self.offset(data, u.index() + 1);
+        (lo..hi).find_map(|slot| {
+            let at = self.adj_at + slot * CSR_ADJ_RECORD_LEN;
+            (read_u32_at(data, at) == v.raw()).then(|| EdgeId::from(read_u32_at(data, at + 4)))
+        })
     }
 }
 
@@ -635,12 +455,11 @@ impl From<&Graph> for FrozenCsr {
 }
 
 /// Compile-time proof of the serving contract: the frozen layout can be
-/// shared across threads as-is — in both storages.
+/// shared across threads as-is.
 #[allow(dead_code)]
 fn frozen_csr_is_send_sync() {
     fn check<T: Send + Sync>() {}
     check::<FrozenCsr>();
-    check::<CsrStorage>();
 }
 
 #[cfg(test)]
@@ -708,17 +527,22 @@ mod tests {
         }
     }
 
-    // ── CsrStorage / in-place payload) coverage ────────────────────
+    // ── in-place payload coverage ────────────────────────────────────
 
     use crate::bytes::SharedBytes;
     use crate::io::binary::BinaryError;
 
-    fn payload_of(g: &Graph) -> (FrozenCsr, Vec<u8>) {
+    fn payload_of(g: &Graph) -> Vec<u8> {
         let frozen = FrozenCsr::from_view(g);
         let mut out = Vec::new();
-        frozen.write_payload(&mut out);
-        assert_eq!(out.len(), frozen.payload_len());
-        (frozen, out)
+        FrozenCsr::write_view(g, &mut out);
+        assert_eq!(out.len(), payload_len(g.node_count(), g.edge_count()));
+        assert_eq!(
+            frozen.payload(),
+            &out[..],
+            "from_view reads its own payload"
+        );
+        out
     }
 
     fn open_in_place(payload: &[u8]) -> FrozenCsr {
@@ -736,56 +560,53 @@ mod tests {
             Graph::new(3), // nodes but no edges
             Graph::new(0),
         ] {
-            let (owned, payload) = payload_of(&g);
+            let payload = payload_of(&g);
             let mapped = open_in_place(&payload);
-            assert!(mapped.is_in_place());
-            assert!(!owned.is_in_place());
-            assert!(matches!(mapped.storage(), CsrStorage::Borrowed(_)));
-            assert_eq!(mapped.node_count(), owned.node_count());
-            assert_eq!(mapped.edge_count(), owned.edge_count());
-            for v in 0..g.node_count() {
-                assert_eq!(
-                    view_neighbors(&mapped, NodeId::new(v)),
-                    view_neighbors(&owned, NodeId::new(v)),
-                );
-                assert_eq!(mapped.degree(NodeId::new(v)), owned.degree(NodeId::new(v)));
+            assert_eq!(mapped.node_count(), g.node_count());
+            assert_eq!(mapped.edge_count(), g.edge_count());
+            for v in g.nodes() {
+                assert_eq!(view_neighbors(&mapped, v), view_neighbors(&g, v));
+                assert_eq!(mapped.degree(v), g.degree(v));
             }
-            for e in 0..g.edge_count() {
-                assert_eq!(
-                    mapped.edge_endpoints(EdgeId::new(e)),
-                    owned.edge_endpoints(EdgeId::new(e))
-                );
-                assert_eq!(
-                    mapped.edge_weight(EdgeId::new(e)),
-                    owned.edge_weight(EdgeId::new(e))
-                );
+            for (id, e) in g.edges() {
+                assert_eq!(mapped.edge_endpoints(id), e.endpoints());
+                assert_eq!(mapped.edge_weight(id), e.weight());
             }
-            for u in 0..g.node_count() {
-                for v in 0..g.node_count() {
-                    assert_eq!(
-                        mapped.find_edge(NodeId::new(u), NodeId::new(v)),
-                        owned.find_edge(NodeId::new(u), NodeId::new(v))
-                    );
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(mapped.find_edge(u, v), GraphView::find_edge(&g, u, v));
                 }
             }
-            // Re-encoding the borrowed view is byte-canonical, and
-            // materializing it re-owns the same structure.
-            let mut re = Vec::new();
-            mapped.write_payload(&mut re);
-            assert_eq!(re, payload, "borrowed re-encode must be byte-identical");
-            let mat = mapped.materialize();
-            assert!(!mat.is_in_place());
-            let mut mat_bytes = Vec::new();
-            mat.write_payload(&mut mat_bytes);
-            assert_eq!(mat_bytes, payload);
+            // Re-encoding the view is byte-canonical.
+            assert_eq!(
+                mapped.payload(),
+                &payload[..],
+                "re-encode must be byte-identical"
+            );
         }
     }
 
     #[test]
-    fn byte_csr_dijkstra_matches_owned() {
+    fn parallel_edges_survive_from_view_but_not_from_bytes() {
+        let mut g = Graph::new(3);
+        let w = Weight::new(2).unwrap();
+        for (u, v) in [(0, 1), (1, 2), (0, 1)] {
+            g.add_edge_unchecked(NodeId::new(u), NodeId::new(v), w);
+        }
+        let frozen = FrozenCsr::from_view(&g);
+        assert_eq!(frozen.edge_count(), 3);
+        assert_eq!(frozen.degree(NodeId::new(0)), 2);
+        let shared = SharedBytes::copy_aligned(frozen.payload());
+        let len = shared.len();
+        let err = FrozenCsr::from_bytes(shared, 0, len).unwrap_err();
+        assert_eq!(err.code(), "artifact/malformed");
+        assert!(err.to_string().contains("duplicate edge"), "{err}");
+    }
+
+    #[test]
+    fn byte_csr_dijkstra_matches_graph() {
         let g = generators::grid(5, 6);
-        let (owned, payload) = payload_of(&g);
-        let mapped = open_in_place(&payload);
+        let mapped = open_in_place(&payload_of(&g));
         let mut mask = FaultMask::with_capacity(g.node_count(), g.edge_count());
         mask.fault_edge(EdgeId::new(3));
         mask.fault_vertex(NodeId::new(7));
@@ -799,7 +620,7 @@ mod tests {
                 &mask,
             );
             let b = engine.shortest_path_bounded(
-                &owned,
+                &g,
                 NodeId::new(src),
                 NodeId::new(dst),
                 Dist::finite(64),
@@ -811,7 +632,7 @@ mod tests {
 
     #[test]
     fn byte_csr_rejects_misaligned_start() {
-        let (_, payload) = payload_of(&generators::complete(5));
+        let payload = payload_of(&generators::complete(5));
         // Prepend one byte so the payload starts at an odd offset inside
         // an aligned buffer: typed rejection, no panic, no UB.
         let mut shifted = vec![0u8; 1];
@@ -827,7 +648,7 @@ mod tests {
 
     #[test]
     fn byte_csr_every_truncation_and_flip_is_typed() {
-        let (_, payload) = payload_of(&generators::complete(4));
+        let payload = payload_of(&generators::complete(4));
         for cut in 0..payload.len() {
             let shared = SharedBytes::copy_aligned(&payload[..cut]);
             assert!(
@@ -861,7 +682,7 @@ mod tests {
 
     #[test]
     fn byte_csr_rejects_hostile_headers_without_big_allocs() {
-        let (_, payload) = payload_of(&generators::complete(4));
+        let payload = payload_of(&generators::complete(4));
         // Claim an absurd node count: bounded rejection.
         let mut huge = payload.clone();
         huge[0..8].copy_from_slice(&(u64::MAX).to_le_bytes());

@@ -683,6 +683,7 @@ pub fn parse_container(
 /// [`GraphView`] neighbor-order contract, which keeps the payload
 /// minimal and the encoding canonical.
 pub fn write_view_payload<V: GraphView>(view: &V, out: &mut Vec<u8>) {
+    out.reserve(16 + EDGE_RECORD_LEN * view.edge_count());
     put_u64(out, view.node_count() as u64);
     put_u64(out, view.edge_count() as u64);
     for e in 0..view.edge_count() {
@@ -807,7 +808,7 @@ pub fn read_graph_payload(r: &mut ByteReader<'_>) -> Result<Graph, BinaryError> 
 /// container (see the module docs for the layout and the example for a
 /// roundtrip).
 pub fn encode_frozen_csr(csr: &FrozenCsr) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + EDGE_RECORD_LEN * csr.edge_count());
+    let mut payload = Vec::new();
     write_view_payload(csr, &mut payload);
     let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
     w.section(SECTION_ADJACENCY, payload);

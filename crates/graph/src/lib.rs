@@ -79,7 +79,7 @@ pub mod transform;
 pub use adjacency::GraphView;
 pub use bitset::BitSet;
 pub use bytes::SharedBytes;
-pub use csr::{CsrStorage, FrozenCsr};
+pub use csr::FrozenCsr;
 pub use dijkstra::{DijkstraEngine, NoPotential, PathScratch, Potential, ShortestPath};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};

@@ -10,8 +10,8 @@
 //!                        [--model vertex|edge] [--detach-witnesses]
 //!                        [--out PATH]
 //! spanner-artifact inspect PATH
-//! spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B]
-//!                        [--threads T] [--seed S]
+//! spanner-artifact serve PATH [--epochs N] [--batch B] [--threads T]
+//!                        [--seed S]
 //! ```
 //!
 //! The build-once / serve-many pipeline, end to end:
@@ -25,15 +25,15 @@
 //! * `inspect` dumps the container header — version, flags, checksum,
 //!   section table — and the decoded artifact's stats, without serving
 //!   anything.
-//! * `serve` is the roundtrip proof: it decodes the artifact in *this*
-//!   process (built, typically, by another), re-runs the construction
-//!   from the embedded parent graph, and drives an E15-style epoch/batch
-//!   query workload through both artifacts — sequential and pooled —
-//!   failing unless every answer is bit-identical and the rebuilt
-//!   artifact re-encodes to the exact bytes on disk. `--in-place` opens
-//!   the file zero-copy — `mmap(2)` where the platform has it, an
-//!   aligned heap copy otherwise — and serves straight out of the
-//!   buffer through the same gates. `--threads T` (1 to 256, default 2)
+//! * `serve` is the roundtrip proof: it opens the artifact in place in
+//!   *this* process (built, typically, by another) — `mmap(2)` where the
+//!   platform has it, an aligned heap copy otherwise — and validates every
+//!   section, parent graph and witness records included, before serving
+//!   anything. It then re-runs the construction from the embedded parent
+//!   graph and drives an E15-style epoch/batch query workload through
+//!   both artifacts — sequential and pooled — failing unless every answer
+//!   is bit-identical and the rebuilt artifact re-encodes to the exact
+//!   bytes on disk. `--threads T` (1 to 256, default 2)
 //!   is the pooled server's width: the calling thread plus `T − 1`
 //!   helpers. CI runs build → inspect → serve as separate processes on
 //!   every push.
@@ -55,8 +55,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spanner_core::frozen::{
-    ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED, SECTION_META, SECTION_PARENT, SECTION_PARENT_EDGES,
-    SECTION_SPANNER, SECTION_WITNESSES,
+    ArtifactError, ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED, SECTION_META, SECTION_PARENT,
+    SECTION_PARENT_EDGES, SECTION_SPANNER, SECTION_WITNESSES,
 };
 use spanner_core::routing::{Route, RouteError};
 use spanner_core::{EpochServer, FrozenSpanner, FtGreedy, FtSpanner, OracleKind};
@@ -74,7 +74,7 @@ const USAGE: &str = "usage: spanner-artifact build [--family geometric|complete|
                               [--edges PATH] [--seed S] [--stretch K] [--f F]
                               [--model vertex|edge] [--detach-witnesses] [--out PATH]
        spanner-artifact inspect PATH
-       spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B] [--threads T] [--seed S]
+       spanner-artifact serve PATH [--epochs N] [--batch B] [--threads T] [--seed S]
        spanner-artifact replay DIR...";
 
 /// The largest `serve --threads` accepted: the pooled server runs the
@@ -102,7 +102,6 @@ struct BuildArgs {
 
 struct ServeArgs {
     path: PathBuf,
-    in_place: bool,
     epochs: usize,
     batch: usize,
     threads: usize,
@@ -239,7 +238,6 @@ fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     let path = positional_path(it, "serve")?;
     let mut args = ServeArgs {
         path,
-        in_place: false,
         epochs: 8,
         batch: 64,
         threads: 2,
@@ -247,7 +245,6 @@ fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--in-place" => args.in_place = true,
             "--epochs" => args.epochs = cli::parsed_value(it, "--epochs")?,
             "--batch" => args.batch = cli::parsed_value(it, "--batch")?,
             "--threads" => args.threads = cli::parsed_value(it, "--threads")?,
@@ -473,29 +470,29 @@ fn plan_epochs(frozen: &FrozenSpanner, args: &ServeArgs) -> Vec<(FaultSet, Vec<(
 }
 
 fn run_serve(args: ServeArgs) -> Result<(), String> {
-    let bytes = std::fs::read(&args.path)
-        .map_err(|e| format!("cannot read {}: {e}", args.path.display()))?;
-    let loaded = if args.in_place {
-        // Zero-copy open: the serving tables stay in the file buffer —
-        // mmap(2) where the platform has it, an aligned heap copy
-        // otherwise (same bytes, same validation, same answers).
-        let shared = if mmapio::Mmap::supported() {
-            let file = std::fs::File::open(&args.path)
-                .map_err(|e| format!("cannot open {}: {e}", args.path.display()))?;
-            let map = mmapio::Mmap::map_file(&file)
-                .map_err(|e| format!("cannot mmap {}: {e}", args.path.display()))?;
-            SharedBytes::from_source(Arc::new(map))
-        } else {
-            SharedBytes::copy_aligned(&bytes)
-        };
-        let mapped = FrozenSpanner::open(shared).map_err(|e| hostile(&args.path, e.code(), &e))?;
-        Arc::new(mapped.into_inner())
+    // The serving tables stay in the file buffer: mmap(2) where the
+    // platform has it, an aligned heap copy otherwise (same bytes, same
+    // validation, same answers).
+    let (shared, how) = if mmapio::Mmap::supported() {
+        let file = std::fs::File::open(&args.path)
+            .map_err(|e| format!("cannot open {}: {e}", args.path.display()))?;
+        let map = mmapio::Mmap::map_file(&file)
+            .map_err(|e| format!("cannot mmap {}: {e}", args.path.display()))?;
+        (SharedBytes::from_source(Arc::new(map)), "mapped")
     } else {
-        Arc::new(FrozenSpanner::decode(&bytes).map_err(|e| hostile(&args.path, e.code(), &e))?)
+        let bytes = std::fs::read(&args.path)
+            .map_err(|e| format!("cannot read {}: {e}", args.path.display()))?;
+        (SharedBytes::from_vec(bytes), "aligned copy")
     };
+    let hostile_file = |e: ArtifactError| hostile(&args.path, e.code(), &e);
+    let mapped = FrozenSpanner::open(shared.clone()).map_err(hostile_file)?;
+    // Every section is checked before any epoch is planned: a corrupt
+    // parent or witness record fails here with its stable code.
+    mapped.force_sections().map_err(hostile_file)?;
+    let loaded = Arc::new(mapped.into_inner());
     let parent = loaded
         .parent()
-        .map_err(|e| hostile(&args.path, e.code(), &e))?
+        .map_err(hostile_file)?
         .ok_or("artifact carries no parent graph; rebuild cross-check needs one (use `spanner-artifact build`)")?
         .clone();
     let budget = loaded
@@ -507,15 +504,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     println!(
         "loaded {} ({}): {} nodes, {} edges, stretch {}, f = {}, {} model",
         args.path.display(),
-        if args.in_place {
-            if loaded.is_in_place() {
-                "in place, zero-copy"
-            } else {
-                "in place, aligned copy"
-            }
-        } else {
-            "eager decode"
-        },
+        how,
         loaded.node_count(),
         loaded.edge_count(),
         loaded.stretch(),
@@ -533,7 +522,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     } else {
         fresh
     });
-    if rebuilt.encode() != bytes {
+    if rebuilt.encode() != shared.as_slice() {
         return Err(
             "rebuilt construction does not re-encode to the artifact's bytes — \
              the file does not describe this parent/stretch/budget construction"
@@ -553,12 +542,12 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             from_memory.epoch(failures).route_batch(pairs);
         if from_disk.epoch(failures).route_batch(pairs) != reference {
             return Err(format!(
-                "epoch {epoch}: decoded artifact's sequential batch diverged from the in-memory rebuild"
+                "epoch {epoch}: the artifact's sequential batch diverged from the in-memory rebuild"
             ));
         }
         if from_disk_pooled.epoch(failures).par_route_batch(pairs) != reference {
             return Err(format!(
-                "epoch {epoch}: decoded artifact's pooled batch diverged from the in-memory rebuild"
+                "epoch {epoch}: the artifact's pooled batch diverged from the in-memory rebuild"
             ));
         }
         served += reference.len();

@@ -138,16 +138,9 @@ fn build_is_reproducible_and_other_versions_fail_closed() {
     let first = build("a.vfts");
     assert_eq!(first, build("b.vfts"), "build must be reproducible");
 
-    // The in-place serve path passes its rebuild cross-check.
-    let served = run(&[
-        "serve",
-        "a.vfts",
-        "--in-place",
-        "--epochs",
-        "3",
-        "--batch",
-        "8",
-    ]);
+    // The serve path, which opens the file in place, passes its rebuild
+    // cross-check.
+    let served = run(&["serve", "a.vfts", "--epochs", "3", "--batch", "8"]);
     assert!(
         served.status.success(),
         "stderr: {}",
@@ -176,6 +169,53 @@ fn build_is_reproducible_and_other_versions_fail_closed() {
         );
         assert!(String::from_utf8_lossy(&hostile.stderr).contains("spanner-artifact build"));
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `serve` opens the file in place, which leaves witness records to be
+/// validated on read; it must still check every record up front, so a
+/// corrupt one fails with its stable code before any epoch is served.
+#[test]
+fn serve_rejects_a_corrupt_witness_record_before_serving() {
+    use spanner_core::frozen::{ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED, SECTION_WITNESSES};
+    use spanner_graph::io::binary::{fnv1a64_words, parse_container};
+
+    let dir = std::env::temp_dir().join(format!("artifact-witness-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| -> Output {
+        Command::new(bin())
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spanner-artifact must spawn")
+    };
+    let built = run(&[
+        "build", "--family", "complete", "--n", "7", "--f", "1", "--out", "w.vfts",
+    ]);
+    assert!(built.status.success());
+    let mut bytes = std::fs::read(dir.join("w.vfts")).unwrap();
+    let container = parse_container(&bytes, ARTIFACT_MAGIC, FLAG_WITNESSES_DETACHED).unwrap();
+    let witnesses = container.section(SECTION_WITNESSES).unwrap();
+    // The first record (after the u64 count) claims 2 ids at f = 1.
+    let at = witnesses.offset + 8;
+    bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+    let body = bytes.len() - 8;
+    let seal = fnv1a64_words(&bytes[..body]);
+    bytes[body..].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(dir.join("w.vfts"), &bytes).unwrap();
+
+    let served = run(&["serve", "w.vfts", "--epochs", "3", "--batch", "8"]);
+    assert!(!served.status.success());
+    assert_eq!(
+        code_from_stderr(&served.stderr).as_deref(),
+        Some("artifact/malformed"),
+        "stderr: {}",
+        String::from_utf8_lossy(&served.stderr)
+    );
+    assert!(
+        !String::from_utf8_lossy(&served.stdout).contains("epoch"),
+        "no epoch may be served from a corrupt artifact"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
