@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_faults::{
     BranchingConfig, BranchingOracle, ExhaustiveOracle, FaultModel, FaultOracle,
-    GreedyHeuristicOracle, HittingSetOracle, OracleQuery,
+    GreedyHeuristicOracle, OracleQuery,
 };
 use spanner_graph::generators::erdos_renyi;
 use spanner_graph::{Dist, NodeId};
@@ -49,9 +49,6 @@ fn bench_oracle_scaling_in_f(c: &mut Criterion) {
     for f in [1usize, 2] {
         group.bench_with_input(BenchmarkId::new("exhaustive", f), &f, |b, &f| {
             b.iter(|| ExhaustiveOracle::new().find_blocking_faults(&g, query(f)));
-        });
-        group.bench_with_input(BenchmarkId::new("hitting_set", f), &f, |b, &f| {
-            b.iter(|| HittingSetOracle::new().find_blocking_faults(&g, query(f)));
         });
     }
     group.finish();

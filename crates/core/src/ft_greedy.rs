@@ -32,7 +32,7 @@
 use crate::Spanner;
 use spanner_faults::{
     BranchingConfig, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet, GreedyHeuristicOracle,
-    HittingSetOracle, OracleQuery, OracleStats, ParallelBranchingOracle,
+    OracleQuery, OracleStats, ParallelBranchingOracle,
 };
 use spanner_graph::{EdgeId, Graph};
 use std::collections::VecDeque;
@@ -47,8 +47,6 @@ pub enum OracleKind {
     BranchingWith(BranchingConfig),
     /// Brute-force subset enumeration (tiny instances only).
     Exhaustive,
-    /// Path-enumeration + hitting-set branch & bound.
-    HittingSet,
     /// Branching on this many threads, the calling one included, with
     /// `threads − 1` persistent helpers: on runs of drops, windows of
     /// upcoming candidates are published as one batch whose queries every
@@ -160,7 +158,6 @@ impl<'a> FtGreedy<'a> {
             OracleKind::BranchingWith(config) => (1, config),
             OracleKind::Parallel(threads) => (threads, BranchingConfig::default()),
             OracleKind::Exhaustive => return self.run_with_oracle(&mut ExhaustiveOracle::new()),
-            OracleKind::HittingSet => return self.run_with_oracle(&mut HittingSetOracle::new()),
             OracleKind::Heuristic => {
                 return self.run_with_oracle(&mut GreedyHeuristicOracle::new())
             }
@@ -484,7 +481,6 @@ mod tests {
         for kind in [
             OracleKind::Branching,
             OracleKind::Exhaustive,
-            OracleKind::HittingSet,
             OracleKind::BranchingWith(BranchingConfig {
                 use_packing: false,
                 use_memo: false,

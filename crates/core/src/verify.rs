@@ -1,5 +1,11 @@
 //! Spanner verification: plain, under explicit faults, exhaustive over all
-//! fault sets, randomized, and adversarial (replaying recorded witnesses).
+//! fault sets, exact by oracle certificate, randomized, and adversarial
+//! (replaying recorded witnesses).
+//!
+//! Two checks decide the `f`-fault contract exactly, in both fault
+//! models: [`verify_ft_exhaustive`] enumerates every fault set (the
+//! reference, small instances only) and [`certify_ft_exact`] asks one
+//! oracle query per parent edge outside the spanner.
 //!
 //! All checks reduce to the standard *per-edge criterion*: `H ∖ F` is a
 //! `k`-spanner of `G ∖ F` iff `dist_{H∖F}(u, v) ≤ k·w(u, v)` for every
@@ -12,7 +18,7 @@ use crate::{FtSpanner, Spanner};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use spanner_faults::{FaultModel, FaultSet};
-use spanner_graph::{DijkstraEngine, EdgeId, Graph, NodeId};
+use spanner_graph::{BitSet, DijkstraEngine, EdgeId, Graph, NodeId};
 
 /// Result of a single stretch check.
 #[derive(Clone, Debug)]
@@ -174,46 +180,66 @@ pub fn verify_ft_exhaustive(
     audit
 }
 
-/// Exact ∀F certification for the **vertex** model without enumerating
+/// Exact ∀F certification in either fault model, without enumerating
 /// fault sets.
 ///
 /// Key reduction (the same one FT-greedy itself rests on): `spanner` fails
-/// for some `|F| ≤ budget` iff there is a parent edge `(u, v)` and a fault
-/// set `F` avoiding `{u, v}` with `dist_{H∖F}(u, v) > k·w(u, v)` — which
-/// is precisely a fault-oracle query against `H`. (Faulting `u` or `v`
-/// exempts the pair, and vertex faults act identically on `G` and `H`.)
-/// So one exact oracle query per parent edge decides the property, in
-/// oracle time instead of `O(n^budget)` enumerations.
+/// for some `|F| ≤ budget` iff some parent edge `(u, v)` that survives `F`
+/// has `dist_{H∖F}(u, v) > k·w(u, v)`. A parent edge kept in `H` never
+/// does (it survives every `F` that spares it, and is its own path), so
+/// only the parent edges outside `H` are checked, each with one exact
+/// oracle query against `H`: faulting `u` or `v` exempts the pair, and
+/// faults outside `H` lengthen no path of `H`. That is one oracle query
+/// per dropped edge instead of `O(n^budget)` (or `m^budget`) enumerations.
 ///
-/// Returns the certificate: `None` if the property holds, else the
-/// violating parent edge and the fault set that breaks it.
+/// Skipping the kept edges is required, not just faster: in the edge
+/// model, a query on a kept edge would fault that edge itself and report a
+/// violation that is none.
+///
+/// Returns the certificate: `None` if the property holds, else the first
+/// violating parent edge and a fault set, in parent ids, that breaks it.
 ///
 /// # Examples
 ///
 /// ```
-/// use spanner_core::{verify::certify_vft_exact, FtGreedy};
+/// use spanner_core::{verify::certify_ft_exact, FtGreedy};
+/// use spanner_faults::FaultModel;
 /// use spanner_graph::generators::complete;
 ///
 /// let g = complete(12);
 /// let ft = FtGreedy::new(&g, 3).faults(2).run();
-/// assert!(certify_vft_exact(&g, ft.spanner(), 2).is_none());
+/// assert!(certify_ft_exact(&g, ft.spanner(), 2, FaultModel::Vertex).is_none());
 /// ```
-pub fn certify_vft_exact(
+pub fn certify_ft_exact(
     parent: &Graph,
     spanner: &Spanner,
     budget: usize,
+    model: FaultModel,
 ) -> Option<(EdgeId, FaultSet)> {
     use spanner_faults::{BranchingOracle, FaultOracle, OracleQuery};
+    let mut kept = BitSet::new(parent.edge_count());
+    for e in spanner.parent_edge_ids() {
+        kept.insert(e.index());
+    }
     let mut oracle = BranchingOracle::new();
     for (id, e) in parent.edges() {
+        if kept.contains(id.index()) {
+            continue;
+        }
         let query = OracleQuery {
             u: e.u(),
             v: e.v(),
             bound: e.weight().stretched(spanner.stretch()),
             budget,
-            model: FaultModel::Vertex,
+            model,
         };
         if let Some(found) = oracle.find_blocking_faults(spanner.graph(), query) {
+            let found = match found {
+                FaultSet::Edges(own) => {
+                    FaultSet::edges(own.iter().map(|e| spanner.parent_edge(*e)))
+                }
+                vertices => vertices,
+            };
             return Some((id, found));
         }
     }
@@ -248,92 +274,6 @@ pub fn verify_ft_sampled(
         };
         let report = verify_under_faults(parent, spanner, &faults);
         audit.record(&faults, report);
-    }
-    audit
-}
-
-/// Adaptive audit: hill-climbs fault sets toward higher stretch.
-///
-/// Between blind sampling ([`verify_ft_sampled`]) and exact certification
-/// ([`certify_vft_exact`], vertex model only) sits local search: start
-/// from random fault sets and greedily swap single faults while the worst
-/// observed stretch increases. This finds violations random sampling
-/// misses — especially in the edge model, where no exact certifier is
-/// available — while staying polynomial.
-///
-/// `restarts` independent climbs are performed; each evaluates at most
-/// `restarts × pool × budget`-ish stretch reports.
-pub fn verify_ft_adaptive(
-    parent: &Graph,
-    spanner: &Spanner,
-    budget: usize,
-    model: FaultModel,
-    restarts: usize,
-    rng: &mut impl Rng,
-) -> FaultAudit {
-    let mut audit = FaultAudit {
-        trials: 0,
-        violations: 0,
-        first_violation: None,
-    };
-    let pool_len = match model {
-        FaultModel::Vertex => parent.node_count(),
-        FaultModel::Edge => parent.edge_count(),
-    };
-    let size = budget.min(pool_len);
-    if size == 0 {
-        let faults = FaultSet::empty(model);
-        let report = verify_under_faults(parent, spanner, &faults);
-        audit.record(&faults, report);
-        return audit;
-    }
-    let make = |ids: &Vec<usize>| match model {
-        FaultModel::Vertex => FaultSet::vertices(ids.iter().map(|i| NodeId::new(*i))),
-        FaultModel::Edge => FaultSet::edges(ids.iter().map(|i| EdgeId::new(*i))),
-    };
-    let mut pool: Vec<usize> = (0..pool_len).collect();
-    for _ in 0..restarts {
-        pool.shuffle(rng);
-        let mut current: Vec<usize> = pool[..size].to_vec();
-        let faults = make(&current);
-        let mut report = verify_under_faults(parent, spanner, &faults);
-        audit.record(&faults, report.clone());
-        let mut best = report.max_stretch;
-        // Greedy single-swap climbs, bounded to keep the audit polynomial.
-        let mut improved = true;
-        let mut rounds = 0;
-        while improved && report.satisfied && rounds < 4 {
-            rounds += 1;
-            improved = false;
-            'swap: for slot in 0..current.len() {
-                // Try a handful of random replacements per slot.
-                for _ in 0..8 {
-                    let candidate = pool[rng.gen_range(0..pool_len)];
-                    if current.contains(&candidate) {
-                        continue;
-                    }
-                    let old = current[slot];
-                    current[slot] = candidate;
-                    let faults = make(&current);
-                    let next = verify_under_faults(parent, spanner, &faults);
-                    audit.record(&faults, next.clone());
-                    if !next.satisfied || next.max_stretch > best {
-                        best = next.max_stretch;
-                        report = next;
-                        improved = true;
-                        if !report.satisfied {
-                            break 'swap;
-                        }
-                    } else {
-                        current[slot] = old;
-                    }
-                }
-            }
-        }
-        if !report.satisfied {
-            // One violation per restart is enough signal.
-            continue;
-        }
     }
     audit
 }
@@ -456,57 +396,68 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_audit_clean_on_ft_spanner() {
+    fn certificate_clean_on_ft_spanner_in_both_models() {
         let g = complete(10);
-        let ft = FtGreedy::new(&g, 3).faults(2).run();
-        let mut rng = StdRng::seed_from_u64(12);
         for model in [FaultModel::Vertex, FaultModel::Edge] {
-            let audit = verify_ft_adaptive(&g, ft.spanner(), 2, model, 4, &mut rng);
-            assert!(audit.satisfied(), "{model}: {:?}", audit.first_violation);
-            assert!(audit.trials >= 4);
+            let ft = FtGreedy::new(&g, 3).faults(2).model(model).run();
+            let cert = certify_ft_exact(&g, ft.spanner(), 2, model);
+            assert!(cert.is_none(), "{model}: {cert:?}");
         }
     }
 
     #[test]
-    fn adaptive_audit_finds_planted_violation() {
-        // The under-built C4 spanner from the disconnection test: adaptive
-        // search must find the violating fault quickly.
+    fn certificate_finds_planted_violation_in_both_models() {
+        // The under-built C4 spanner from the disconnection test: one fault
+        // (an interior vertex of the kept path, or one of its edges) cuts
+        // the dropped edge's endpoints apart.
         let g = cycle(4);
         let s = greedy_spanner(&g, 3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let audit = verify_ft_adaptive(&g, &s, 1, FaultModel::Vertex, 6, &mut rng);
-        assert!(!audit.satisfied(), "adaptive audit missed the violation");
-        // Edge model: faulting a kept edge of the path disconnects too.
-        let audit = verify_ft_adaptive(&g, &s, 1, FaultModel::Edge, 6, &mut rng);
-        assert!(!audit.satisfied());
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            let (edge, faults) = certify_ft_exact(&g, &s, 1, model)
+                .unwrap_or_else(|| panic!("{model}: certificate missed the violation"));
+            assert_eq!(faults.model(), model);
+            assert!(faults.len() <= 1);
+            assert!(!s.contains_parent_edge(edge));
+            assert!(!faults.edge_faults().contains(&edge));
+            assert!(!verify_under_faults(&g, &s, &faults).satisfied);
+        }
     }
 
     #[test]
-    fn adaptive_audit_zero_budget() {
+    fn certificate_at_zero_budget_agrees_with_verify_spanner() {
         let g = complete(6);
-        let s = Spanner::from_parent_edges(&g, g.edge_ids(), 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let audit = verify_ft_adaptive(&g, &s, 0, FaultModel::Vertex, 3, &mut rng);
-        assert!(audit.satisfied());
-        assert_eq!(audit.trials, 1);
+        let full = Spanner::from_parent_edges(&g, g.edge_ids(), 1);
+        let star = Spanner::from_parent_edges(&g, g.edge_ids().take(5), 1);
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for s in [&full, &star] {
+                let cert = certify_ft_exact(&g, s, 0, model);
+                assert_eq!(cert.is_none(), verify_spanner(&g, s).satisfied, "{model}");
+                if let Some((_, faults)) = cert {
+                    assert!(faults.is_empty());
+                }
+            }
+        }
     }
 
     #[test]
     fn exact_certification_agrees_with_enumeration() {
         // Positive cases: FT-greedy outputs certify clean.
-        for f in 0..=2usize {
-            let g = complete(8);
-            let ft = FtGreedy::new(&g, 3).faults(f).run();
-            let cert = certify_vft_exact(&g, ft.spanner(), f);
-            let enumerated = verify_ft_exhaustive(&g, ft.spanner(), f, FaultModel::Vertex);
-            assert!(cert.is_none(), "f={f}: {cert:?}");
-            assert!(enumerated.satisfied());
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            for f in 0..=2usize {
+                let g = complete(7);
+                let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
+                let cert = certify_ft_exact(&g, ft.spanner(), f, model);
+                let enumerated = verify_ft_exhaustive(&g, ft.spanner(), f, model);
+                assert!(cert.is_none(), "{model} f={f}: {cert:?}");
+                assert!(enumerated.satisfied());
+            }
         }
         // Negative case: a plain greedy spanner fails under one fault, and
         // the certificate pinpoints a real violation.
         let g = cycle(4);
         let s = greedy_spanner(&g, 3);
-        let (edge, faults) = certify_vft_exact(&g, &s, 1).expect("must find a violation");
+        let (edge, faults) =
+            certify_ft_exact(&g, &s, 1, FaultModel::Vertex).expect("must find a violation");
         let report = verify_under_faults(&g, &s, &faults);
         assert!(!report.satisfied);
         // The violating edge survives the faults (its endpoints are alive).
@@ -525,13 +476,15 @@ mod tests {
             let g = erdos_renyi(10, 0.4, &mut rng);
             // Deliberately under-built: f=0 spanner audited at f=1.
             let s = greedy_spanner(&g, 3);
-            let cert = certify_vft_exact(&g, &s, 1);
-            let enumerated = verify_ft_exhaustive(&g, &s, 1, FaultModel::Vertex);
-            assert_eq!(
-                cert.is_none(),
-                enumerated.satisfied(),
-                "trial {trial}: certification and enumeration disagree"
-            );
+            for model in [FaultModel::Vertex, FaultModel::Edge] {
+                let cert = certify_ft_exact(&g, &s, 1, model);
+                let enumerated = verify_ft_exhaustive(&g, &s, 1, model);
+                assert_eq!(
+                    cert.is_none(),
+                    enumerated.satisfied(),
+                    "trial {trial} ({model}): certification and enumeration disagree"
+                );
+            }
         }
     }
 

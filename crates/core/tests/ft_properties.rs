@@ -1,6 +1,8 @@
 //! End-to-end property tests for the paper's claims on random instances.
 //!
 //! * Algorithm 1's output really is an f-FT spanner (exhaustive ∀F audit);
+//! * the exact per-edge certificate decides the f-fault contract exactly
+//!   like that enumeration, in both fault models, on arbitrary subgraphs;
 //! * Lemma 3's blocking set really blocks every ≤ (k+1)-cycle and respects
 //!   the `|B| ≤ f·m` size bound;
 //! * Lemma 4's peeling always produces girth > k+1;
@@ -10,11 +12,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spanner_core::{
-    peel, verify::verify_ft_exhaustive, verify::verify_spanner, BlockingSet, FtGreedy,
+use spanner_core::verify::{
+    certify_ft_exact, verify_ft_exhaustive, verify_spanner, verify_under_faults,
 };
+use spanner_core::{peel, BlockingSet, FtGreedy, Spanner};
 use spanner_faults::FaultModel;
-use spanner_graph::{Graph, NodeId, Weight};
+use spanner_graph::{EdgeId, Graph, NodeId, Weight};
 
 fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
     (4..=max_n).prop_flat_map(move |n| {
@@ -133,5 +136,49 @@ proptest! {
         let ft = FtGreedy::new(&g, 3).faults(f).run();
         let report = verify_spanner(&g, ft.spanner());
         prop_assert!(report.satisfied, "max stretch {}", report.max_stretch);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `certify_ft_exact` against the enumerating reference on random
+    /// subgraphs H: every parent edge with `keep ≥ drop` (all of them at
+    /// `drop = 0`), plus an FT-greedy build at budget `base` if `base ≤ 2`,
+    /// so clean and violating H (about a quarter) appear at every `f`.
+    /// A returned certificate must be a real violation: a dropped edge
+    /// and at most `f` faults under which H stops spanning.
+    #[test]
+    fn exact_certificate_matches_enumeration_in_both_models(
+        g in arb_graph(7, 3),
+        keep in proptest::collection::vec(0..4u32, 21),
+        drop in 0..4u32,
+        base in 0usize..5,
+        f in 0usize..3,
+        k in 1u64..4,
+    ) {
+        let stretch = 2 * k - 1;
+        for model in [FaultModel::Vertex, FaultModel::Edge] {
+            let mut kept: Vec<EdgeId> = g.edge_ids().filter(|e| keep[e.index()] >= drop).collect();
+            if base <= 2 {
+                let ft = FtGreedy::new(&g, stretch).faults(base).model(model).run();
+                kept.extend(ft.spanner().parent_edge_ids());
+                kept.sort();
+                kept.dedup();
+            }
+            let h = Spanner::from_parent_edges(&g, kept, stretch);
+            let cert = certify_ft_exact(&g, &h, f, model);
+            let audit = verify_ft_exhaustive(&g, &h, f, model);
+            prop_assert_eq!(cert.is_none(), audit.satisfied(),
+                "{} f={} k={}: certificate {:?}, enumeration {:?}",
+                model, f, stretch, cert, audit.first_violation);
+            if let Some((e, faults)) = cert {
+                prop_assert!(faults.len() <= f, "{} faults over budget {}", faults.len(), f);
+                prop_assert_eq!(faults.model(), model);
+                prop_assert!(!h.contains_parent_edge(e), "certified a kept edge {}", e);
+                prop_assert!(!verify_under_faults(&g, &h, &faults).satisfied,
+                    "{:?} does not break H", faults);
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! 1 and 2 — via the same exhaustive auditor the monolithic
 //! construction is held to ([`verify_ft_exhaustive`]). At a few
 //! hundred vertices, where enumeration is out of reach, the exact
-//! per-edge certificate ([`certify_vft_exact`]) takes its place, next
+//! per-edge certificate ([`certify_ft_exact`]) takes its place, next
 //! to the size bound against the monolithic build.
 //!
 //! Shard targets are chosen so each instance actually splits into
@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::partition::PartitionedFtGreedy;
-use spanner_core::verify::{certify_vft_exact, verify_ft_exhaustive};
+use spanner_core::verify::{certify_ft_exact, verify_ft_exhaustive};
 use spanner_core::{FtGreedy, OracleKind};
 use spanner_faults::reference::ReferenceBranchingOracle;
 use spanner_faults::{FaultModel, FaultOracle, FaultSet, OracleQuery};
@@ -289,7 +289,7 @@ fn partitioned_size_stays_within_a_quarter_of_monolithic_and_certifies_exactly()
             "{label}: partitioned {partitioned} edges vs monolithic {monolithic}"
         );
         assert_eq!(
-            certify_vft_exact(&g, built.ft().spanner(), f),
+            certify_ft_exact(&g, built.ft().spanner(), f, FaultModel::Vertex),
             None,
             "{label}: exact certificate found a violation"
         );

@@ -19,9 +19,6 @@
 //!   a time against one shared spanner view, decided by the calling
 //!   thread and helpers of the one [`spanner_graph::pool`] (FT-greedy's
 //!   branching paths decide their candidates with it);
-//! * [`HittingSetOracle`] — an independent exact formulation via explicit
-//!   short-path enumeration ([`paths`]) and hitting-set branch & bound,
-//!   used to cross-validate the branching oracle;
 //! * [`reference::ReferenceBranchingOracle`] — the frozen pre-optimization
 //!   branching implementation, kept as the equivalence and benchmark
 //!   baseline for the zero-allocation hot path;
@@ -57,20 +54,17 @@
 mod branching;
 mod exhaustive;
 mod heuristic;
-mod hitting;
 mod model;
 mod oracle;
 mod parallel;
 
 pub mod fingerprint;
 pub mod packing;
-pub mod paths;
 pub mod reference;
 
 pub use branching::{BranchingConfig, BranchingOracle};
 pub use exhaustive::ExhaustiveOracle;
 pub use heuristic::{GreedyHeuristicOracle, PickRule};
-pub use hitting::HittingSetOracle;
 pub use model::{FaultModel, FaultSet};
 pub use oracle::{FaultOracle, OracleQuery, OracleStats};
 pub use parallel::ParallelBranchingOracle;

@@ -92,20 +92,20 @@ pub struct FrozenCsr {
 impl FrozenCsr {
     /// Snapshots any graph view into the packed frozen layout (same node
     /// and edge ids, same neighbor order): writes the view's in-place CSR
-    /// payload ([`FrozenCsr::write_view`]) and reads it back through the
-    /// validator [`FrozenCsr::from_bytes`] uses. Parallel edges are kept,
-    /// as the view has them.
+    /// payload ([`FrozenCsr::write_view`]) and reads it back through
+    /// [`FrozenCsr::from_bytes`].
     ///
     /// # Panics
     ///
     /// Panics if the view breaks the [`GraphView`] contract (a neighbor
-    /// order other than increasing edge id, a self-loop).
+    /// order other than increasing edge id, a self-loop) or is not a
+    /// simple graph (a parallel edge).
     pub fn from_view<V: GraphView>(view: &V) -> Self {
         let mut payload = Vec::new();
         FrozenCsr::write_view(view, &mut payload);
         let len = payload.len();
-        FrozenCsr::validate(SharedBytes::from_vec(payload), 0, len)
-            .expect("a graph view's own CSR payload is well formed")
+        FrozenCsr::from_bytes(SharedBytes::from_vec(payload), 0, len)
+            .expect("a simple graph view's own CSR payload is well formed")
     }
 
     /// Serializes any graph view as the in-place CSR payload: `node_count
@@ -166,14 +166,6 @@ impl FrozenCsr {
     /// address misses the 8-byte alignment the in-place tables require.
     /// Hostile input cannot cause a panic or an unbounded allocation.
     pub fn from_bytes(bytes: SharedBytes, start: usize, len: usize) -> Result<Self, BinaryError> {
-        let csr = FrozenCsr::validate(bytes, start, len)?;
-        csr.reject_parallel_edges()?;
-        Ok(csr)
-    }
-
-    /// Every check [`FrozenCsr::from_bytes`] makes but the one against
-    /// parallel edges.
-    fn validate(bytes: SharedBytes, start: usize, len: usize) -> Result<FrozenCsr, BinaryError> {
         let malformed =
             |context: &'static str, detail: String| BinaryError::Malformed { context, detail };
         let end =
@@ -314,6 +306,22 @@ impl FrozenCsr {
                 next[a] += 1;
             }
         }
+        // Parallel edges: every adjacency slot derives from the edge list
+        // (checked above), so a duplicate shows up as one neighbor named
+        // twice in a vertex's run.
+        let mut mark = vec![u32::MAX; n];
+        for a in 0..n {
+            for slot in off(a)..off(a + 1) {
+                let to = read_u32_at(sect, adj_rel + slot * CSR_ADJ_RECORD_LEN) as usize;
+                if mark[to] == a as u32 {
+                    return Err(malformed(
+                        "csr adjacency",
+                        format!("duplicate edge between vertices {a} and {to}"),
+                    ));
+                }
+                mark[to] = a as u32;
+            }
+        }
         Ok(FrozenCsr {
             bytes,
             node_count: n,
@@ -324,29 +332,6 @@ impl FrozenCsr {
             adj_at: start + adj_rel,
             edges_at: start + edges_rel,
         })
-    }
-
-    /// Rejects parallel edges. Every adjacency slot derives from the edge
-    /// list (checked by the validator), so a duplicate shows up as one
-    /// neighbor named twice in a vertex's run.
-    fn reject_parallel_edges(&self) -> Result<(), BinaryError> {
-        let mut mark = vec![u32::MAX; self.node_count];
-        for a in 0..self.node_count {
-            let mut duplicate = None;
-            self.for_each_neighbor(NodeId::new(a), |to, _, _| {
-                if mark[to.index()] == a as u32 {
-                    duplicate.get_or_insert(to);
-                }
-                mark[to.index()] = a as u32;
-            });
-            if let Some(to) = duplicate {
-                return Err(BinaryError::Malformed {
-                    context: "csr adjacency",
-                    detail: format!("duplicate edge between vertices {a} and {to}"),
-                });
-            }
-        }
-        Ok(())
     }
 
     #[inline]
@@ -587,20 +572,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_edges_survive_from_view_but_not_from_bytes() {
+    fn parallel_edges_are_refused_by_from_bytes_and_from_view() {
         let mut g = Graph::new(3);
         let w = Weight::new(2).unwrap();
         for (u, v) in [(0, 1), (1, 2), (0, 1)] {
             g.add_edge_unchecked(NodeId::new(u), NodeId::new(v), w);
         }
-        let frozen = FrozenCsr::from_view(&g);
-        assert_eq!(frozen.edge_count(), 3);
-        assert_eq!(frozen.degree(NodeId::new(0)), 2);
-        let shared = SharedBytes::copy_aligned(frozen.payload());
+        let mut payload = Vec::new();
+        FrozenCsr::write_view(&g, &mut payload);
+        let shared = SharedBytes::copy_aligned(&payload);
         let len = shared.len();
         let err = FrozenCsr::from_bytes(shared, 0, len).unwrap_err();
         assert_eq!(err.code(), "artifact/malformed");
         assert!(err.to_string().contains("duplicate edge"), "{err}");
+        let panicked = std::panic::catch_unwind(|| FrozenCsr::from_view(&g));
+        assert!(panicked.is_err(), "from_view must refuse a multigraph");
     }
 
     #[test]

@@ -772,23 +772,15 @@ fn read_edge_record(
 ///
 /// # Errors
 ///
-/// [`BinaryError`] on truncation or any record violating the payload
-/// invariants (range, self-loops, zero weights). Duplicate edges are
-/// *not* rejected: the payload mirrors whatever multigraph-agnostic
-/// view was encoded, byte for byte.
+/// [`BinaryError`] exactly as [`read_graph_payload`], which reads the
+/// records: truncation, malformed records, and duplicate edges as
+/// [`BinaryError::Graph`].
 pub fn read_frozen_csr_payload(r: &mut ByteReader<'_>) -> Result<FrozenCsr, BinaryError> {
-    let (n, m) = read_graph_header(r)?;
-    let mut staging = Graph::with_edge_capacity(n, m);
-    for _ in 0..m {
-        let (u, v, w) = read_edge_record(r, n)?;
-        staging.add_edge_unchecked(u, v, w);
-    }
-    Ok(FrozenCsr::from_view(&staging))
+    Ok(FrozenCsr::from_view(&read_graph_payload(r)?))
 }
 
 /// Rebuilds a [`Graph`] from a graph payload, enforcing the full
-/// simple-graph invariants (so duplicate edges are rejected here, unlike
-/// in [`read_frozen_csr_payload`]).
+/// simple-graph invariants.
 ///
 /// # Errors
 ///
@@ -892,7 +884,7 @@ mod tests {
         write_view_payload(&g, &mut payload);
         let back = read_graph_payload(&mut ByteReader::new(&payload)).unwrap();
         assert_eq!(back.edge_count(), 5);
-        // A duplicate edge passes the CSR reader but not the Graph reader.
+        // Both readers refuse a duplicate edge with the same typed error.
         let mut dup = Vec::new();
         put_u64(&mut dup, 3);
         put_u64(&mut dup, 2);
@@ -901,7 +893,10 @@ mod tests {
             put_u32(&mut dup, 1);
             put_u64(&mut dup, 1);
         }
-        assert!(read_frozen_csr_payload(&mut ByteReader::new(&dup)).is_ok());
+        assert!(matches!(
+            read_frozen_csr_payload(&mut ByteReader::new(&dup)),
+            Err(BinaryError::Graph(_))
+        ));
         assert!(matches!(
             read_graph_payload(&mut ByteReader::new(&dup)),
             Err(BinaryError::Graph(_))

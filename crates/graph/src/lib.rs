@@ -16,8 +16,8 @@
 //!   experiment harness, including Cartesian products for the lower-bound
 //!   construction.
 //! * Supporting structures: [`BitSet`], [`IndexedHeap`], [`UnionFind`],
-//!   [`subgraph`] extraction, [`bfs`] utilities, [`dot`] export, and the
-//!   worker [`pool`] pooled construction and serving share.
+//!   [`subgraph`] extraction, [`bfs`] utilities, and the worker [`pool`]
+//!   pooled construction and serving share.
 //!
 //! # Example
 //!
@@ -56,7 +56,6 @@ mod union_find;
 mod view;
 mod weight;
 
-pub mod apsp;
 pub mod bfs;
 pub mod bytes;
 pub mod connectivity;
@@ -64,7 +63,6 @@ pub mod csr;
 pub mod cycles;
 pub mod degeneracy;
 pub mod dijkstra;
-pub mod dot;
 pub mod flow;
 pub mod generators;
 pub mod girth;

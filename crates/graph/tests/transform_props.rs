@@ -1,7 +1,7 @@
-//! Property tests for transforms, APSP, serialization, and generators.
+//! Property tests for transforms, serialization, and generators.
 
 use proptest::prelude::*;
-use spanner_graph::{apsp, io, transform, FaultMask, Graph, NodeId, Weight};
+use spanner_graph::{io, transform, FaultMask, Graph, NodeId, Weight};
 
 fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(move |n| {
@@ -53,22 +53,6 @@ proptest! {
             prop_assert_eq!((u, v), (e.u(), e.v()));
             prop_assert_eq!(back.weight(id), e.weight());
         }
-    }
-
-    #[test]
-    fn johnson_equals_floyd_warshall(g in arb_graph(9, 6)) {
-        let mask = FaultMask::for_graph(&g);
-        prop_assert_eq!(apsp::johnson(&g, &mask), apsp::floyd_warshall(&g, &mask));
-    }
-
-    #[test]
-    fn johnson_equals_floyd_warshall_under_faults(
-        g in arb_graph(8, 4),
-        fault in any::<u32>(),
-    ) {
-        let mut mask = FaultMask::for_graph(&g);
-        mask.fault_vertex(NodeId::new(fault as usize % g.node_count()));
-        prop_assert_eq!(apsp::johnson(&g, &mask), apsp::floyd_warshall(&g, &mask));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::baselines::{dk_spanner, union_eft_spanner, DkParams};
 use spanner_core::verify::{
-    certify_vft_exact, verify_ft_adversarial, verify_ft_sampled, verify_spanner,
+    certify_ft_exact, verify_ft_adversarial, verify_ft_sampled, verify_spanner,
 };
 use spanner_core::FtGreedy;
 use spanner_faults::FaultModel;
@@ -51,7 +51,7 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
     let plain = verify_spanner(&g, vft.spanner());
     let sampled = verify_ft_sampled(&g, vft.spanner(), f, FaultModel::Vertex, trials, &mut rng);
     let adversarial = verify_ft_adversarial(&g, &vft);
-    let certificate = certify_vft_exact(&g, vft.spanner(), f);
+    let certificate = certify_ft_exact(&g, vft.spanner(), f, FaultModel::Vertex);
     if certificate.is_some() {
         total_violations += 1;
     }
@@ -94,7 +94,7 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
     let dk = dk_spanner(&g, stretch, DkParams::heuristic(n, f, 3.0), &mut rng);
     let plain = verify_spanner(&g, &dk);
     let sampled = verify_ft_sampled(&g, &dk, f, FaultModel::Vertex, trials, &mut rng);
-    let dk_certificate = certify_vft_exact(&g, &dk, f);
+    let dk_certificate = certify_ft_exact(&g, &dk, f, FaultModel::Vertex);
     if dk_certificate.is_some() {
         total_violations += 1;
     }
@@ -132,6 +132,11 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
     notes.push(format!(
         "total violations across all constructions and audits: {total_violations} (must be 0)"
     ));
+    if total_violations > 0 {
+        notes.push(format!(
+            "VIOLATION: {total_violations} audit(s) found a broken fault-tolerance contract"
+        ));
+    }
     notes.push(
         "vertex-model rows additionally carry an EXACT ∀F certificate via per-edge oracle queries"
             .to_string(),

@@ -16,8 +16,8 @@
 //!
 //! * [`graph`] ([`spanner_graph`]) — the graph substrate: weighted graphs,
 //!   fault masks, bounded fault-masked Dijkstra, girth, generators;
-//! * [`faults`] ([`spanner_faults`]) — the fault model and the exact
-//!   fault-set search oracles (branching / exhaustive / hitting-set);
+//! * [`faults`] ([`spanner_faults`]) — the fault model and the fault-set
+//!   search oracles (exact branching and exhaustive, inexact heuristic);
 //! * [`core`] ([`spanner_core`]) — the paper: FT-greedy (Algorithm 1),
 //!   blocking sets (Lemma 3), peeling (Lemma 4), verification, baselines;
 //! * [`extremal`] ([`spanner_extremal`]) — Moore-bound curves, projective
@@ -39,6 +39,9 @@
 //! // Knock out any single vertex: the survivor still 3-spans.
 //! let audit = verify_ft_exhaustive(&g, ft.spanner(), 1, FaultModel::Vertex);
 //! assert!(audit.satisfied());
+//! // The same contract, decided exactly by one fault-oracle query per
+//! // parent edge the spanner dropped (either fault model).
+//! assert!(certify_ft_exact(&g, ft.spanner(), 1, FaultModel::Vertex).is_none());
 //!
 //! // Serve it: freeze the construction into an immutable artifact and
 //! // open an epoch session under one failure view.
@@ -153,8 +156,8 @@ pub mod prelude {
         ScenarioOutcome, SimulationConfig, SimulationOutcome, Trace,
     };
     pub use spanner_core::verify::{
-        certify_vft_exact, verify_ft_adaptive, verify_ft_adversarial, verify_ft_exhaustive,
-        verify_ft_sampled, verify_spanner, verify_under_faults,
+        certify_ft_exact, verify_ft_adversarial, verify_ft_exhaustive, verify_ft_sampled,
+        verify_spanner, verify_under_faults,
     };
     pub use spanner_core::{
         greedy_spanner, peel, verify_blocking_set, BatchCoalescer, BlockingSet, EpochDelta,
@@ -163,7 +166,7 @@ pub mod prelude {
     };
     pub use spanner_faults::{
         BranchingOracle, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet,
-        GreedyHeuristicOracle, HittingSetOracle, OracleQuery,
+        GreedyHeuristicOracle, OracleQuery,
     };
     pub use spanner_graph::{
         bfs, connectivity, dijkstra, generators, girth, mst, subgraph, transform, Dist, EdgeId,
