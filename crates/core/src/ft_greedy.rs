@@ -31,13 +31,17 @@
 
 use crate::Spanner;
 use spanner_faults::{
-    BranchingConfig, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet, GreedyHeuristicOracle,
-    OracleQuery, OracleStats, ParallelBranchingOracle,
+    BranchingConfig, ExhaustiveOracle, FaultModel, FaultOracle, FaultSet, OracleQuery, OracleStats,
+    ParallelBranchingOracle,
 };
 use spanner_graph::{EdgeId, Graph};
 use std::collections::VecDeque;
 
-/// Which oracle implementation FT-greedy should use.
+/// Which exact oracle implementation FT-greedy should use. Every kind
+/// decides each keep test exactly, so every kind builds the same spanner;
+/// an inexact oracle (such as
+/// [`GreedyHeuristicOracle`](spanner_faults::GreedyHeuristicOracle)) can
+/// only be run through [`FtGreedy::run_with_oracle`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OracleKind {
     /// Bounded search tree with packing pruning and memoization (default).
@@ -56,19 +60,6 @@ pub enum OracleKind {
     /// inputs); keep-dense runs stay on the calling thread, and so does
     /// everything at `Parallel(1)`, which is `Branching`.
     Parallel(usize),
-    /// **Inexact** polynomial-time heuristic (the open-problem probe):
-    /// kept edges are always justified, but edges may be dropped wrongly,
-    /// so the output can fail fault audits. For experiment E11; do not use
-    /// when the fault-tolerance contract must hold.
-    Heuristic,
-}
-
-impl OracleKind {
-    /// Whether this oracle is exact (`false` only for
-    /// [`OracleKind::Heuristic`]).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, OracleKind::Heuristic)
-    }
 }
 
 /// Configurable FT-greedy runner (non-consuming builder).
@@ -150,7 +141,7 @@ impl<'a> FtGreedy<'a> {
     /// run the pooled keep loop over the oracle's shared spanner `Graph` —
     /// no `Box<dyn>` dispatch, no per-query allocation; `Branching` and
     /// `BranchingWith` are that loop at width 1, on the calling thread
-    /// alone. The remaining oracle kinds go through the generic
+    /// alone. `Exhaustive` goes through the generic
     /// [`FtGreedy::run_with_oracle`] path.
     pub fn run(&self) -> FtSpanner {
         let (threads, config) = match self.oracle {
@@ -158,9 +149,6 @@ impl<'a> FtGreedy<'a> {
             OracleKind::BranchingWith(config) => (1, config),
             OracleKind::Parallel(threads) => (threads, BranchingConfig::default()),
             OracleKind::Exhaustive => return self.run_with_oracle(&mut ExhaustiveOracle::new()),
-            OracleKind::Heuristic => {
-                return self.run_with_oracle(&mut GreedyHeuristicOracle::new())
-            }
         };
         self.run_pooled_with(&mut ParallelBranchingOracle::new(threads).with_config(config))
     }

@@ -9,7 +9,6 @@ use spanner_core::simulation::{simulate, SimulationConfig};
 use spanner_core::{EpochServer, FrozenSpanner, FtGreedy};
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::generators::{complete, grid};
-use spanner_graph::transform::disjoint_union;
 use spanner_graph::{
     DijkstraEngine, Dist, EdgeId, FaultMask, Graph, GraphView, NodeId, PathScratch, Weight,
 };
@@ -105,6 +104,21 @@ fn tie_heavy_graph(family: usize, shape: (usize, usize), a: &Graph, b: &Graph) -
         2 => a.clone(),
         _ => disjoint_union(a, b),
     }
+}
+
+/// `a` and `b` side by side: `b`'s vertices and edges numbered after
+/// `a`'s.
+fn disjoint_union(a: &Graph, b: &Graph) -> Graph {
+    let offset = a.node_count();
+    let mut out = Graph::new(offset + b.node_count());
+    for (_, e) in a.edges() {
+        out.add_edge_unchecked(e.u(), e.v(), e.weight());
+    }
+    for (_, e) in b.edges() {
+        let (u, v) = (e.u().index() + offset, e.v().index() + offset);
+        out.add_edge_unchecked(NodeId::new(u), NodeId::new(v), e.weight());
+    }
+    out
 }
 
 fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {

@@ -3,8 +3,8 @@
 //!
 //! Since PR 5, `VFTSPANR` artifacts are the unit of deployment: one
 //! builder process encodes, thousands of replicas decode bytes they did
-//! not produce. That makes [`parse_container`], [`decode_frozen_csr`]
-//! and [`FrozenSpanner::decode`] a trust boundary, and this crate is
+//! not produce. That makes [`parse_container`] and
+//! [`FrozenSpanner::decode`] a trust boundary, and this crate is
 //! the adversary that patrols it — following the fail-closed
 //! adversarial-testing shape (attack classes with stable error codes, a
 //! determinism contract, a false-positive guard) the ROADMAP's
@@ -44,7 +44,6 @@
 //! a schema-checked `vft-spanner/fuzz-1` findings artifact for CI.
 //!
 //! [`parse_container`]: spanner_graph::io::binary::parse_container
-//! [`decode_frozen_csr`]: spanner_graph::io::binary::decode_frozen_csr
 //! [`FrozenSpanner::decode`]: spanner_core::FrozenSpanner::decode
 //! [`Mutator`]: mutate::Mutator
 

@@ -1,4 +1,4 @@
-//! Structure-aware mutation of `VFTSPANR`/`VFTGRAPH` containers.
+//! Structure-aware mutation of `VFTSPANR` containers.
 //!
 //! A naive byte-flipping fuzzer gets stopped at the door: the container
 //! verifies its trailing checksum *before* parsing any section, so
@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn every_class_mutates_a_well_formed_v2_container() {
         // Real encoder output rather than the hand-laid sample: every
-        // spanner and graph seed keeps its framing under every class.
+        // seed keeps its framing under every class.
         let mut m = Mutator::new(9);
         for seed in crate::seeds::all_seeds() {
             for class in AttackClass::ALL {

@@ -4,12 +4,10 @@
 //! Structure-aware fuzzing is only as good as its seeds: a mutant of a
 //! bare freeze can never exercise the witness-map cross-checks, and a
 //! mutant of a vertex-model artifact never walks the edge-model decode
-//! arm. So the seed set deliberately spans both container kinds
-//! (`VFTSPANR` spanner artifacts, `VFTGRAPH` standalone graphs), both
-//! fault models, budgets f ∈ {0, 1, 2} (witness strides of 4, 8 and 12
-//! bytes), with-parent and bare freezes, and empty through
-//! moderately-sized graphs — every decode arm has at least one seed
-//! whose mutants reach it.
+//! arm. So the `VFTSPANR` seed set deliberately spans both fault
+//! models, budgets f ∈ {0, 1, 2} (witness strides of 4, 8 and 12 bytes),
+//! and with-parent and bare freezes — every decode arm has at least one
+//! seed whose mutants reach it.
 //!
 //! Seeds are deterministic (fixed generator seeds, no clocks), so the
 //! corpus files derived from them are stable across runs and machines.
@@ -18,8 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::{greedy_spanner, FtGreedy};
 use spanner_faults::FaultModel;
-use spanner_graph::io::binary::encode_frozen_csr;
-use spanner_graph::{generators, FrozenCsr, Graph};
+use spanner_graph::{generators, Graph};
 
 /// One seed: a short stable name (used in logs and corpus filenames)
 /// plus the encoded container bytes.
@@ -39,9 +36,10 @@ fn ft_artifact(g: &Graph, stretch: u64, f: usize, model: FaultModel) -> Vec<u8> 
         .encode()
 }
 
-/// `VFTSPANR` spanner-artifact seeds: both fault models, f ∈ {0, 1, 2},
-/// with-parent and bare freezes.
-pub fn spanner_seeds() -> Vec<Seed> {
+/// All seeds: `VFTSPANR` spanner artifacts in both fault models, f ∈
+/// {0, 1, 2}, with-parent and bare freezes. The order is part of the
+/// determinism contract (mutant streams index into it).
+pub fn all_seeds() -> Vec<Seed> {
     let mut rng = StdRng::seed_from_u64(1009);
     let geometric = generators::random_geometric(12, 0.6, &mut rng);
     vec![
@@ -68,39 +66,6 @@ pub fn spanner_seeds() -> Vec<Seed> {
             bytes: greedy_spanner(&generators::petersen(), 3).freeze().encode(),
         },
     ]
-}
-
-/// `VFTGRAPH` standalone frozen-graph seeds, including the empty graph
-/// (zero sections of payload is itself an edge case worth mutating).
-pub fn graph_seeds() -> Vec<Seed> {
-    let mut rng = StdRng::seed_from_u64(2003);
-    let sparse = generators::erdos_renyi(10, 0.3, &mut rng);
-    vec![
-        Seed {
-            name: "petersen-graph",
-            bytes: encode_frozen_csr(&FrozenCsr::from_view(&generators::petersen())),
-        },
-        Seed {
-            name: "cycle5-graph",
-            bytes: encode_frozen_csr(&FrozenCsr::from_view(&generators::cycle(5))),
-        },
-        Seed {
-            name: "empty-graph",
-            bytes: encode_frozen_csr(&FrozenCsr::from_view(&Graph::new(0))),
-        },
-        Seed {
-            name: "erdos10-graph",
-            bytes: encode_frozen_csr(&FrozenCsr::from_view(&sparse)),
-        },
-    ]
-}
-
-/// All seeds, spanner artifacts first — the order is part of the
-/// determinism contract (mutant streams index into it).
-pub fn all_seeds() -> Vec<Seed> {
-    let mut seeds = spanner_seeds();
-    seeds.extend(graph_seeds());
-    seeds
 }
 
 /// One hand-aimed hostile input: a deterministic byte surgery designed
@@ -143,7 +108,7 @@ pub fn directed_probes() -> Vec<Probe> {
     };
 
     // The richest seed: all five VFTSPANR sections present.
-    let seed = spanner_seeds().swap_remove(0).bytes;
+    let seed = all_seeds().swap_remove(0).bytes;
     let sections = frame_sections(&seed);
     let mut probes = Vec::new();
 
@@ -250,7 +215,7 @@ pub fn directed_probes() -> Vec<Probe> {
     // records: a u32 length, then two u32 id slots). The budget comes
     // from META and every record is checked on read, so each gate below
     // needs exact surgery a random resealed hit would rarely produce.
-    let f2 = spanner_seeds().swap_remove(2).bytes;
+    let f2 = all_seeds().swap_remove(2).bytes;
     let meta = section(&f2, 1).payload;
     let w = section(&f2, 4).payload;
     let edge_count = u64::from_le_bytes(f2[meta + 26..meta + 34].try_into().unwrap());
@@ -300,10 +265,7 @@ mod tests {
     #[test]
     fn every_seed_decodes_cleanly_and_deterministically() {
         let seeds = all_seeds();
-        assert!(
-            seeds.len() >= 9,
-            "spanner and graph seeds must all be present"
-        );
+        assert!(seeds.len() >= 5, "every spanner seed must be present");
         for seed in &seeds {
             let outcome = decode_outcome(&seed.bytes)
                 .unwrap_or_else(|why| panic!("seed {}: {why}", seed.name));

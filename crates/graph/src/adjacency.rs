@@ -6,10 +6,9 @@
 //! the growable Vec-of-Vec representation the constructions search;
 //! [`FrozenCsr`](crate::FrozenCsr) is the packed read-only layout the
 //! serving path shares across threads. Algorithms that only *read*
-//! adjacency ([`DijkstraEngine`](crate::DijkstraEngine), the max-flow
-//! queries in [`connectivity`](crate::connectivity)) are generic over
-//! this trait, so both layouts run through identical — monomorphized,
-//! allocation-free — code paths.
+//! adjacency ([`DijkstraEngine`](crate::DijkstraEngine), the landmark
+//! table builder) are generic over this trait, so both layouts run
+//! through identical — monomorphized, allocation-free — code paths.
 //!
 //! # Determinism contract
 //!

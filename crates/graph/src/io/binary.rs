@@ -7,7 +7,7 @@
 //! binary artifact uses (byte-level spec in `docs/ARTIFACT_FORMAT.md`):
 //!
 //! ```text
-//! magic: [u8; 8]                      file-type tag, e.g. b"VFTGRAPH"
+//! magic: [u8; 8]                      file-type tag, e.g. b"VFTSPANR"
 //! version: u32 LE                     FORMAT_VERSION (exact match required)
 //! flags: u32 LE                       file-type bit set (unknown bits rejected)
 //! section_count: u64 LE
@@ -37,52 +37,45 @@
 //!   encode` is byte-identical and artifacts can be compared or
 //!   content-addressed by hash.
 //!
-//! On top of the container sit the graph payload codecs:
+//! On top of the container sits the graph payload codec:
 //! [`write_view_payload`] serializes any [`GraphView`] as `node_count,
-//! edge_count, (u, v, w)*`; [`read_frozen_csr_payload`] rebuilds a
-//! packed [`FrozenCsr`] from it (adjacency reconstructed in the
-//! [`GraphView`] determinism order — increasing edge id per vertex — so
-//! the rebuilt layout traverses and tie-breaks exactly like the
-//! original); [`read_graph_payload`] rebuilds a [`Graph`] enforcing the
-//! simple-graph invariants. [`encode_frozen_csr`] / [`decode_frozen_csr`]
-//! wrap the payload in a standalone `VFTGRAPH` container;
+//! edge_count, (u, v, w)*`, and [`read_graph_payload`] rebuilds a
+//! [`Graph`] from it, enforcing the simple-graph invariants.
 //! `spanner_core`'s `FrozenSpanner::encode`/`decode` embed graph and
-//! in-place CSR payloads as sections of the richer `VFTSPANR` artifact.
+//! in-place CSR payloads as sections of the `VFTSPANR` artifact, the one
+//! file type built on this container.
 //!
 //! # Examples
 //!
 //! ```
-//! use spanner_graph::io::binary;
-//! use spanner_graph::{generators, FrozenCsr, GraphView};
+//! use spanner_graph::io::binary::{self, ByteReader, ContainerWriter};
+//! use spanner_graph::generators;
 //!
-//! let g = generators::petersen();
-//! let frozen = FrozenCsr::from_view(&g);
-//! let bytes = binary::encode_frozen_csr(&frozen);
-//! let back = binary::decode_frozen_csr(&bytes)?;
+//! let mut payload = Vec::new();
+//! binary::write_view_payload(&generators::petersen(), &mut payload);
+//! let mut writer = ContainerWriter::new(*b"EXAMPLE1", 0);
+//! writer.section(1, payload);
+//! let bytes = writer.finish();
+//!
+//! let container = binary::parse_container(&bytes, *b"EXAMPLE1", 0)?;
+//! let s = container.section(1).expect("section 1 was written");
+//! let mut reader = ByteReader::new(&bytes[s.offset..s.offset + s.len]);
+//! let back = binary::read_graph_payload(&mut reader)?;
 //! assert_eq!(back.edge_count(), 15);
-//! // Canonical: re-encoding reproduces the bytes exactly.
-//! assert_eq!(binary::encode_frozen_csr(&back), bytes);
 //! // Hostile input fails loudly, never panics.
-//! assert!(binary::decode_frozen_csr(&bytes[..bytes.len() - 1]).is_err());
+//! assert!(binary::parse_container(&bytes[..bytes.len() - 1], *b"EXAMPLE1", 0).is_err());
 //! # Ok::<(), spanner_graph::io::binary::BinaryError>(())
 //! ```
 
-use crate::{FrozenCsr, Graph, GraphError, GraphView, NodeId, Weight};
+use crate::{Graph, GraphError, GraphView, NodeId, Weight};
 use std::error::Error;
 use std::fmt;
-
-/// Magic bytes of a standalone frozen-graph container
-/// ([`encode_frozen_csr`]).
-pub const FROZEN_CSR_MAGIC: [u8; 8] = *b"VFTGRAPH";
 
 /// The one version of the container format this module reads and
 /// writes, for every file type. Decoders require an exact match; older
 /// artifacts are refused and rebuilt from their parents (see the
 /// compatibility policy in `docs/ARTIFACT_FORMAT.md`).
 pub const FORMAT_VERSION: u32 = 3;
-
-/// Section tag of the adjacency payload in a [`FROZEN_CSR_MAGIC`] file.
-const SECTION_ADJACENCY: u32 = 1;
 
 /// Byte width of the trailing checksum.
 const CHECKSUM_LEN: usize = 8;
@@ -764,21 +757,6 @@ fn read_edge_record(
     Ok((NodeId::new(u), NodeId::new(v), weight))
 }
 
-/// Rebuilds a packed [`FrozenCsr`] from a graph payload. The adjacency
-/// is reconstructed in the [`GraphView`] determinism order (increasing
-/// edge id per vertex), which is exactly the order every view in this
-/// workspace produces — so a decoded artifact traverses, and therefore
-/// tie-breaks, bit-identically to the one that was encoded.
-///
-/// # Errors
-///
-/// [`BinaryError`] exactly as [`read_graph_payload`], which reads the
-/// records: truncation, malformed records, and duplicate edges as
-/// [`BinaryError::Graph`].
-pub fn read_frozen_csr_payload(r: &mut ByteReader<'_>) -> Result<FrozenCsr, BinaryError> {
-    Ok(FrozenCsr::from_view(&read_graph_payload(r)?))
-}
-
 /// Rebuilds a [`Graph`] from a graph payload, enforcing the full
 /// simple-graph invariants.
 ///
@@ -796,85 +774,45 @@ pub fn read_graph_payload(r: &mut ByteReader<'_>) -> Result<Graph, BinaryError> 
     Ok(graph)
 }
 
-/// Encodes a [`FrozenCsr`] as a standalone [`FROZEN_CSR_MAGIC`]
-/// container (see the module docs for the layout and the example for a
-/// roundtrip).
-pub fn encode_frozen_csr(csr: &FrozenCsr) -> Vec<u8> {
-    let mut payload = Vec::new();
-    write_view_payload(csr, &mut payload);
-    let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-    w.section(SECTION_ADJACENCY, payload);
-    w.finish()
-}
-
-/// Decodes a standalone [`FROZEN_CSR_MAGIC`] container back into a
-/// packed [`FrozenCsr`].
-///
-/// # Errors
-///
-/// [`BinaryError`] on any structural or payload defect; hostile input
-/// cannot cause a panic.
-pub fn decode_frozen_csr(bytes: &[u8]) -> Result<FrozenCsr, BinaryError> {
-    let container = parse_container(bytes, FROZEN_CSR_MAGIC, 0)?;
-    for section in &container.sections {
-        if section.tag != SECTION_ADJACENCY {
-            return Err(BinaryError::UnknownSection { tag: section.tag });
-        }
-    }
-    let s = container
-        .section(SECTION_ADJACENCY)
-        .ok_or(BinaryError::MissingSection { name: "adjacency" })?;
-    let mut r = ByteReader::new(&bytes[s.offset..s.offset + s.len]);
-    let csr = read_frozen_csr_payload(&mut r)?;
-    r.expect_drained("adjacency section")?;
-    Ok(csr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytes::read_u64_at;
-    use crate::{generators, EdgeId};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::generators;
 
-    fn view_neighbors(view: &impl GraphView, v: NodeId) -> Vec<(NodeId, EdgeId, Weight)> {
-        let mut out = Vec::new();
-        view.for_each_neighbor(v, |n, e, w| out.push((n, e, w)));
-        out
+    const TEST_MAGIC: [u8; 8] = *b"VFTTESTC";
+
+    /// The one section tag [`read_test_graph`] knows.
+    const GRAPH_SECTION: u32 = 1;
+
+    /// `payload` as the graph section of a test container.
+    fn seal_graph_payload(payload: Vec<u8>) -> Vec<u8> {
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
+        w.section(GRAPH_SECTION, payload);
+        w.finish()
     }
 
-    #[test]
-    fn frozen_csr_round_trips_structure() {
-        let mut rng = StdRng::seed_from_u64(2024);
-        let g = generators::erdos_renyi(30, 0.2, &mut rng);
-        let frozen = FrozenCsr::from_view(&g);
-        let bytes = encode_frozen_csr(&frozen);
-        let back = decode_frozen_csr(&bytes).unwrap();
-        assert_eq!(back.node_count(), frozen.node_count());
-        assert_eq!(back.edge_count(), frozen.edge_count());
-        for v in 0..frozen.node_count() {
-            assert_eq!(
-                view_neighbors(&back, NodeId::new(v)),
-                view_neighbors(&frozen, NodeId::new(v))
-            );
+    fn sealed_graph(view: &impl GraphView) -> Vec<u8> {
+        let mut payload = Vec::new();
+        write_view_payload(view, &mut payload);
+        seal_graph_payload(payload)
+    }
+
+    /// Reads a test container the way an artifact decoder reads one:
+    /// the container gates, known section tags only, then the graph
+    /// payload, which must fill its section exactly.
+    fn read_test_graph(bytes: &[u8]) -> Result<Graph, BinaryError> {
+        let container = parse_container(bytes, TEST_MAGIC, 0)?;
+        if let Some(s) = container.sections.iter().find(|s| s.tag != GRAPH_SECTION) {
+            return Err(BinaryError::UnknownSection { tag: s.tag });
         }
-        assert_eq!(
-            encode_frozen_csr(&back),
-            bytes,
-            "re-encoding must be canonical"
-        );
-    }
-
-    #[test]
-    fn weighted_and_empty_graphs_round_trip() {
-        let g =
-            Graph::from_weighted_edges(4, [(0, 1, 5), (1, 2, 2), (0, 3, u64::MAX - 1)]).unwrap();
-        let bytes = encode_frozen_csr(&FrozenCsr::from_view(&g));
-        let back = decode_frozen_csr(&bytes).unwrap();
-        assert_eq!(back.edge_weight(EdgeId::new(2)).get(), u64::MAX - 1);
-        let empty = encode_frozen_csr(&FrozenCsr::from_view(&Graph::new(0)));
-        assert_eq!(decode_frozen_csr(&empty).unwrap().node_count(), 0);
+        let s = container
+            .section(GRAPH_SECTION)
+            .ok_or(BinaryError::MissingSection { name: "graph" })?;
+        let mut r = ByteReader::new(&bytes[s.offset..s.offset + s.len]);
+        let graph = read_graph_payload(&mut r)?;
+        r.expect_drained("graph section")?;
+        Ok(graph)
     }
 
     #[test]
@@ -884,7 +822,15 @@ mod tests {
         write_view_payload(&g, &mut payload);
         let back = read_graph_payload(&mut ByteReader::new(&payload)).unwrap();
         assert_eq!(back.edge_count(), 5);
-        // Both readers refuse a duplicate edge with the same typed error.
+        // Extreme weights and the empty graph survive, and a decoded
+        // graph re-encodes to the same bytes.
+        let heavy =
+            Graph::from_weighted_edges(4, [(0, 1, 5), (1, 2, 2), (0, 3, u64::MAX - 1)]).unwrap();
+        for g in [heavy, Graph::new(0)] {
+            let bytes = sealed_graph(&g);
+            assert_eq!(sealed_graph(&read_test_graph(&bytes).unwrap()), bytes);
+        }
+        // A duplicate edge is refused with a typed error.
         let mut dup = Vec::new();
         put_u64(&mut dup, 3);
         put_u64(&mut dup, 2);
@@ -894,10 +840,6 @@ mod tests {
             put_u64(&mut dup, 1);
         }
         assert!(matches!(
-            read_frozen_csr_payload(&mut ByteReader::new(&dup)),
-            Err(BinaryError::Graph(_))
-        ));
-        assert!(matches!(
             read_graph_payload(&mut ByteReader::new(&dup)),
             Err(BinaryError::Graph(_))
         ));
@@ -906,10 +848,10 @@ mod tests {
     #[test]
     fn every_truncation_errors_without_panicking() {
         let g = generators::petersen();
-        let bytes = encode_frozen_csr(&FrozenCsr::from_view(&g));
+        let bytes = sealed_graph(&g);
         for len in 0..bytes.len() {
             assert!(
-                decode_frozen_csr(&bytes[..len]).is_err(),
+                read_test_graph(&bytes[..len]).is_err(),
                 "truncation to {len} bytes must fail"
             );
         }
@@ -918,12 +860,12 @@ mod tests {
     #[test]
     fn every_single_byte_flip_errors() {
         let g = generators::cycle(6);
-        let bytes = encode_frozen_csr(&FrozenCsr::from_view(&g));
+        let bytes = sealed_graph(&g);
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x41;
             assert!(
-                decode_frozen_csr(&corrupt).is_err(),
+                read_test_graph(&corrupt).is_err(),
                 "flipping byte {i} must be detected"
             );
         }
@@ -932,11 +874,11 @@ mod tests {
     #[test]
     fn wrong_magic_version_and_checksum_are_typed() {
         let g = generators::cycle(4);
-        let bytes = encode_frozen_csr(&FrozenCsr::from_view(&g));
+        let bytes = sealed_graph(&g);
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
-            decode_frozen_csr(&wrong_magic),
+            read_test_graph(&wrong_magic),
             Err(BinaryError::BadMagic { .. })
         ));
 
@@ -949,7 +891,7 @@ mod tests {
             if sealed {
                 reseal(&mut other);
             }
-            let err = decode_frozen_csr(&other).unwrap_err();
+            let err = read_test_graph(&other).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -967,7 +909,7 @@ mod tests {
         let last = bad_sum.len() - 1;
         bad_sum[last] ^= 0xff;
         assert!(matches!(
-            decode_frozen_csr(&bad_sum),
+            read_test_graph(&bad_sum),
             Err(BinaryError::ChecksumMismatch { .. })
         ));
     }
@@ -979,11 +921,8 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, 4);
         put_u64(&mut payload, u64::MAX);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-        w.section(SECTION_ADJACENCY, payload);
-        let bytes = w.finish();
         assert!(matches!(
-            decode_frozen_csr(&bytes),
+            read_test_graph(&seal_graph_payload(payload)),
             Err(BinaryError::Malformed { .. })
         ));
         // The node count allocates adjacency headers directly, so a tiny
@@ -992,39 +931,34 @@ mod tests {
         let mut payload = Vec::new();
         put_u64(&mut payload, u32::MAX as u64);
         put_u64(&mut payload, 0);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-        w.section(SECTION_ADJACENCY, payload);
         assert!(matches!(
-            decode_frozen_csr(&w.finish()),
+            read_test_graph(&seal_graph_payload(payload)),
             Err(BinaryError::Malformed { .. })
         ));
         // While the floor keeps small isolated-vertex graphs legal.
-        let sparse = FrozenCsr::from_view(&Graph::new(50_000));
-        let bytes = encode_frozen_csr(&sparse);
-        assert_eq!(decode_frozen_csr(&bytes).unwrap().node_count(), 50_000);
+        let bytes = sealed_graph(&Graph::new(50_000));
+        assert_eq!(read_test_graph(&bytes).unwrap().node_count(), 50_000);
     }
 
     #[test]
     fn unknown_and_duplicate_sections_rejected() {
         let mut payload = Vec::new();
         write_view_payload(&generators::cycle(3), &mut payload);
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-        w.section(SECTION_ADJACENCY, payload.clone());
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
+        w.section(GRAPH_SECTION, payload.clone());
         w.section(99, Vec::new());
         assert!(matches!(
-            decode_frozen_csr(&w.finish()),
+            read_test_graph(&w.finish()),
             Err(BinaryError::UnknownSection { tag: 99 })
         ));
-        let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-        w.section(SECTION_ADJACENCY, payload.clone());
-        w.section(SECTION_ADJACENCY, payload);
+        let mut w = ContainerWriter::new(TEST_MAGIC, 0);
+        w.section(GRAPH_SECTION, payload.clone());
+        w.section(GRAPH_SECTION, payload);
         assert!(matches!(
-            decode_frozen_csr(&w.finish()),
+            read_test_graph(&w.finish()),
             Err(BinaryError::DuplicateSection { .. })
         ));
     }
-
-    const TEST_MAGIC: [u8; 8] = *b"VFTTESTC";
 
     fn v2_two_sections() -> Vec<u8> {
         let mut w = ContainerWriter::new(TEST_MAGIC, 0);
@@ -1215,11 +1149,9 @@ mod tests {
             put_u32(&mut payload, u);
             put_u32(&mut payload, v);
             put_u64(&mut payload, w);
-            let mut w = ContainerWriter::new(FROZEN_CSR_MAGIC, 0);
-            w.section(SECTION_ADJACENCY, payload);
             assert!(
                 matches!(
-                    decode_frozen_csr(&w.finish()),
+                    read_test_graph(&seal_graph_payload(payload)),
                     Err(BinaryError::Malformed { .. })
                 ),
                 "{what} must be rejected"
@@ -1233,7 +1165,7 @@ mod tests {
             BinaryError::Truncated { context: "x" },
             BinaryError::BadMagic {
                 found: [0; 8],
-                expected: FROZEN_CSR_MAGIC,
+                expected: TEST_MAGIC,
             },
             BinaryError::UnsupportedVersion {
                 found: 2,

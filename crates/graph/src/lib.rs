@@ -15,6 +15,8 @@
 //! * [`generators`] — deterministic and random graph families used by the
 //!   experiment harness, including Cartesian products for the lower-bound
 //!   construction.
+//! * [`io`] — text edge lists, and the binary container (with its graph
+//!   payload codec) that the `VFTSPANR` artifact is built on.
 //! * Supporting structures: [`BitSet`], [`IndexedHeap`], [`UnionFind`],
 //!   [`subgraph`] extraction, [`bfs`] utilities, and the worker [`pool`]
 //!   pooled construction and serving share.
@@ -58,12 +60,9 @@ mod weight;
 
 pub mod bfs;
 pub mod bytes;
-pub mod connectivity;
 pub mod csr;
 pub mod cycles;
-pub mod degeneracy;
 pub mod dijkstra;
-pub mod flow;
 pub mod generators;
 pub mod girth;
 pub mod io;
@@ -72,7 +71,6 @@ pub mod mst;
 pub mod partition;
 pub mod pool;
 pub mod subgraph;
-pub mod transform;
 
 pub use adjacency::GraphView;
 pub use bitset::BitSet;

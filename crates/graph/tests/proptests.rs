@@ -2,11 +2,14 @@
 //!
 //! The central comparisons: Dijkstra against a Floyd–Warshall reference
 //! (including under fault masks), girth against brute-force short-cycle
-//! enumeration, and the container types against std models.
+//! enumeration, the minimum spanning forest against the cycle property,
+//! the edge-list format against itself, and the container types against
+//! std models.
 
 use proptest::prelude::*;
 use spanner_graph::{
-    bfs, cycles, dijkstra, girth, subgraph, BitSet, Dist, EdgeId, FaultMask, Graph, NodeId, Weight,
+    bfs, cycles, dijkstra, girth, io, mst, subgraph, BitSet, Dist, EdgeId, FaultMask, Graph,
+    NodeId, Weight,
 };
 
 /// A random simple weighted graph on up to `max_n` vertices, as an edge list.
@@ -253,4 +256,96 @@ proptest! {
             prop_assert_eq!(comp[e.u().index()], comp[e.v().index()]);
         }
     }
+
+    #[test]
+    fn edge_list_round_trips_exactly(g in arb_graph(9, 9)) {
+        let text = io::to_edge_list(&g);
+        let back = io::from_edge_list(&text).unwrap();
+        prop_assert_eq!(back.node_count(), g.node_count());
+        prop_assert_eq!(back.edge_count(), g.edge_count());
+        for (id, e) in g.edges() {
+            let (u, v) = back.endpoints(id);
+            prop_assert_eq!((u, v), (e.u(), e.v()));
+            prop_assert_eq!(back.weight(id), e.weight());
+        }
+    }
+
+    #[test]
+    fn mst_is_minimum_over_connected_subgraphs(
+        edges in proptest::collection::vec((0usize..5, 0usize..5, 1u64..8), 4..9),
+    ) {
+        // Build a small weighted graph, skipping loops/duplicates.
+        let mut g = Graph::new(5);
+        for (u, v, w) in edges {
+            if u != v && g.contains_edge(NodeId::new(u), NodeId::new(v)).is_none() {
+                g.add_edge_unchecked(NodeId::new(u), NodeId::new(v), Weight::new(w).unwrap());
+            }
+        }
+        let mask = FaultMask::for_graph(&g);
+        let forest = mst::minimum_spanning_forest(&g, &mask);
+        // The cycle property, equivalent to minimality: every non-forest
+        // edge closes a forest cycle on which it is a maximum-weight edge.
+        prop_assume!(g.edge_count() >= 1);
+        let in_forest: std::collections::HashSet<_> = forest.edges.iter().copied().collect();
+        let sub = subgraph::edge_subgraph(&g, forest.edges.iter().copied());
+        for e in g.edge_ids().filter(|e| !in_forest.contains(e)) {
+            let (u, v) = g.endpoints(e);
+            let path = dijkstra::dist(&sub.graph, u, v, &FaultMask::for_graph(&sub.graph));
+            prop_assert!(path.is_finite(), "forest must connect endpoints of skipped edges");
+            let heavy_ok = forest_path_max_weight(&sub.graph, u, v) <= g.weight(e).get();
+            prop_assert!(heavy_ok, "cycle property violated at {e}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn watts_strogatz_keeps_edge_budget(
+        n in 8usize..40,
+        half_k in 1usize..3,
+        beta in 0.0f64..1.0,
+        seed in 0u64..500,
+    ) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let k = 2 * half_k;
+        prop_assume!(k < n);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = spanner_graph::generators::watts_strogatz(n, k, beta, &mut rng);
+        prop_assert_eq!(g.edge_count(), n * k / 2);
+        // No duplicate edges.
+        for v in g.nodes() {
+            let mut neighbors: Vec<NodeId> = g.neighbors(v).map(|(to, _)| to).collect();
+            let len = neighbors.len();
+            neighbors.sort();
+            neighbors.dedup();
+            prop_assert_eq!(neighbors.len(), len, "duplicate edge at {}", v);
+        }
+    }
+}
+
+/// Max edge weight on the unique forest path between `u` and `v`.
+fn forest_path_max_weight(forest: &Graph, u: NodeId, v: NodeId) -> u64 {
+    fn dfs(
+        g: &Graph,
+        cur: NodeId,
+        target: NodeId,
+        prev: Option<EdgeId>,
+        max_w: u64,
+    ) -> Option<u64> {
+        if cur == target {
+            return Some(max_w);
+        }
+        for (to, eid) in g.neighbors(cur) {
+            if Some(eid) == prev {
+                continue;
+            }
+            if let Some(found) = dfs(g, to, target, Some(eid), max_w.max(g.weight(eid).get())) {
+                return Some(found);
+            }
+        }
+        None
+    }
+    dfs(forest, u, v, None, 0).expect("connected in forest")
 }

@@ -1,8 +1,8 @@
 //! The fuzz regression corpus: file conventions and deterministic replay.
 //!
-//! The decode path (`parse_container`, `decode_frozen_csr`,
-//! `FrozenSpanner::decode` / `open`) is a trust boundary — replicas ingest
-//! artifact bytes they did not produce. The offline fuzzer
+//! The decode path (`parse_container`, `FrozenSpanner::decode` /
+//! `open`) is a trust boundary — replicas ingest artifact bytes they did
+//! not produce. The offline fuzzer
 //! (`spanner-fuzz`, `crates/fuzz`) hunts that boundary and commits what
 //! it finds under `fuzz/corpus/` (labeled hostile mutants plus
 //! legitimate seeds) and `fuzz/crashes/` (any input that ever caused a
@@ -120,11 +120,10 @@ impl DecodeOutcome {
     }
 }
 
-/// One decode through the codec the magic selects: `VFTGRAPH` files go
-/// through [`binary::decode_frozen_csr`], everything else (including
-/// garbage too short to carry a magic) through [`FrozenSpanner::decode`].
-/// Returns the outcome plus the error's display string (the
-/// "signature" the determinism contract compares), and re-encodes
+/// One decode through [`FrozenSpanner::decode`], whatever the bytes
+/// (garbage too short to carry a magic included). Returns the outcome
+/// plus the error's display string (the "signature" the determinism
+/// contract compares), and re-encodes
 /// accepted inputs to prove canonical acceptance. Accepted spanner
 /// artifacts additionally have their witness accessor probed, so a
 /// routing-only artifact is tallied under
@@ -132,37 +131,23 @@ impl DecodeOutcome {
 /// against it receive — keeping the detached arm inside the corpus's
 /// taxonomy-coverage gate.
 fn decode_once(bytes: &[u8]) -> Result<(DecodeOutcome, String), String> {
-    let is_graph = bytes.len() >= 8 && bytes[..8] == *b"VFTGRAPH";
     let run = |bytes: &[u8]| -> Result<(DecodeOutcome, String), String> {
-        if is_graph {
-            match binary::decode_frozen_csr(bytes) {
-                Ok(csr) => {
-                    if binary::encode_frozen_csr(&csr) != bytes {
-                        return Err("accepted input does not re-encode canonically".into());
-                    }
-                    Ok((DecodeOutcome::Accepted, String::new()))
+        match FrozenSpanner::decode(bytes) {
+            Ok(frozen) => {
+                if frozen.encode() != bytes {
+                    return Err("accepted input does not re-encode canonically".into());
                 }
-                Err(e) => Ok((DecodeOutcome::Rejected(e.code()), e.to_string())),
-            }
-        } else {
-            match FrozenSpanner::decode(bytes) {
-                Ok(frozen) => {
-                    if frozen.encode() != bytes {
-                        return Err("accepted input does not re-encode canonically".into());
-                    }
-                    // Witness availability is part of the replayed
-                    // contract: a routing-only (witnesses-detached)
-                    // artifact decodes, but serving witness queries from
-                    // it must refuse with its typed code — pin that
-                    // refusal rather than letting detachment blend into
-                    // "ok".
-                    if let Err(e) = frozen.witnesses() {
-                        return Ok((DecodeOutcome::Rejected(e.code()), e.to_string()));
-                    }
-                    Ok((DecodeOutcome::Accepted, String::new()))
+                // Witness availability is part of the replayed contract: a
+                // routing-only (witnesses-detached) artifact decodes, but
+                // serving witness queries from it must refuse with its
+                // typed code — pin that refusal rather than letting
+                // detachment blend into "ok".
+                if let Err(e) = frozen.witnesses() {
+                    return Ok((DecodeOutcome::Rejected(e.code()), e.to_string()));
                 }
-                Err(e) => Ok((DecodeOutcome::Rejected(e.code()), e.to_string())),
+                Ok((DecodeOutcome::Accepted, String::new()))
             }
+            Err(e) => Ok((DecodeOutcome::Rejected(e.code()), e.to_string())),
         }
     };
     // The decode contract says no input can panic; hold the line even

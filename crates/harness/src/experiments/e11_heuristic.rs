@@ -20,8 +20,8 @@ use crate::{cell_seed, fnum, parallel_map, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::verify::verify_ft_sampled;
-use spanner_core::{FtGreedy, OracleKind};
-use spanner_faults::FaultModel;
+use spanner_core::FtGreedy;
+use spanner_faults::{FaultModel, GreedyHeuristicOracle};
 use spanner_graph::generators::erdos_renyi;
 use std::time::Instant;
 
@@ -59,8 +59,7 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentOutput {
         let t1 = Instant::now();
         let heur = FtGreedy::new(&g, stretch)
             .faults(f)
-            .oracle(OracleKind::Heuristic)
-            .run();
+            .run_with_oracle(&mut GreedyHeuristicOracle::new());
         let heur_ms = t1.elapsed().as_secs_f64() * 1e3;
         let audit = verify_ft_sampled(
             &g,

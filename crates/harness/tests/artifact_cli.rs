@@ -71,19 +71,14 @@ fn inspect_matches_in_process_codes_deterministically_for_every_corpus_entry() {
         );
         assert_eq!(first.status.code(), second.status.code());
 
-        // `inspect` speaks VFTSPANR; standalone VFTGRAPH corpus entries
-        // are — correctly — a bad-magic rejection for this subcommand,
-        // whatever the entry's own expected outcome is. And a
-        // routing-only artifact is Rejected in-process (the witness
+        // A routing-only artifact is Rejected in-process (the witness
         // accessor's typed refusal) but inspects cleanly: inspect
         // reports metadata, it does not serve witness queries, and the
         // detached state is printed, not an error.
-        let is_graph = bytes.len() >= 8 && &bytes[..8] == b"VFTGRAPH";
-        let expected_code = match (&in_process, is_graph) {
-            (_, true) => Some("artifact/bad-magic".to_string()),
-            (DecodeOutcome::Accepted, false) => None,
-            (DecodeOutcome::Rejected("artifact/witnesses-detached"), false) => None,
-            (DecodeOutcome::Rejected(code), false) => Some(code.to_string()),
+        let expected_code = match &in_process {
+            DecodeOutcome::Accepted => None,
+            DecodeOutcome::Rejected("artifact/witnesses-detached") => None,
+            DecodeOutcome::Rejected(code) => Some(code.to_string()),
         };
         match expected_code {
             None => assert!(

@@ -33,8 +33,7 @@ fn main() {
         let t1 = Instant::now();
         let heur = FtGreedy::new(&g, 3)
             .faults(f)
-            .oracle(OracleKind::Heuristic)
-            .run();
+            .run_with_oracle(&mut GreedyHeuristicOracle::new());
         let heur_ms = t1.elapsed().as_secs_f64() * 1e3;
         let mut audit_rng = StdRng::seed_from_u64(99 + f as u64);
         let audit = verify_ft_sampled(

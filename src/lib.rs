@@ -169,8 +169,8 @@ pub mod prelude {
         GreedyHeuristicOracle, OracleQuery,
     };
     pub use spanner_graph::{
-        bfs, connectivity, dijkstra, generators, girth, mst, subgraph, transform, Dist, EdgeId,
-        FaultMask, Graph, NodeId, SharedBytes, Weight,
+        bfs, dijkstra, generators, girth, mst, subgraph, Dist, EdgeId, FaultMask, Graph, NodeId,
+        SharedBytes, Weight,
     };
 }
 

@@ -121,14 +121,66 @@ fn oracle_kinds_agree_through_the_facade() {
 fn blowup_connectivity_matches_theory() {
     // Vertex connectivity multiplies under the biclique blow-up:
     // kappa(blowup(G, t)) = t * kappa(G). For C8 (kappa = 2) with t = 2,
-    // the result must be exactly 4-connected — the structural fact behind
-    // per-edge criticality with 2(t-1) faults.
+    // the result must be exactly 4-connected, in vertices and in edges —
+    // the structural fact behind per-edge criticality with 2(t-1) faults.
     use vft_spanner::extremal::lower_bound::biclique_blowup;
     let blow = biclique_blowup(&generators::cycle(8), 2);
     let g = blow.graph();
-    let mask = FaultMask::for_graph(g);
-    assert_eq!(connectivity::vertex_connectivity(g, &mask), 4);
-    assert_eq!(connectivity::edge_connectivity(g, &mask), 4);
+    assert_eq!((g.node_count(), g.edge_count()), (16, 32));
+    // No 3 faults disconnect it: every vertex set and every edge set of
+    // size 1..=3.
+    let (mut vertex_sets, mut edge_sets) = (0, 0);
+    for_each_subset(g.node_count(), 3, &mut |faults| {
+        let mut mask = FaultMask::for_graph(g);
+        for &v in faults {
+            mask.fault_vertex(NodeId::new(v));
+        }
+        assert!(bfs::is_connected(g, &mask), "vertices {faults:?} cut it");
+        vertex_sets += 1;
+    });
+    for_each_subset(g.edge_count(), 3, &mut |faults| {
+        let mut mask = FaultMask::for_graph(g);
+        for &e in faults {
+            mask.fault_edge(EdgeId::new(e));
+        }
+        assert!(bfs::is_connected(g, &mask), "edges {faults:?} cut it");
+        edge_sets += 1;
+    });
+    assert_eq!((vertex_sets, edge_sets), (696, 5_488));
+    // Four faults do: the 4 neighbours of a vertex, or its 4 edges.
+    let v = NodeId::new(0);
+    assert_eq!(g.degree(v), 4);
+    let mut by_vertices = FaultMask::for_graph(g);
+    let mut by_edges = FaultMask::for_graph(g);
+    for (to, e) in g.neighbors(v) {
+        by_vertices.fault_vertex(to);
+        by_edges.fault_edge(e);
+    }
+    for mask in [by_vertices, by_edges] {
+        let hops = bfs::hop_distances(g, v, &mask);
+        assert_eq!(hops.iter().filter(|&&h| h != u32::MAX).count(), 1);
+    }
+}
+
+/// Calls `visit` on every subset of `0..n` with 1 to `max` elements.
+fn for_each_subset(n: usize, max: usize, visit: &mut dyn FnMut(&[usize])) {
+    fn grow(
+        n: usize,
+        max: usize,
+        from: usize,
+        set: &mut Vec<usize>,
+        visit: &mut dyn FnMut(&[usize]),
+    ) {
+        for i in from..n {
+            set.push(i);
+            visit(set);
+            if set.len() < max {
+                grow(n, max, i + 1, set, visit);
+            }
+            set.pop();
+        }
+    }
+    grow(n, max, 0, &mut Vec::new(), visit);
 }
 
 #[test]
@@ -166,12 +218,9 @@ fn metrics_track_fault_budget() {
 fn heuristic_mode_is_usable_but_flagged() {
     let mut rng = StdRng::seed_from_u64(13);
     let g = generators::erdos_renyi(30, 0.3, &mut rng);
-    assert!(!OracleKind::Heuristic.is_exact());
-    assert!(OracleKind::Branching.is_exact());
     let ft = FtGreedy::new(&g, 3)
         .faults(1)
-        .oracle(OracleKind::Heuristic)
-        .run();
+        .run_with_oracle(&mut GreedyHeuristicOracle::new());
     // Whatever it kept is at least a plain spanner (f=0 guarantees hold:
     // the final H distance check is genuine for kept edges, and dropped
     // edges had SOME certified path at drop time; the plain property can
@@ -181,30 +230,40 @@ fn heuristic_mode_is_usable_but_flagged() {
 
 #[test]
 fn greedy_outputs_have_low_degeneracy() {
-    // The girth > k+1 structure of greedy outputs shows up as degeneracy:
-    // K40's 3-spanner is C4-free, so degeneracy O(sqrt(n)) — far below
-    // the input's n-1.
-    use vft_spanner::graph::degeneracy::degeneracy_ordering;
+    // The girth > k+1 structure of greedy outputs shows up when peeling:
+    // K40's 3-spanner is C4-free, so every subgraph of it has a vertex of
+    // degree O(sqrt(n)) — far below the input's n-1.
     let g = generators::complete(40);
-    let s = greedy_spanner(&g, 3);
-    let mask = FaultMask::for_graph(s.graph());
-    let d = degeneracy_ordering(s.graph(), &mask);
+    let d = peeling_number(greedy_spanner(&g, 3).graph());
     assert!(
-        d.degeneracy <= 8,
-        "3-spanner of K40 has degeneracy {} (expected O(sqrt n))",
-        d.degeneracy
+        d <= 8,
+        "3-spanner of K40 has peeling number {d} (expected O(sqrt n))"
     );
     // Fault tolerance raises it only mildly (Corollary 2: ~sqrt(f) factor).
-    let ft = FtGreedy::new(&g, 3).faults(2).run();
-    let mask = FaultMask::for_graph(ft.spanner().graph());
-    let dft = degeneracy_ordering(ft.spanner().graph(), &mask);
-    assert!(dft.degeneracy >= d.degeneracy);
-    assert!(
-        dft.degeneracy <= 4 * d.degeneracy,
-        "2-VFT degeneracy {} vs plain {}",
-        dft.degeneracy,
-        d.degeneracy
-    );
+    let dft = peeling_number(FtGreedy::new(&g, 3).faults(2).run().spanner().graph());
+    assert!(dft >= d);
+    assert!(dft <= 4 * d, "2-VFT peeling number {dft} vs plain {d}");
+}
+
+/// The largest minimum degree met while repeatedly deleting a
+/// minimum-degree vertex: the least `d` such that every subgraph of `g`
+/// has a vertex of degree at most `d`.
+fn peeling_number(g: &Graph) -> usize {
+    let mut degree: Vec<usize> = g.nodes().map(|v| g.degree(v)).collect();
+    let mut removed = vec![false; g.node_count()];
+    let mut max_seen = 0;
+    for _ in 0..g.node_count() {
+        let v = (0..g.node_count())
+            .filter(|&v| !removed[v])
+            .min_by_key(|&v| degree[v])
+            .expect("a vertex is left");
+        max_seen = max_seen.max(degree[v]);
+        removed[v] = true;
+        for (to, _) in g.neighbors(NodeId::new(v)) {
+            degree[to.index()] -= usize::from(!removed[to.index()]);
+        }
+    }
+    max_seen
 }
 
 #[test]
